@@ -21,7 +21,8 @@ from .paulikey import PauliKey, pauli_scheme, zkey_scheme
 from .permkey import (PermKey, perm_scheme, security_bound,
                       spread_basis_input, build_t_register,
                       t_gate_deterministic, t_gate_probabilistic)
-from .protocol import audit_transcript, canary_session, run_session
+from .protocol import (ProtocolViolation, audit_transcript, canary_session,
+                       run_session)
 from .schemes import SchemeError, security_delta
 from .states import BackendError, DensityMatrix, trace_distance
 
@@ -289,8 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", help="write the report to this path")
         p.add_argument("--format", choices=["json", "csv", "text"],
                        default="json")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker cap (evaluation is deterministic either way)")
 
     p = sub.add_parser("roundtrip", help="encrypt/evaluate/decrypt and compare")
     p.add_argument("scheme", choices=["pauli", "perm"])
@@ -367,7 +366,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (OSError, PauliAlgebraError, BackendError, SchemeError,
             resources.ResourceError, cv.GaussianError, qec.CodeError,
-            ValueError) as exc:
+            ValueError, ProtocolViolation) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR
 

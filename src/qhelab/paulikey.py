@@ -19,7 +19,7 @@ import numpy as np
 
 from .paulis import Circuit, CliffordOp, PauliString
 from .schemes import KeyCodec, SchemeDescriptor, SchemeError
-from .states import DensityMatrix, StabilizerState
+from .states import DensityMatrix
 
 
 @dataclass(frozen=True)
@@ -236,8 +236,7 @@ def homomorphic_eval(circuit: Circuit, state):
     for g in circuit.gates:
         if g.name == "T":
             raise SchemeError("non-Clifford gate without magic resource")
-    op = CliffordOp.from_circuit(circuit)
-    return state.apply_clifford(op)
+    return state.apply_gates((g.name, g.qubits) for g in circuit.gates)
 
 
 def compactness_budget(n_data: int) -> int:
@@ -273,8 +272,7 @@ def inject_t_gate(state, target: int, magic: MagicStateResource,
                       f"(log2 of {n - magic.count} data qubits)",
                       RuntimeWarning, stacklevel=2)
 
-    state = state.apply_gate("CNOT", (target, anc)) if isinstance(state, DensityMatrix) \
-        else state.apply_clifford(CliffordOp.from_gates(n, [("CNOT", (target, anc))]))
+    state = state.apply_gate("CNOT", (target, anc))
     tracker.absorb("CNOT", (target, anc))
 
     za = PauliString.single(n, anc, "Z")
@@ -284,8 +282,7 @@ def inject_t_gate(state, target: int, magic: MagicStateResource,
     o_true = o_raw ^ int(tracker.key.pauli.x[anc])
 
     if o_raw:
-        state = state.apply_gate("S", (target,)) if isinstance(state, DensityMatrix) \
-            else state.apply_clifford(CliffordOp.from_gates(n, [("S", (target,))]))
+        state = state.apply_gate("S", (target,))
         tracker.absorb("S", (target,))
     # plain gadget wanted S^o_true; server applied S^o_raw
     residue = (o_raw - o_true) % 4
@@ -316,12 +313,7 @@ def encrypted_stabilizer_measurement(state, stabilizer: PauliString,
     if stabilizer.n_qubits != n:
         raise SchemeError("stabilizer acts on the wrong register")
     anc = n
-    if isinstance(state, DensityMatrix):
-        plus = DensityMatrix.product("+")
-        full = state.tensor(encrypt(ancilla_key, plus))
-    else:
-        plus = StabilizerState.product("+")
-        full = state.tensor(encrypt(ancilla_key, plus))
+    full = state.tensor(encrypt(ancilla_key, type(state).product("+")))
     gates: list[tuple[str, tuple[int, ...]]] = []
     for q in range(n):
         letter = stabilizer.restricted_letter(q)
@@ -333,8 +325,7 @@ def encrypted_stabilizer_measurement(state, stabilizer: PauliString,
             gates.append(("CZ", (anc, q)))
         else:  # Y: conjugate the target by S so the CNOT acts as CY
             gates += [("Z", (q,)), ("S", (q,)), ("CNOT", (anc, q)), ("S", (q,))]
-    ck = CliffordOp.from_gates(n + 1, gates)
-    full = full.apply_clifford(ck)
+    full = full.apply_gates(gates)
     xa = PauliString.single(n + 1, anc, "X")
     full, rec = full.measure_pauli(xa, rng, label="stab", force=force)
     raw = rec.outcome

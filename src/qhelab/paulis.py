@@ -28,6 +28,7 @@ _PHASE_PREFIX = {"+": 0, "+i": 1, "i": 1, "-": 2, "-i": 3}
 _PREFIX_OF_PHASE = {0: "+", 1: "+i", 2: "-", 3: "-i"}
 
 CLIFFORD_GATES = ("H", "S", "CNOT", "CZ", "SWAP", "X", "Y", "Z")
+_CPAULI_LETTERS = frozenset("XYZ")
 _GATE_ARITY = {
     "H": 1, "S": 1, "X": 1, "Y": 1, "Z": 1,
     "CNOT": 2, "CZ": 2, "SWAP": 2,
@@ -281,7 +282,7 @@ class Circuit:
                 if g.bit in seen_bits:
                     raise PauliAlgebraError(f"duplicate bit label {g.bit!r}")
                 seen_bits.add(g.bit)
-            if g.name == "CPAULI" and (g.bit is None or g.pauli not in "XYZ"):
+            if g.name == "CPAULI" and (g.bit is None or g.pauli not in _CPAULI_LETTERS):
                 raise PauliAlgebraError("CPAULI needs a bit label and Pauli letter")
 
     def is_clifford(self) -> bool:
@@ -463,21 +464,6 @@ class CliffordOp:
 
     def __repr__(self) -> str:
         return f"CliffordOp(n={self.n_qubits}, gates={len(self.gates)})"
-
-
-def multiply(a: PauliString, b: PauliString) -> PauliString:
-    """Product ab with exact phase."""
-    return a * b
-
-
-def conjugate(c: CliffordOp, p: PauliString) -> PauliString:
-    """Key-transport map: the q with c.p = q.c as channels."""
-    return c.conjugate(p)
-
-
-def compose(c2: CliffordOp, c1: CliffordOp) -> CliffordOp:
-    """c2 o c1."""
-    return c2.compose(c1)
 
 
 # ---------------------------------------------------------------------------

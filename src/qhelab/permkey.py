@@ -149,17 +149,11 @@ def spread_gate_list(m: int) -> list[tuple[str, tuple[int, int]]]:
 
 
 def spread_qubit(state, m: int):
-    """Standalone spreading map on a 1-qubit state (either backend)."""
+    """Standalone spreading map on a 1-qubit state (any backend)."""
     if m == 1:
         return state
-    op = CliffordOp.from_gates(m, spread_gate_list(m))
-    if isinstance(state, DensityMatrix):
-        if m > DENSE_QUBIT_CAP:
-            raise RegisterError("dense spread exceeds the oracle cap")
-        mixed = DensityMatrix.maximally_mixed(m - 1)
-        return state.tensor(mixed).apply_clifford(op)
-    mixed = StabilizerState.maximally_mixed(m - 1)
-    return state.tensor(mixed).apply_clifford(op)
+    mixed = type(state).maximally_mixed(m - 1)
+    return state.tensor(mixed).apply_gates(spread_gate_list(m))
 
 
 _ROW_GENERATOR = {"zero": ("Z", 0), "one": ("Z", 2),
@@ -245,12 +239,7 @@ class SpreadRegister:
                     "data", _spread_row_stabilizer(direct[plaintext], m))
             plaintext = DensityMatrix.product(plaintext)
         spread = spread_qubit(plaintext, m)
-        if isinstance(spread, DensityMatrix):
-            if self.n_cols > DENSE_QUBIT_CAP:
-                raise RegisterError("dense data row exceeds the oracle cap")
-            full = spread.tensor(DensityMatrix.maximally_mixed(m))
-        else:
-            full = spread.tensor(StabilizerState.maximally_mixed(m))
+        full = spread.tensor(type(spread).maximally_mixed(m))
         return self._add_factor_row("data", full)
 
     def add_ancilla_row(self, role: str) -> int:
@@ -275,11 +264,6 @@ class SpreadRegister:
                 return f
         raise RegisterError(f"row {row} not found")
 
-    def _densify(self, state):
-        if isinstance(state, DensityMatrix):
-            return state
-        return state.to_density()
-
     def _merge(self, rows: list[int]) -> _Factor:
         touched = []
         for f in self.factors:
@@ -290,13 +274,11 @@ class SpreadRegister:
         if len(touched) == 1:
             return touched[0]
         all_rows = sorted(r for f in touched for r in f.rows)
-        dense = any(isinstance(f.state, DensityMatrix) for f in touched)
-        if dense and len(all_rows) * self.n_cols > DENSE_QUBIT_CAP:
-            raise RegisterError("merging rows would exceed the dense cap")
-        state = None
-        for f in touched:
-            s = self._densify(f.state) if dense else f.state
-            state = s if state is None else state.tensor(s)
+        # a dense factor makes the merge dense; past the oracle cap the
+        # tensor product raises before any matrix is built
+        state = touched[0].state
+        for f in touched[1:]:
+            state = state.tensor(f.state)
         concat_rows = [r for f in touched for r in f.rows]
         # reorder qubits so factor rows are sorted
         order = np.argsort(np.asarray(concat_rows))
@@ -311,15 +293,7 @@ class SpreadRegister:
         return merged
 
     def _apply(self, factor: _Factor, gates: list[tuple[str, tuple[int, ...]]]) -> None:
-        n = len(factor.rows) * self.n_cols
-        if isinstance(factor.state, DensityMatrix):
-            out = factor.state
-            for name, qs in gates:
-                out = out.apply_gate(name, qs)
-            factor.state = out
-        else:
-            op = CliffordOp.from_gates(n, gates)
-            factor.state = factor.state.apply_clifford(op)
+        factor.state = factor.state.apply_gates(gates)
 
     # -- register operations ------------------------------------------------
 
@@ -388,15 +362,12 @@ class SpreadRegister:
 
     def _drop_row(self, f: _Factor, row: int) -> None:
         idx = f.rows.index(row)
-        qs = [idx * self.n_cols + c for c in range(self.n_cols)]
-        keep = [q for q in range(len(f.rows) * self.n_cols) if q not in qs]
-        if isinstance(f.state, DensityMatrix):
-            f.state = f.state.partial_trace(keep)
-        else:
-            f.state = f.state.discard_qubits(qs)
         f.rows.remove(row)
         self.alive[row] = False
-        if not f.rows:
+        if f.rows:
+            f.state = f.state.discard_qubits(
+                [idx * self.n_cols + c for c in range(self.n_cols)])
+        else:
             self.factors.remove(f)
 
     def consumed_ancilla_rows(self) -> int:
@@ -423,26 +394,15 @@ class SpreadRegister:
             return f.state
         idx = f.rows.index(row)
         keep = [idx * self.n_cols + c for c in range(self.n_cols)]
-        if isinstance(f.state, DensityMatrix):
-            return f.state.partial_trace(keep)
-        drop = [q for q in range(len(f.rows) * self.n_cols) if q not in keep]
-        return f.state.discard_qubits(drop)
+        return f.state.discard_qubits(
+            [q for q in range(len(f.rows) * self.n_cols) if q not in keep])
 
     def data_qubit_density(self, row: int) -> np.ndarray:
         """Unspread a decrypted row and return the 2x2 data-qubit state."""
         st = self.row_state(row)
-        if self.m == 1:
-            if isinstance(st, DensityMatrix):
-                return st.partial_trace([0]).mat
-            return st.reduced_density([0])
-        inv = [(name, qs) for name, qs in
-               reversed(spread_gate_list(self.m))]  # CNOTs are involutions
-        if isinstance(st, DensityMatrix):
-            for name, qs in inv:
-                st = st.apply_gate(name, qs)
-            return st.partial_trace([0]).mat
-        op = CliffordOp.from_gates(self.n_cols, inv)
-        st = st.apply_clifford(op)
+        if self.m > 1:
+            # CNOTs are involutions: the reversed word undoes the spread
+            st = st.apply_gates(reversed(spread_gate_list(self.m)))
         return st.reduced_density([0])
 
 
@@ -468,7 +428,8 @@ def _all_perms(m: int):
 def perm_scheme(m: int, rows: int = 1) -> SchemeDescriptor:
     """Permutation-key scheme descriptor on a rows x 2m register.
 
-    Key enumeration is (2m)!, so exact sweeps are intended for m <= 2.
+    Key enumeration is (2m)!, so exact sweeps stop at m = 3 (720 keys
+    on the 6-qubit dense oracle).
     Transport is the identity: transversal computations commute with
     column permutations, which is why decryption never depends on the
     delegated circuit.
@@ -672,29 +633,17 @@ class ConcatenatedSpreadCode:
         reg = SpreadRegister(self.m)
         n, m = self.inner.n, self.m
         # build the joint stabilizer state over n rows directly
-        if m == 1:
-            full = inner_state.tensor(StabilizerState.maximally_mixed(n))
-            # interleave: row r holds (inner qubit r, mixed filler)
-            perm = [0] * (2 * n)
-            for r in range(n):
-                perm[r] = 2 * r
-                perm[n + r] = 2 * r + 1
-            full = full.permute_qubits(perm)
-        else:
-            mixed_per_row = 2 * m - 1
-            full = inner_state.tensor(
-                StabilizerState.maximally_mixed(n * mixed_per_row))
-            perm = [0] * (2 * m * n)
-            for r in range(n):
-                perm[r] = r * 2 * m          # data qubit to column 0
-                for j in range(mixed_per_row):
-                    perm[n + r * mixed_per_row + j] = r * 2 * m + 1 + j
-            full = full.permute_qubits(perm)
-            gates = []
-            for r in range(n):
-                for name, qs in spread_gate_list(m):
-                    gates.append((name, tuple(r * 2 * m + q for q in qs)))
-            full = full.apply_clifford(CliffordOp.from_gates(2 * m * n, gates))
+        mixed_per_row = 2 * m - 1
+        full = inner_state.tensor(
+            StabilizerState.maximally_mixed(n * mixed_per_row))
+        perm = [0] * (2 * m * n)
+        for r in range(n):
+            perm[r] = r * 2 * m          # data qubit to column 0
+            for j in range(mixed_per_row):
+                perm[n + r * mixed_per_row + j] = r * 2 * m + 1 + j
+        full = full.permute_qubits(perm).apply_gates(
+            (name, tuple(r * 2 * m + q for q in qs))
+            for r in range(n) for name, qs in spread_gate_list(m))
         for r in range(n):
             reg.roles.append("data")
             reg.alive.append(True)

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import gf2
 from .paulis import CliffordOp, PauliAlgebraError, PauliString
-from .states import DensityMatrix, StabilizerState
+from .states import StabilizerState
 
 
 class CodeError(ValueError):
@@ -119,10 +119,7 @@ def encode(code: StabilizerCode, logical_state):
     """Adjoin n-k fresh |0> ancillas and apply the encoder Clifford."""
     if logical_state.n_qubits != code.k:
         raise CodeError(f"logical state must have {code.k} qubits")
-    if isinstance(logical_state, DensityMatrix):
-        anc = DensityMatrix.product("0" * (code.n - code.k))
-        return logical_state.tensor(anc).apply_clifford(code.encoder)
-    anc = StabilizerState.zero(code.n - code.k)
+    anc = type(logical_state).product("0" * (code.n - code.k))
     return logical_state.tensor(anc).apply_clifford(code.encoder)
 
 

@@ -1,13 +1,22 @@
-"""Two interchangeable state backends.
+"""Two interchangeable state backends behind one protocol.
 
-`StabilizerState` is a generator-list tableau simulator; a state on n
-qubits may carry k < n generators, which encodes a mixed state (uniform
-over the coset fixed by the group) -- that is exactly what maximally mixed
-ancillas look like, so no purification bookkeeping is needed.
+`StabilizerState` is a packed stabilizer tableau: k x n x/z bit arrays
+plus Z4 phases, updated through the batch gate engine of `paulis`.  A
+state on n qubits may carry k < n generators, which encodes a mixed state
+(uniform over the coset fixed by the group) -- that is exactly what
+maximally mixed ancillas look like, so no purification bookkeeping is
+needed.
 
 `DensityMatrix` is the exact dense oracle, capped at n = 6 so exhaustive
 key sweeps stay fast.  The two backends are cross-checked against each
 other in the test suite.
+
+Both implement the same state protocol, so scheme code never asks which
+backend it holds: `apply_gates` (the gate entry point; `apply_gate` and
+`apply_clifford` replay through it), `apply_pauli`, `measure_pauli`,
+`permute_qubits`, `discard_qubits`, `reduced_density`, `expectation`,
+`to_density`, `tensor` (a dense operand promotes a stabilizer one), and
+the `product` / `maximally_mixed` constructors.
 """
 from __future__ import annotations
 
@@ -16,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf2
-from .paulis import Circuit, CliffordOp, PauliString
+from .paulis import (CLIFFORD_GATES, Circuit, CliffordOp, PauliString,
+                     _apply_gate_rows)
 
 DENSE_QUBIT_CAP = 6
 
@@ -54,6 +64,11 @@ class BackendError(ValueError):
     pass
 
 
+def _check_dense_cap(n: int) -> None:
+    if n > DENSE_QUBIT_CAP:
+        raise BackendError(f"dense oracle capped at {DENSE_QUBIT_CAP} qubits")
+
+
 class ZeroProbabilityError(BackendError):
     """A forced measurement outcome had probability zero."""
 
@@ -71,7 +86,9 @@ class MeasurementRecord:
 
 def gate_unitary(n: int, name: str, qs: tuple[int, ...]) -> np.ndarray:
     """Dense 2^n x 2^n embedding of an elementary gate (qubit 0 = MSB)."""
-    u = _GATE_MATS[name]
+    u = _GATE_MATS.get(name)
+    if u is None:
+        raise BackendError(f"no dense matrix for gate {name}")
     k = len(qs)
     rest = [q for q in range(n) if q not in qs]
     full = np.kron(u, np.eye(2 ** (n - k), dtype=complex))
@@ -94,43 +111,73 @@ def statevector(spec: str) -> np.ndarray:
 
 class StabilizerState:
     """Possibly-mixed stabilizer state: k <= n independent commuting
-    signed generators; k < n leaves 2^(n-k)-fold residual mixedness."""
+    signed generators; k < n leaves 2^(n-k)-fold residual mixedness.
 
-    __slots__ = ("n_qubits", "generators")
+    Generator i is row i of the read-only packed arrays: the k x n bit
+    matrices `x`, `z` and the Z4 vector `phase`, read as
+    i^phase X^x Z^z exactly as in `PauliString`.  Every update copies the
+    rows and works on them in place.
+    """
+
+    __slots__ = ("n_qubits", "x", "z", "phase")
+    BACKEND = "stabilizer"
 
     def __init__(self, n_qubits: int, generators=(), validate: bool = True):
         gens = tuple(generators)
-        object.__setattr__(self, "n_qubits", n_qubits)
-        object.__setattr__(self, "generators", gens)
+        if validate:
+            if len(gens) > n_qubits:
+                raise BackendError("more generators than qubits")
+            if any(g.n_qubits != n_qubits for g in gens):
+                raise BackendError("generator size mismatch")
+        k = len(gens)
+        self._set(n_qubits,
+                  np.array([g.x for g in gens], np.uint8).reshape(k, n_qubits),
+                  np.array([g.z for g in gens], np.uint8).reshape(k, n_qubits),
+                  np.array([g.phase for g in gens], np.uint8))
         if validate:
             self._validate()
+
+    def _set(self, *values) -> "StabilizerState":
+        for name, val in zip(self.__slots__, values):
+            object.__setattr__(self, name, val)
+        for arr in values[1:]:
+            arr.setflags(write=False)
+        return self
+
+    def _rows(self):
+        """Writable copies of (x, z, phase)."""
+        return self.x.copy(), self.z.copy(), self.phase.copy()
 
     def __setattr__(self, *_):
         raise AttributeError("StabilizerState is immutable")
 
+    @property
+    def generators(self) -> tuple[PauliString, ...]:
+        return tuple(PauliString(self.x[i], self.z[i], self.phase[i])
+                     for i in range(len(self.phase)))
+
     def _validate(self) -> None:
-        gens = self.generators
-        if len(gens) > self.n_qubits:
-            raise BackendError("more generators than qubits")
-        for g in gens:
-            if g.n_qubits != self.n_qubits:
-                raise BackendError("generator size mismatch")
-            if not g.is_hermitian():
-                raise BackendError("generator must be Hermitian")
-        for i in range(len(gens)):
-            for j in range(i + 1, len(gens)):
-                if not gens[i].commutes(gens[j]):
-                    raise BackendError("generators must commute")
-        if gens:
-            mat = np.stack([g.symplectic() for g in gens])
-            if gf2.rank(mat) != len(gens):
-                raise BackendError("generators must be independent")
+        x, z = self.x.astype(np.int64), self.z.astype(np.int64)
+        if np.any((self.phase + (x & z).sum(axis=1)) & 1):
+            raise BackendError("generator must be Hermitian")
+        if np.any((x @ z.T + z @ x.T) & 1):
+            raise BackendError("generators must commute")
+        if len(x) and gf2.rank(np.hstack([self.x, self.z])) != len(x):
+            raise BackendError("generators must be independent")
+
+    def _check_size(self, p: PauliString) -> None:
+        if p.n_qubits != self.n_qubits:
+            raise BackendError("qubit count mismatch")
+
+    def _anticommuting(self, p: PauliString) -> np.ndarray:
+        """Boolean mask of the generators that anticommute with p."""
+        return (((self.x & p.z) ^ (self.z & p.x)).sum(axis=1) & 1).astype(bool)
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def zero(cls, n: int) -> "StabilizerState":
-        return cls(n, [PauliString.single(n, q, "Z") for q in range(n)], validate=False)
+        return cls.product("0" * n)
 
     @classmethod
     def maximally_mixed(cls, n: int) -> "StabilizerState":
@@ -152,32 +199,37 @@ class StabilizerState:
                                            phase=0 if sign == "+" else 2))
         return cls(n, gens, validate=False)
 
-    def tensor(self, other: "StabilizerState") -> "StabilizerState":
-        n = self.n_qubits + other.n_qubits
-        ident_other = PauliString.identity(other.n_qubits)
-        ident_self = PauliString.identity(self.n_qubits)
-        gens = [g.tensor(ident_other) for g in self.generators]
-        gens += [ident_self.tensor(g) for g in other.generators]
-        return StabilizerState(n, gens, validate=False)
+    def tensor(self, other) -> "StabilizerState":
+        """self (x) other; a dense operand promotes the result to dense."""
+        if other.BACKEND == DensityMatrix.BACKEND:
+            return self.to_density().tensor(other)
+        return _tableau(
+            self.n_qubits + other.n_qubits, _block_diag(self.x, other.x),
+            _block_diag(self.z, other.z),
+            np.concatenate([self.phase, other.phase]))
 
     # -- group queries ----------------------------------------------------
+
+    def _product_phase(self, rows: np.ndarray) -> int:
+        """Phase of the ordered product of the selected generators."""
+        xs, zs = self.x[rows], self.z[rows]
+        # z part of the running product before each factor joins it
+        before = np.bitwise_xor.accumulate(zs, axis=0) ^ zs
+        return (int(self.phase[rows].sum()) + 2 * int((before & xs).sum())) & 3
 
     def contains(self, p: PauliString) -> tuple[bool, int]:
         """Is +/-p in the stabilizer group?  Returns (found, sign)."""
         pos = p.positive()
-        if not self.generators:
+        if not len(self.phase):
             return (pos.weight() == 0, 1)
-        mat = np.stack([g.symplectic() for g in self.generators]).T
+        mat = np.hstack([self.x, self.z]).T
         sol = gf2.solve(mat, pos.symplectic())
         if sol is None:
             return (False, 0)
-        prod = PauliString.identity(self.n_qubits)
-        for i, bit in enumerate(sol):
-            if bit:
-                prod = prod * self.generators[i]
-        if prod == pos:
+        phase = self._product_phase(np.flatnonzero(sol))
+        if phase == pos.phase:
             return (True, 1)
-        if prod == pos.negate():
+        if phase == (pos.phase + 2) & 3:
             return (True, -1)
         raise BackendError("inconsistent stabilizer group phase")
 
@@ -185,72 +237,78 @@ class StabilizerState:
         """<p> for a Hermitian Pauli: exactly one of -1, 0, +1."""
         pos = p.positive()
         sgn = p.sign()
-        for g in self.generators:
-            if not g.commutes(pos):
-                return 0
+        self._check_size(p)
+        if self._anticommuting(pos).any():
+            return 0
         found, s = self.contains(pos)
         return s * sgn if found else 0
 
     # -- dynamics ---------------------------------------------------------
 
+    def apply_gates(self, gates) -> "StabilizerState":
+        """Conjugate every generator by an elementary Clifford gate word
+        (application order)."""
+        x, z, phase = self._rows()
+        for name, qs in gates:
+            if name not in CLIFFORD_GATES:
+                raise BackendError(f"{name} is not a Clifford gate")
+            _apply_gate_rows(x, z, phase, name, tuple(qs))
+        return _tableau(self.n_qubits, x, z, phase)
+
+    def apply_gate(self, name: str, qs: tuple[int, ...]) -> "StabilizerState":
+        return self.apply_gates([(name, qs)])
+
     def apply_clifford(self, c: CliffordOp) -> "StabilizerState":
         if c.n_qubits != self.n_qubits:
             raise BackendError("qubit count mismatch")
-        return StabilizerState(self.n_qubits,
-                               [c.conjugate(g) for g in self.generators],
-                               validate=False)
+        return self.apply_gates(c.gates)
 
     def apply_pauli(self, p: PauliString) -> "StabilizerState":
         # p g p^dag = +/- g depending on commutation
-        gens = [g if p.commutes(g) else g.negate() for g in self.generators]
-        return StabilizerState(self.n_qubits, gens, validate=False)
+        self._check_size(p)
+        phase = (self.phase + 2 * self._anticommuting(p)) & 3
+        return _tableau(self.n_qubits, self.x, self.z, phase.astype(np.uint8))
 
     def measure_pauli(self, k: PauliString, rng: np.random.Generator,
                       label: str = "m", force: int | None = None,
                       ) -> tuple["StabilizerState", MeasurementRecord]:
-        if k.n_qubits != self.n_qubits:
-            raise BackendError("qubit count mismatch")
+        self._check_size(k)
         if not k.is_hermitian():
             raise BackendError("can only measure Hermitian Paulis")
         pos = k.positive()
         flip = 0 if k.sign() == 1 else 1
-        anti = [i for i, g in enumerate(self.generators) if not g.commutes(pos)]
-        if anti:
-            # outcome is uniformly random; update generators
-            o_pos = int(rng.integers(0, 2)) if force is None else (force ^ flip)
-            pivot = anti[0]
-            gens = list(self.generators)
-            gp = gens[pivot]
-            for i in anti[1:]:
-                gens[i] = gens[i] * gp
-            gens[pivot] = PauliString(pos.x, pos.z, pos.phase + 2 * o_pos)
-            rec = MeasurementRecord(label, o_pos ^ flip, 0.5)
-            return StabilizerState(self.n_qubits, gens, validate=False), rec
-        found, sign = self.contains(pos)
-        if found:
-            o_pos = 0 if sign == 1 else 1
-            outcome = o_pos ^ flip
-            if force is not None and force != outcome:
-                raise ZeroProbabilityError(
-                    f"forced outcome {force} has probability 0")
-            return self, MeasurementRecord(label, outcome, 1.0)
-        # commutes with everything but not in the group: the mixed
-        # directions contain k; outcome uniform, state purifies by one bit.
+        anti = np.flatnonzero(self._anticommuting(pos))
+        if not len(anti):
+            found, sign = self.contains(pos)
+            if found:
+                outcome = (0 if sign == 1 else 1) ^ flip
+                if force is not None and force != outcome:
+                    raise ZeroProbabilityError(
+                        f"forced outcome {force} has probability 0")
+                return self, MeasurementRecord(label, outcome, 1.0)
+        # outcome uniform: an anticommuting generator (the pivot) gives way
+        # to +/-k, or k lies in the mixed directions and the state purifies
+        # by one generator
         o_pos = int(rng.integers(0, 2)) if force is None else (force ^ flip)
-        gens = list(self.generators)
-        gens.append(PauliString(pos.x, pos.z, pos.phase + 2 * o_pos))
+        x, z, phase = self._rows()
+        if len(anti):
+            pivot = anti[0]
+            _multiply_rows(x, z, phase, anti[1:], pivot)
+        else:
+            pivot = len(phase)
+            x, z = np.vstack([x, pos.x]), np.vstack([z, pos.z])
+            phase = np.append(phase, np.uint8(0))
+        x[pivot], z[pivot] = pos.x, pos.z
+        phase[pivot] = (pos.phase + 2 * o_pos) & 3
         rec = MeasurementRecord(label, o_pos ^ flip, 0.5)
-        return StabilizerState(self.n_qubits, gens, validate=False), rec
+        return _tableau(self.n_qubits, x, z, phase), rec
 
     def permute_qubits(self, perm: list[int]) -> "StabilizerState":
         """Relabel qubits: new qubit perm[q] carries old qubit q."""
         if sorted(perm) != list(range(self.n_qubits)):
             raise BackendError("perm must be a bijection on the register")
-        gens = []
         inv = np.argsort(np.asarray(perm))
-        for g in self.generators:
-            gens.append(PauliString(g.x[inv], g.z[inv], g.phase))
-        return StabilizerState(self.n_qubits, gens, validate=False)
+        return _tableau(self.n_qubits, self.x[:, inv], self.z[:, inv], self.phase)
 
     def discard_qubits(self, qs: list[int]) -> "StabilizerState":
         """Trace out the given qubits (exact stabilizer partial trace).
@@ -259,61 +317,38 @@ class StabilizerState:
         pivots (the part of the group with support there) are dropped and
         the remainder is restricted to the kept qubits.
         """
-        keep = [q for q in range(self.n_qubits) if q not in qs]
-        gens = list(self.generators)
+        x, z, phase = self._rows()
+        alive = np.ones(len(phase), bool)
         for q in qs:
-            for pick in ("x", "z"):
-                pivot = None
-                for i, g in enumerate(gens):
-                    if (g.x[q] if pick == "x" else g.z[q]):
-                        pivot = i
-                        break
-                if pivot is None:
-                    continue
-                piv = gens.pop(pivot)
-                for i, g in enumerate(gens):
-                    if (g.x[q] if pick == "x" else g.z[q]):
-                        gens[i] = g * piv
-        out = []
-        for g in gens:
-            if (g.x[qs].any() or g.z[qs].any()):
-                raise BackendError("discard elimination left support behind")
-            out.append(PauliString(g.x[keep], g.z[keep], g.phase))
-        return StabilizerState(len(keep), out, validate=False)
+            for bits in (x, z):
+                hits = (bits[:, q] & alive).nonzero()[0]
+                if len(hits):
+                    _multiply_rows(x, z, phase, hits[1:], hits[0])
+                    alive[hits[0]] = False
+        x, z, phase = x[alive], z[alive], phase[alive]
+        if x[:, qs].any() or z[:, qs].any():
+            raise BackendError("discard elimination left support behind")
+        keep = [q for q in range(self.n_qubits) if q not in qs]
+        return _tableau(len(keep), x[:, keep], z[:, keep], phase)
 
     # -- extraction -------------------------------------------------------
 
     def reduced_density(self, qubits: list[int]) -> np.ndarray:
-        """Exact reduced density matrix on a small subset of qubits."""
-        s = len(qubits)
-        if s > 3:
-            raise BackendError("reduced_density supports at most 3 qubits")
-        dim = 2 ** s
-        rho = np.zeros((dim, dim), dtype=complex)
-        for idx in range(4 ** s):
-            letters = []
-            rem = idx
-            for _ in range(s):
-                letters.append("IXYZ"[rem % 4])
-                rem //= 4
-            small = PauliString.from_label("".join(letters))
-            big = small.embed(self.n_qubits, qubits)
-            val = self.expectation(big)
-            if val:
-                rho += val * small.to_matrix()
-        return rho / dim
+        """Exact reduced density matrix on `qubits`, in the order given."""
+        order = sorted(qubits)
+        kept = self.discard_qubits([q for q in range(self.n_qubits) if q not in qubits])
+        return kept.to_density().reduced_density([order.index(q) for q in qubits])
 
     def to_density(self) -> "DensityMatrix":
-        if self.n_qubits > DENSE_QUBIT_CAP:
-            raise BackendError(f"dense oracle capped at {DENSE_QUBIT_CAP} qubits")
+        _check_dense_cap(self.n_qubits)
         dim = 2 ** self.n_qubits
         rho = np.eye(dim, dtype=complex)
         for g in self.generators:
             rho = rho @ (np.eye(dim) + g.to_matrix()) / 2.0
-        return DensityMatrix(rho / 2 ** (self.n_qubits - len(self.generators)))
+        return DensityMatrix(rho / 2 ** (self.n_qubits - len(self.phase)))
 
     def to_json(self) -> dict:
-        return {"backend": "stabilizer", "n_qubits": self.n_qubits,
+        return {"backend": self.BACKEND, "n_qubits": self.n_qubits,
                 "generators": [g.label() for g in self.generators]}
 
     @classmethod
@@ -325,10 +360,35 @@ class StabilizerState:
         return f"StabilizerState(n={self.n_qubits}, gens={[g.label() for g in self.generators]})"
 
 
+def _tableau(n_qubits: int, x: np.ndarray, z: np.ndarray,
+             phase: np.ndarray) -> StabilizerState:
+    """State from packed rows, taken over without checks or copies."""
+    return object.__new__(StabilizerState)._set(n_qubits, x, z, phase)
+
+
+def _block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]), np.uint8)
+    out[:a.shape[0], :a.shape[1]] = a
+    out[a.shape[0]:, a.shape[1]:] = b
+    return out
+
+
+def _multiply_rows(x: np.ndarray, z: np.ndarray, phase: np.ndarray,
+                   rows: np.ndarray, pivot: int) -> None:
+    """Replace each listed row g by g * (row pivot), in place."""
+    if not len(rows):
+        return
+    cross = (z[rows] & x[pivot]).sum(axis=1) & 1
+    phase[rows] = (phase[rows] + phase[pivot] + 2 * cross) & 3
+    x[rows] ^= x[pivot]
+    z[rows] ^= z[pivot]
+
+
 class DensityMatrix:
     """Exact dense density operator, n <= 6 enforced."""
 
     __slots__ = ("n_qubits", "mat")
+    BACKEND = "dense"
 
     def __init__(self, mat: np.ndarray, validate: bool = True):
         mat = np.asarray(mat, dtype=complex)
@@ -336,8 +396,7 @@ class DensityMatrix:
         n = int(round(np.log2(dim)))
         if mat.shape != (dim, dim) or 2 ** n != dim:
             raise BackendError("density matrix must be square power-of-two")
-        if n > DENSE_QUBIT_CAP:
-            raise BackendError(f"dense oracle capped at {DENSE_QUBIT_CAP} qubits")
+        _check_dense_cap(n)
         object.__setattr__(self, "n_qubits", n)
         object.__setattr__(self, "mat", mat)
         self.mat.setflags(write=False)
@@ -366,6 +425,7 @@ class DensityMatrix:
 
     @classmethod
     def maximally_mixed(cls, n: int) -> "DensityMatrix":
+        _check_dense_cap(n)
         return cls(np.eye(2 ** n, dtype=complex) / 2 ** n, validate=False)
 
     @classmethod
@@ -378,16 +438,20 @@ class DensityMatrix:
     def apply_unitary(self, u: np.ndarray) -> "DensityMatrix":
         return DensityMatrix(u @ self.mat @ u.conj().T, validate=False)
 
+    def apply_gates(self, gates) -> "DensityMatrix":
+        """Apply an elementary gate word (application order), T included."""
+        out = self
+        for name, qs in gates:
+            out = out.apply_gate(name, qs)
+        return out
+
     def apply_gate(self, name: str, qs: tuple[int, ...]) -> "DensityMatrix":
         return self.apply_unitary(gate_unitary(self.n_qubits, name, qs))
 
     def apply_clifford(self, c: CliffordOp) -> "DensityMatrix":
         if c.n_qubits != self.n_qubits:
             raise BackendError("qubit count mismatch")
-        out = self
-        for name, qs in c.gates:
-            out = out.apply_gate(name, qs)
-        return out
+        return self.apply_gates(c.gates)
 
     def apply_pauli(self, p: PauliString) -> "DensityMatrix":
         m = p.to_matrix()
@@ -440,15 +504,30 @@ class DensityMatrix:
         return DensityMatrix(t.reshape(2 ** len(keep), 2 ** len(keep)),
                              validate=False)
 
-    def tensor(self, other: "DensityMatrix") -> "DensityMatrix":
-        return DensityMatrix(np.kron(self.mat, other.mat), validate=False)
+    def discard_qubits(self, qs: list[int]) -> "DensityMatrix":
+        return self.partial_trace([q for q in range(self.n_qubits) if q not in qs])
+
+    def reduced_density(self, qubits: list[int]) -> np.ndarray:
+        """Reduced density matrix on `qubits`, in the order given."""
+        order = sorted(qubits)
+        reduced = self.partial_trace(order)
+        return reduced.permute_qubits([list(qubits).index(q) for q in order]).mat
+
+    def to_density(self) -> "DensityMatrix":
+        return self
+
+    def tensor(self, other) -> "DensityMatrix":
+        """self (x) other; a stabilizer operand is promoted to dense."""
+        _check_dense_cap(self.n_qubits + other.n_qubits)
+        return DensityMatrix(np.kron(self.mat, other.to_density().mat),
+                             validate=False)
 
     def expectation(self, p: PauliString) -> float:
         return float(np.real(np.trace(p.to_matrix() @ self.mat)))
 
     def to_json(self) -> dict:
         flat = [[float(v.real), float(v.imag)] for v in self.mat.reshape(-1)]
-        return {"backend": "dense", "n_qubits": self.n_qubits, "matrix": flat}
+        return {"backend": self.BACKEND, "n_qubits": self.n_qubits, "matrix": flat}
 
     @classmethod
     def from_json(cls, blob: dict) -> "DensityMatrix":
@@ -471,18 +550,18 @@ def trace_distance(a, b) -> float:
     return float(0.5 * np.sum(np.abs(eig)))
 
 
-def to_density(state: StabilizerState) -> DensityMatrix:
+def to_density(state) -> DensityMatrix:
     return state.to_density()
 
 
 def evaluate_circuit(state, circuit: Circuit, rng: np.random.Generator,
                      forced: dict[str, int] | None = None,
                      allow_t: bool = False):
-    """Run a circuit on either backend.
+    """Run a circuit on any backend.
 
-    Returns (state, records dict).  T markers are only legal on the dense
-    backend with allow_t=True (plain-evaluation references); encrypted
-    T handling lives in the scheme modules.
+    Returns (state, records dict).  T markers need allow_t=True and a
+    backend that can hold them (plain-evaluation references on the dense
+    oracle); encrypted T handling lives in the scheme modules.
     """
     forced = forced or {}
     records: dict[str, MeasurementRecord] = {}
@@ -498,14 +577,8 @@ def evaluate_circuit(state, circuit: Circuit, rng: np.random.Generator,
             if records[g.bit].outcome:
                 p = PauliString.single(circuit.n_qubits, g.qubits[0], g.pauli)
                 state = state.apply_pauli(p)
-        elif g.name == "T":
-            if not (allow_t and isinstance(state, DensityMatrix)):
-                raise BackendError("T gate requires the dense reference path")
-            state = state.apply_gate("T", g.qubits)
+        elif g.name == "T" and not allow_t:
+            raise BackendError("T gate requires the dense reference path")
         else:
-            if isinstance(state, DensityMatrix):
-                state = state.apply_gate(g.name, g.qubits)
-            else:
-                op = CliffordOp.from_gates(circuit.n_qubits, [(g.name, g.qubits)])
-                state = state.apply_clifford(op)
+            state = state.apply_gate(g.name, g.qubits)
     return state, records

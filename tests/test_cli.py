@@ -57,6 +57,21 @@ class TestRoundtrip:
         with pytest.raises(SystemExit):
             run_cli(["roundtrip", "pauli", "-c", h_circuit, "-i", "0"])
 
+    def test_plaintext_length_mismatch_exits_2(self, h_circuit, capsys):
+        code, _ = run_cli(["roundtrip", "pauli", "-c", h_circuit,
+                           "-i", "01", "--seed", "1"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("scheme", ["pauli", "perm"])
+    def test_measurement_in_circuit_exits_2(self, tmp_path, scheme, capsys):
+        circ = tmp_path / "m.qc"
+        circ.write_text("H 0\nM 0 -> b\n")
+        code, _ = run_cli(["roundtrip", scheme, "-c", str(circ), "-i", "0",
+                           "--seed", "1"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_seed_from_environment(self, h_circuit, monkeypatch):
         monkeypatch.setenv("QHELAB_SEED", "7")
         code, out = run_cli(["roundtrip", "pauli", "-c", h_circuit, "-i", "0"])
@@ -171,6 +186,20 @@ class TestAuditCommand:
     def test_audit_without_scheme_or_config_exits_2(self):
         code, _ = run_cli(["audit", "--runs", "1000", "--seed", "1"])
         assert code == 2
+
+    def test_too_few_runs_exits_2(self, capsys):
+        code, _ = run_cli(["audit", "--scheme", "pauli", "--runs", "10",
+                           "--seed", "1"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: insufficient samples")
+
+    def test_config_missing_runs_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "session.json"
+        config.write_text(json.dumps({"scheme": "pauli", "circuit": None,
+                                      "seed": 5}))
+        code, _ = run_cli(["audit", "--config", str(config)])
+        assert code == 2
+        assert "missing ['runs']" in capsys.readouterr().err
 
 
 class TestEntryPoint:

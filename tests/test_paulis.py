@@ -217,6 +217,14 @@ class TestCircuitFormat:
         with pytest.raises(PauliAlgebraError):
             Circuit(1, (Gate("H", (3,)),))
 
+    @pytest.mark.parametrize("letter", ["XY", "", "I", "XYZ"])
+    def test_cpauli_letter_rejected(self, letter):
+        with pytest.raises(PauliAlgebraError):
+            parse_circuit(f"M 0 -> b\nCPAULI b {letter} 0\n")
+        with pytest.raises(PauliAlgebraError):
+            Circuit(1, (Gate("M", (0,), bit="b"),
+                        Gate("CPAULI", (0,), bit="b", pauli=letter or None)))
+
     def test_arity_enforced_for_all_elements(self):
         with pytest.raises(PauliAlgebraError):
             Circuit(2, (Gate("M", (0, 1), bit="b"),))

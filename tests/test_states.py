@@ -245,3 +245,32 @@ class TestSerialization:
         notherm = np.array([[0.5, 1j], [0.5j, 0.5]])
         with pytest.raises(BackendError):
             DensityMatrix(notherm)
+
+
+class TestNoBackendBranches:
+    def test_isinstance_on_backends_only_in_trace_distance(self):
+        """Scheme code talks to states through the protocol; the only
+        backend check left is trace_distance accepting raw matrices."""
+        import ast
+        from pathlib import Path
+
+        import qhelab
+        backends = {"DensityMatrix", "StabilizerState"}
+        found = []
+        for path in sorted(Path(qhelab.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            allowed = set()
+            for node in ast.walk(tree):
+                if (path.name == "states.py" and isinstance(node, ast.FunctionDef)
+                        and node.name == "trace_distance"):
+                    allowed = set(range(node.lineno, node.end_lineno + 1))
+            for node in ast.walk(tree):
+                if not (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Name)
+                        and node.func.id == "isinstance" and len(node.args) == 2):
+                    continue
+                kinds = node.args[1]
+                names = {e.id for e in ast.walk(kinds) if isinstance(e, ast.Name)}
+                if names & backends and node.lineno not in allowed:
+                    found.append(f"{path.name}:{node.lineno}")
+        assert found == []
