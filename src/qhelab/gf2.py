@@ -1,58 +1,57 @@
-"""Bit-matrix linear algebra over GF(2)."""
+"""Bit-matrix linear algebra over GF(2), in bitset echelon form.
+
+Entries are masked with ``& 1``.  Each column is packed into an ``int``
+(bit i = row i) tagged with a bit for its own index above the row bits, and
+inserted into a greedy basis left to right: a column outside the span of
+those before it is a pivot.  ``rank`` counts the basis; ``solve`` reduces
+``rhs`` against it and reads x off the tag bits, which gives the pivot-only
+particular solution (every free variable 0).
+"""
 from __future__ import annotations
 
 import numpy as np
 
 
+def _bitsets(rows: np.ndarray) -> list[int]:
+    """Each row of an integer matrix as an int, bit i = entry i & 1."""
+    packed = np.packbits(rows & 1, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _reduce(v: int, basis: dict[int, int], mask: int) -> int:
+    """Clear v's row bits from the top until one has no basis entry."""
+    while low := v & mask:
+        entry = basis.get(low.bit_length() - 1)
+        if entry is None:
+            break
+        v ^= entry
+    return v
+
+
+def _echelon(cols: list[int], n_rows: int) -> dict[int, int]:
+    """Greedy left-to-right basis of tagged columns, keyed by pivot row."""
+    mask = (1 << n_rows) - 1
+    basis: dict[int, int] = {}
+    for j, col in enumerate(cols):
+        v = _reduce(col | 1 << (n_rows + j), basis, mask)
+        if v & mask:
+            basis[(v & mask).bit_length() - 1] = v
+    return basis
+
+
 def solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
     """Solve mat @ x = rhs over GF(2); None if inconsistent."""
     m, n = mat.shape
-    a = np.concatenate([mat.copy() & 1, (rhs.copy() & 1).reshape(-1, 1)],
-                       axis=1).astype(np.uint8)
-    pivots = []
-    row = 0
-    for col in range(n):
-        hit = None
-        for r in range(row, m):
-            if a[r, col]:
-                hit = r
-                break
-        if hit is None:
-            continue
-        a[[row, hit]] = a[[hit, row]]
-        for r in range(m):
-            if r != row and a[r, col]:
-                a[r] ^= a[row]
-        pivots.append(col)
-        row += 1
-        if row == m:
-            break
-    for r in range(row, m):
-        if a[r, n]:
-            return None
-    x = np.zeros(n, np.uint8)
-    for r, col in enumerate(pivots):
-        x[col] = a[r, n]
-    return x
+    *cols, target = _bitsets(np.column_stack([mat, rhs]).T)
+    mask = (1 << m) - 1
+    v = _reduce(target, _echelon(cols, m), mask)
+    if v & mask:
+        return None
+    tags = np.frombuffer((v >> m).to_bytes(n // 8 + 1, "little"), np.uint8)
+    return np.unpackbits(tags, count=n, bitorder="little")
 
 
 def rank(mat: np.ndarray) -> int:
-    a = (mat.copy() & 1).astype(np.uint8)
-    m, n = a.shape
-    r = 0
-    for col in range(n):
-        hit = None
-        for i in range(r, m):
-            if a[i, col]:
-                hit = i
-                break
-        if hit is None:
-            continue
-        a[[r, hit]] = a[[hit, r]]
-        for i in range(m):
-            if i != r and a[i, col]:
-                a[i] ^= a[r]
-        r += 1
-        if r == m:
-            break
-    return r
+    """Rank over GF(2), eliminating along the shorter side."""
+    vecs = mat if mat.shape[0] < mat.shape[1] else mat.T
+    return len(_echelon(_bitsets(vecs), vecs.shape[1]))

@@ -173,18 +173,16 @@ class PauliString:
         return "IXZY"[xi + 2 * zi]
 
     def to_matrix(self) -> np.ndarray:
-        """Dense 2^n x 2^n matrix; intended for small n oracles."""
-        mats = {"I": np.eye(2), "X": np.array([[0, 1], [1, 0]]),
-                "Z": np.array([[1, 0], [0, -1]])}
-        out = np.array([[1.0 + 0j]])
-        for xi, zi in zip(self.x, self.z):
-            factor = np.eye(2, dtype=complex)
-            if xi:
-                factor = factor @ mats["X"]
-            if zi:
-                factor = factor @ mats["Z"]
-            out = np.kron(out, factor)
-        return (1j ** self.phase) * out
+        """Dense 2^n x 2^n matrix of i^phase X^x Z^z, qubit 0 the most
+        significant bit: a signed permutation whose column c holds
+        i^phase (-1)^popcount(z & c) at row c ^ x.  For small n oracles."""
+        weights = 1 << np.arange(self.n_qubits - 1, -1, -1)
+        xbits, zbits = int(self.x @ weights), int(self.z @ weights)
+        cols = np.arange(1 << self.n_qubits)
+        signs = np.where(np.bitwise_count(cols & zbits) & 1, -1, 1)
+        out = np.zeros((len(cols), len(cols)), dtype=complex)
+        out[cols ^ xbits, cols] = (1j ** self.phase) * signs
+        return out
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, PauliString)

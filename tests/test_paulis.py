@@ -246,3 +246,39 @@ class TestLabels:
         assert p.sign() == -1
         assert p.positive().sign() == 1
         assert p.positive().negate() == p
+
+
+def kron_reference(p: PauliString) -> np.ndarray:
+    """i^phase times the Kronecker product of X^x Z^z, qubit 0 leftmost."""
+    x_mat, z_mat = np.array([[0, 1], [1, 0]]), np.array([[1, 0], [0, -1]])
+    out = np.array([[1.0 + 0j]])
+    for xi, zi in zip(p.x, p.z):
+        out = np.kron(out, np.linalg.matrix_power(x_mat, int(xi))
+                      @ np.linalg.matrix_power(z_mat, int(zi)))
+    return (1j ** p.phase) * out
+
+
+class TestToMatrix:
+    @pytest.mark.parametrize("n", range(1, 4))
+    def test_every_pauli_and_phase(self, n):
+        for bits in range(4 ** n):
+            x = [(bits >> q) & 1 for q in range(n)]
+            z = [(bits >> (n + q)) & 1 for q in range(n)]
+            for phase in range(4):
+                p = PauliString(x, z, phase)
+                got = p.to_matrix()
+                assert got.dtype == complex
+                assert np.array_equal(got, kron_reference(p))
+
+    def test_random_strings_at_six_qubits(self):
+        rng = np.random.default_rng(6)
+        for _ in range(20):
+            p = random_pauli(6, rng, phase_free=False)
+            p = PauliString(p.x, p.z, p.phase + int(rng.integers(0, 2)))
+            assert np.array_equal(p.to_matrix(), kron_reference(p))
+
+    @pytest.mark.parametrize("phase", range(4))
+    def test_no_qubits(self, phase):
+        got = PauliString([], [], phase).to_matrix()
+        assert got.shape == (1, 1)
+        assert np.array_equal(got, [[1j ** phase]])

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from qhelab.paulis import PauliString
 from qhelab.paulis import random_clifford, random_pauli
 from qhelab.permkey import SpreadRegister
 from qhelab.states import (DENSE_QUBIT_CAP, BackendError, DensityMatrix,
@@ -130,3 +131,37 @@ class TestRegisterMergeCap:
         with pytest.raises(ValueError):
             reg.transversal_pair("CNOT", data, rows[2])
         assert max(dims, default=0) <= 2 ** DENSE_QUBIT_CAP
+
+
+class TestPauliOperandChecks:
+    """Both backends reject the same Pauli operands with BackendError,
+    checking the qubit count before Hermiticity."""
+
+    @pytest.mark.parametrize("backend", [StabilizerState, DensityMatrix])
+    def test_non_hermitian_expectation(self, backend):
+        with pytest.raises(BackendError, match="Hermitian"):
+            backend.product("+").expectation(PauliString.from_label("iX"))
+
+    @pytest.mark.parametrize("backend", [StabilizerState, DensityMatrix])
+    @pytest.mark.parametrize("label", ["XZ", "iXZ"])
+    def test_expectation_size_mismatch(self, backend, label):
+        with pytest.raises(BackendError, match="qubit count mismatch"):
+            backend.product("+").expectation(PauliString.from_label(label))
+
+    @pytest.mark.parametrize("backend", [StabilizerState, DensityMatrix])
+    @pytest.mark.parametrize("label", ["XZ", "iXZ"])
+    def test_measure_size_mismatch(self, backend, label):
+        with pytest.raises(BackendError, match="qubit count mismatch"):
+            backend.product("+").measure_pauli(PauliString.from_label(label),
+                                               np.random.default_rng(0))
+
+    @pytest.mark.parametrize("backend", [StabilizerState, DensityMatrix])
+    def test_apply_pauli_size_mismatch(self, backend):
+        with pytest.raises(BackendError, match="qubit count mismatch"):
+            backend.product("+0").apply_pauli(PauliString.from_label("X"))
+
+    @pytest.mark.parametrize("backend", [StabilizerState, DensityMatrix])
+    def test_hermitian_expectation_still_reads(self, backend):
+        state = backend.product("+1")
+        assert state.expectation(PauliString.from_label("-XZ")) == pytest.approx(1.0)
+        assert state.expectation(PauliString.from_label("ZI")) == pytest.approx(0.0)
