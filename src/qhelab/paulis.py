@@ -174,14 +174,10 @@ class PauliString:
 
     def to_matrix(self) -> np.ndarray:
         """Dense 2^n x 2^n matrix of i^phase X^x Z^z, qubit 0 the most
-        significant bit: a signed permutation whose column c holds
-        i^phase (-1)^popcount(z & c) at row c ^ x.  For small n oracles."""
-        weights = 1 << np.arange(self.n_qubits - 1, -1, -1)
-        xbits, zbits = int(self.x @ weights), int(self.z @ weights)
-        cols = np.arange(1 << self.n_qubits)
-        signs = np.where(np.bitwise_count(cols & zbits) & 1, -1, 1)
-        out = np.zeros((len(cols), len(cols)), dtype=complex)
-        out[cols ^ xbits, cols] = (1j ** self.phase) * signs
+        significant bit.  For small n oracles."""
+        idx, s = _signed_permutation(self.x, self.z, self.phase)
+        out = np.zeros((len(idx), len(idx)), dtype=complex)
+        out[np.arange(len(idx)), idx] = s
         return out
 
     def __eq__(self, other) -> bool:
@@ -193,6 +189,17 @@ class PauliString:
 
     def __hash__(self) -> int:
         return hash((self.n_qubits, self.phase, self.x.tobytes(), self.z.tobytes()))
+
+
+def _signed_permutation(x: np.ndarray, z: np.ndarray,
+                        phase: int) -> tuple[np.ndarray, np.ndarray]:
+    """i^phase X^x Z^z (qubit 0 the most significant bit) as a signed
+    permutation: row r holds s[r] = i^phase (-1)^popcount(z & idx[r]) at
+    column idx[r] = r ^ x, so P rho = s[:, None] * rho[idx]."""
+    weights = 1 << np.arange(len(x) - 1, -1, -1)
+    idx = np.arange(1 << len(x)) ^ int(x @ weights)
+    signs = np.where(np.bitwise_count(idx & int(z @ weights)) & 1, -1, 1)
+    return idx, (1j ** int(phase)) * signs
 
 
 # ---------------------------------------------------------------------------
@@ -439,10 +446,13 @@ class CliffordOp:
         return CliffordOp.from_gates(n, gates)
 
     def to_matrix(self) -> np.ndarray:
-        from .states import gate_unitary  # local import; dense oracle lives there
-        u = np.eye(2 ** self.n_qubits, dtype=complex)
+        """Dense unitary: each gate multiplied into the row axes of the
+        identity by the dense oracle's gate kernel."""
+        from .states import _GATE_MATS, _apply_on_bits, _gate_operator
+        n = self.n_qubits
+        u = np.eye(2 ** n, dtype=complex)
         for name, qs in self.gates:
-            u = gate_unitary(self.n_qubits, name, qs) @ u
+            u = _apply_on_bits(u, _gate_operator(_GATE_MATS, name, qs, n), qs)
         return u
 
     def is_identity_channel(self) -> bool:

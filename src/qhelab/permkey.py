@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .paulis import CliffordOp, PauliString
+from .paulis import CliffordOp, PauliString, _signed_permutation
 from .schemes import SchemeDescriptor, SchemeError
-from .states import DENSE_QUBIT_CAP, DensityMatrix, StabilizerState
+from .states import DENSE_QUBIT_CAP, DensityMatrix, StabilizerState, _tableau
 
 
 class RegisterError(ValueError):
@@ -161,6 +161,15 @@ _ROW_GENERATOR = {"zero": ("Z", 0), "one": ("Z", 2),
                   "plusi": ("Y", 0), "minusi": ("Y", 2)}
 
 
+def _column_power(letter: str, m: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """x bits, z bits and canonical phase (one i per Y) of letter^(x)m on
+    the first m of 2m columns."""
+    x = np.zeros(2 * m, np.uint8)
+    z = np.zeros(2 * m, np.uint8)
+    x[:m], z[:m] = letter in "XY", letter in "YZ"
+    return x, z, m if letter == "Y" else 0
+
+
 def _spread_row_stabilizer(role: str, m: int) -> StabilizerState:
     """Direct construction of a spread basis/axis row on 2m qubits."""
     letter, sign = _ROW_GENERATOR[role]
@@ -169,11 +178,9 @@ def _spread_row_stabilizer(role: str, m: int) -> StabilizerState:
     if letter == "Y" and m % 4 != 1:
         # s_2^(x)m picks up a sign unless m = 1 mod 4
         sign ^= 2
-    gen = PauliString.identity(2 * m)
-    for c in range(m):
-        gen = gen * PauliString.single(2 * m, c, letter)
-    gens = [PauliString(gen.x, gen.z, gen.phase + sign)]
-    return StabilizerState(2 * m, gens, validate=False)
+    x, z, phase = _column_power(letter, m)
+    return _tableau(2 * m, x[None], z[None],
+                    np.array([(phase + sign) & 3], np.uint8))
 
 
 def _spread_magic_dense(m: int) -> DensityMatrix:
@@ -184,14 +191,12 @@ def _spread_magic_dense(m: int) -> DensityMatrix:
         raise RegisterError("magic rows exceed the dense cap at this m")
     sy = 1.0 if m % 4 == 1 else -1.0
     dim = 2 ** (2 * m)
-    xm = PauliString.identity(2 * m)
-    ym = PauliString.identity(2 * m)
-    for c in range(m):
-        xm = xm * PauliString.single(2 * m, c, "X")
-        ym = ym * PauliString.single(2 * m, c, "Y")
-    rho = (np.eye(dim, dtype=complex)
-           + (xm.to_matrix() + sy * ym.to_matrix()) / np.sqrt(2.0)) / dim
-    return DensityMatrix(rho, validate=False)
+    # X^m and Y^m move the same bits, so both sit at (r, idx[r])
+    idx, sx = _signed_permutation(*_column_power("X", m))
+    _, s_y = _signed_permutation(*_column_power("Y", m))
+    rho = np.eye(dim, dtype=complex)
+    rho[np.arange(dim), idx] += (sx + sy * s_y) / np.sqrt(2.0)
+    return DensityMatrix(rho / dim, validate=False)
 
 
 # ---------------------------------------------------------------------------

@@ -102,19 +102,27 @@ def _as_clifford(comp) -> CliffordOp:
     raise SchemeError(f"not a computation: {comp!r}")
 
 
+def _key_average(scheme: SchemeDescriptor, keys, rho: DensityMatrix,
+                 expected: int) -> DensityMatrix:
+    """Uniform mixture of rho's encryptions under `keys`, which must
+    number `expected`."""
+    total = np.zeros_like(rho.mat)
+    count = 0
+    for key in keys:
+        total += scheme.encrypt(key, rho).mat
+        count += 1
+    if count != expected:
+        raise SchemeError("key iterator disagrees with key_count")
+    total /= count
+    return DensityMatrix(total, validate=False)
+
+
 def ciphertext_average(scheme: SchemeDescriptor, rho: DensityMatrix) -> DensityMatrix:
     """The state an eavesdropper without the key perceives: the uniform
     mixture of the encryptions under every key."""
     if scheme.key_count is None:
         raise KeySpaceError(f"{scheme.name} has no enumerable key space")
-    total = np.zeros_like(rho.mat)
-    count = 0
-    for key in scheme.iter_keys():
-        total = total + scheme.encrypt(key, rho).mat
-        count += 1
-    if count != scheme.key_count:
-        raise SchemeError("key iterator disagrees with key_count")
-    return DensityMatrix(total / count, validate=False)
+    return _key_average(scheme, scheme.iter_keys(), rho, scheme.key_count)
 
 
 def security_delta(scheme: SchemeDescriptor, inputs,
@@ -136,12 +144,8 @@ def security_delta(scheme: SchemeDescriptor, inputs,
             raise SchemeError("sampled sweep needs an rng")
         method = "sampled"
         keys = [scheme.sample_key(rng) for _ in range(sample_count)]
-        averaged = []
-        for rho in inputs:
-            acc = np.zeros_like(rho.mat)
-            for key in keys:
-                acc = acc + scheme.encrypt(key, rho).mat
-            averaged.append(DensityMatrix(acc / len(keys), validate=False))
+        averaged = [_key_average(scheme, keys, rho, sample_count)
+                    for rho in inputs]
         swept = sample_count
     best = 0.0
     pair = (0, 0)

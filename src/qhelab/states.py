@@ -8,8 +8,12 @@ maximally mixed ancillas look like, so no purification bookkeeping is
 needed.
 
 `DensityMatrix` is the exact dense oracle, capped at n = 6 so exhaustive
-key sweeps stay fast.  The two backends are cross-checked against each
-other in the test suite.
+key sweeps stay fast.  It never forms a 2^n x 2^n operator: a k-qubit
+gate views rho as a (2,)*2n tensor and multiplies the gate's 4^k x 4^k
+superoperator u (x) conj(u) into its k row and k column axes
+(`_apply_on_bits`, the one dense gate kernel), and a Pauli acts as a
+signed permutation of rows and columns (P rho = s[:, None] * rho[idx]).
+The two backends are cross-checked against each other in the test suite.
 
 Both implement the same state protocol, so scheme code never asks which
 backend it holds: `apply_gates` (the gate entry point; `apply_gate` and
@@ -26,7 +30,7 @@ import numpy as np
 
 from . import gf2
 from .paulis import (CLIFFORD_GATES, Circuit, CliffordOp, PauliString,
-                     _apply_gate_rows)
+                     _apply_gate_rows, _signed_permutation)
 
 DENSE_QUBIT_CAP = 6
 
@@ -45,6 +49,9 @@ _GATE_MATS: dict[str, np.ndarray] = {
     "SWAP": np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
                      dtype=complex),
 }
+
+# what the dense kernel multiplies into a gate's row and column axes
+_GATE_SUPEROPS = {name: np.kron(u, u.conj()) for name, u in _GATE_MATS.items()}
 
 _1Q_VECTORS = {
     "0": np.array([1, 0], dtype=complex),
@@ -93,19 +100,44 @@ class MeasurementRecord:
             raise BackendError("probability outside [0, 1]")
 
 
-def gate_unitary(n: int, name: str, qs: tuple[int, ...]) -> np.ndarray:
-    """Dense 2^n x 2^n embedding of an elementary gate (qubit 0 = MSB)."""
-    u = _GATE_MATS.get(name)
-    if u is None:
+def _gate_operator(table: dict, name: str, qs: tuple[int, ...],
+                   n: int) -> np.ndarray:
+    """The gate's entry in `table`, after checking its qubits."""
+    op = table.get(name)
+    if op is None:
         raise BackendError(f"no dense matrix for gate {name}")
-    k = len(qs)
-    rest = [q for q in range(n) if q not in qs]
-    full = np.kron(u, np.eye(2 ** (n - k), dtype=complex))
-    order = list(qs) + rest
-    axes = [order.index(q) for q in range(n)]
-    t = full.reshape((2,) * (2 * n))
-    t = t.transpose(axes + [n + a for a in axes])
-    return np.ascontiguousarray(t.reshape(2 ** n, 2 ** n))
+    if (2 ** len(qs) != len(_GATE_MATS[name]) or len(set(qs)) != len(qs)
+            or not all(0 <= q < n for q in qs)):
+        raise BackendError(f"bad qubits {qs} for gate {name} on {n} qubits")
+    return op
+
+
+def _apply_on_bits(mat: np.ndarray, op: np.ndarray, bits) -> np.ndarray:
+    """Multiply `op` into the listed bits of a 2^n x 2^n matrix's flat index
+    (bit 0 most significant: row bit q is bit q, column bit q is n + q).
+
+    Runs of untouched bits are merged into one axis each, the listed bits
+    are transposed to the front in the order given, `op` multiplies them
+    as one 2^len(bits) axis, and the transpose is undone."""
+    nbits = 2 * (mat.shape[0].bit_length() - 1)
+    shape, axis_of = [], {}
+    prev = -1
+    for b in sorted(bits):
+        if b - prev > 1:
+            shape.append(1 << (b - prev - 1))
+        axis_of[b] = len(shape)
+        shape.append(2)
+        prev = b
+    if nbits - prev > 1:
+        shape.append(1 << (nbits - prev - 1))
+    front = [axis_of[b] for b in bits]
+    order = front + [a for a in range(len(shape)) if a not in front]
+    t = mat.reshape(shape).transpose(order)
+    # op @ t as (t^T op^T)^T: BLAS reads both transposes as flags, and the
+    # product's layout reshapes back to t's shape without a copy
+    t = (t.reshape(len(op), -1).T @ op.T).T.reshape(t.shape)
+    undo = sorted(range(len(order)), key=order.__getitem__)
+    return t.transpose(undo).reshape(mat.shape)
 
 
 def statevector(spec: str) -> np.ndarray:
@@ -346,10 +378,10 @@ class StabilizerState:
 
     def to_density(self) -> "DensityMatrix":
         _check_dense_cap(self.n_qubits)
-        dim = 2 ** self.n_qubits
-        rho = np.eye(dim, dtype=complex)
-        for g in self.generators:
-            rho = rho @ (np.eye(dim) + g.to_matrix()) / 2.0
+        rho = np.eye(2 ** self.n_qubits, dtype=complex)
+        for row in zip(self.x, self.z, self.phase):
+            idx, s = _signed_permutation(*row)
+            rho = (rho + s[:, None] * rho[idx]) / 2.0      # (I + g) rho / 2
         return DensityMatrix(rho / 2 ** (self.n_qubits - len(self.phase)))
 
     def to_json(self) -> dict:
@@ -440,9 +472,6 @@ class DensityMatrix:
 
     # -- dynamics ---------------------------------------------------------
 
-    def apply_unitary(self, u: np.ndarray) -> "DensityMatrix":
-        return DensityMatrix(u @ self.mat @ u.conj().T, validate=False)
-
     def apply_gates(self, gates) -> "DensityMatrix":
         """Apply an elementary gate word (application order), T included."""
         out = self
@@ -451,7 +480,12 @@ class DensityMatrix:
         return out
 
     def apply_gate(self, name: str, qs: tuple[int, ...]) -> "DensityMatrix":
-        return self.apply_unitary(gate_unitary(self.n_qubits, name, qs))
+        """u rho u^dag through the gate's superoperator on its row and
+        column axes."""
+        n = self.n_qubits
+        op = _gate_operator(_GATE_SUPEROPS, name, qs, n)
+        bits = list(qs) + [n + q for q in qs]
+        return DensityMatrix(_apply_on_bits(self.mat, op, bits), validate=False)
 
     def apply_clifford(self, c: CliffordOp) -> "DensityMatrix":
         if c.n_qubits != self.n_qubits:
@@ -460,16 +494,19 @@ class DensityMatrix:
 
     def apply_pauli(self, p: PauliString) -> "DensityMatrix":
         _check_pauli(self.n_qubits, p)
-        return self.apply_unitary(p.to_matrix())
+        idx, s = _signed_permutation(p.x, p.z, p.phase)
+        return DensityMatrix(np.outer(s, s.conj()) * self.mat[np.ix_(idx, idx)],
+                             validate=False)
 
     def measure_pauli(self, k: PauliString, rng: np.random.Generator,
                       label: str = "m", force: int | None = None,
                       ) -> tuple["DensityMatrix", MeasurementRecord]:
         _check_pauli(self.n_qubits, k, "measure")
-        kmat = k.to_matrix()
-        dim = kmat.shape[0]
-        proj0 = (np.eye(dim) + kmat) / 2
-        p0 = float(np.real(np.trace(proj0 @ self.mat)))
+        idx, s = _signed_permutation(k.x, k.z, k.phase)
+        rho = self.mat
+        k_rho = s[:, None] * rho[idx]
+        rho_k = rho[:, idx] * s.conj()
+        p0 = float(np.real(np.trace(rho) + np.trace(k_rho))) / 2
         p0 = min(max(p0, 0.0), 1.0)
         if force is not None:
             outcome = force
@@ -478,8 +515,9 @@ class DensityMatrix:
         prob = p0 if outcome == 0 else 1.0 - p0
         if prob < 1e-12:
             raise ZeroProbabilityError(f"outcome {outcome} has probability ~0")
-        proj = proj0 if outcome == 0 else (np.eye(dim) - kmat) / 2
-        post = proj @ self.mat @ proj / prob
+        # (I +/- K)/2 rho (I +/- K)/2, with K rho K = s[:, None] * (rho K)[idx]
+        sign = 1 if outcome == 0 else -1
+        post = (rho + sign * (k_rho + rho_k) + s[:, None] * rho_k[idx]) / (4 * prob)
         return (DensityMatrix(post, validate=False),
                 MeasurementRecord(label, outcome, prob))
 
@@ -526,7 +564,8 @@ class DensityMatrix:
 
     def expectation(self, p: PauliString) -> float:
         _check_pauli(self.n_qubits, p, "take the expectation of")
-        return float(np.real(np.trace(p.to_matrix() @ self.mat)))
+        idx, s = _signed_permutation(p.x, p.z, p.phase)
+        return float(np.real(s @ self.mat[idx, np.arange(len(idx))]))
 
     def to_json(self) -> dict:
         flat = [[float(v.real), float(v.imag)] for v in self.mat.reshape(-1)]

@@ -3,8 +3,11 @@ import numpy as np
 import pytest
 
 from qhelab.paulis import PauliString
-from qhelab.paulis import random_clifford, random_pauli
+from qhelab.paulis import parse_circuit, random_clifford, random_pauli
 from qhelab.permkey import SpreadRegister
+from qhelab.permkey import perm_scheme, spread_basis_input
+from qhelab.protocol import run_session
+from qhelab.schemes import security_delta
 from qhelab.states import (DENSE_QUBIT_CAP, BackendError, DensityMatrix,
                            StabilizerState, trace_distance)
 
@@ -131,6 +134,43 @@ class TestRegisterMergeCap:
         with pytest.raises(ValueError):
             reg.transversal_pair("CNOT", data, rows[2])
         assert max(dims, default=0) <= 2 ** DENSE_QUBIT_CAP
+
+
+class TestDenseOracleBuildsNoFullOperator:
+    """Dense gates go in as 4^k x 4^k superoperators and Paulis as signed
+    permutations, so whole sessions and sweeps never build a 2^n x 2^n
+    operator and never ask a Pauli for its matrix."""
+
+    def test_sessions_and_sweep(self, monkeypatch):
+        sizes = []
+        real_kron = np.kron
+
+        def is_state(m):
+            return np.ndim(m) == 2 and abs(np.trace(m) - 1.0) < 1e-9
+
+        def kron(a, b):
+            # vectors and products of two density matrices are states
+            if np.ndim(a) == 2 and not (is_state(a) and is_state(b)):
+                sizes.append(np.shape(a)[0] * np.shape(b)[0])
+            return real_kron(a, b)
+
+        def to_matrix(self):
+            raise AssertionError("PauliString.to_matrix called")
+
+        monkeypatch.setattr(np, "kron", kron)
+        monkeypatch.setattr(PauliString, "to_matrix", to_matrix)
+        rng = np.random.default_rng(11)
+        one_row = parse_circuit("H 0\nT 0\nS 0\nT 0\nH 0\n")
+        got, ref, _ = run_session("perm", "+", one_row, rng, m=1)
+        assert trace_distance(got, ref) < 1e-10
+        two_t = parse_circuit("H 0\nCNOT 0 1\nT 1\nH 2\nCNOT 2 3\nT 3\n"
+                              "CNOT 1 2\n")
+        got, ref, _ = run_session("pauli", "1010", two_t, rng)
+        assert trace_distance(got, ref) < 1e-10
+        report = security_delta(perm_scheme(2),
+                                [spread_basis_input(2, b) for b in (0, 1)])
+        assert report.delta == pytest.approx(0.25)
+        assert max(sizes, default=0) <= 4 ** 2
 
 
 class TestPauliOperandChecks:

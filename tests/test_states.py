@@ -1,13 +1,16 @@
 """Backend tests: tableau simulator vs the exact dense oracle."""
+import itertools
 import json
 
 import numpy as np
 import pytest
 
 from qhelab.paulis import CliffordOp, PauliString, parse_circuit, random_clifford
+from qhelab.paulis import random_pauli
 from qhelab.states import (BackendError, DensityMatrix, StabilizerState,
                            ZeroProbabilityError, evaluate_circuit,
                            statevector, to_density, trace_distance)
+from qhelab.states import _GATE_MATS
 
 P = PauliString.from_label
 H = CliffordOp.from_gates(1, [("H", (0,))])
@@ -274,3 +277,178 @@ class TestNoBackendBranches:
                 if names & backends and node.lineno not in allowed:
                     found.append(f"{path.name}:{node.lineno}")
         assert found == []
+
+
+# -- the dense oracle against full-size reference operators ------------------
+
+def _random_density(n, rng):
+    """A random full-rank mixed state, so no entry is zero by structure."""
+    a = rng.normal(size=(2 ** n, 2 ** n)) + 1j * rng.normal(size=(2 ** n, 2 ** n))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho)
+
+
+def _kron_embedding(u, n, qs):
+    """Reference 2^n x 2^n embedding of a gate matrix, built with np.kron
+    (qubit 0 the most significant bit)."""
+    order = list(qs) + [q for q in range(n) if q not in qs]
+    axes = [order.index(q) for q in range(n)]
+    full = np.kron(u, np.eye(2 ** (n - len(qs)))).reshape((2,) * (2 * n))
+    return full.transpose(axes + [n + a for a in axes]).reshape(2 ** n, 2 ** n)
+
+
+def _conjugated(u, rho):
+    return u @ rho @ u.conj().T
+
+
+def _gate_arity(name):
+    return len(_GATE_MATS[name]).bit_length() - 1
+
+
+class TestDenseGateKernel:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_gate_on_every_qubit_tuple(self, n):
+        rho = _random_density(n, np.random.default_rng(n))
+        state = DensityMatrix(rho)
+        for name, u in _GATE_MATS.items():
+            for qs in itertools.permutations(range(n), _gate_arity(name)):
+                want = _conjugated(_kron_embedding(u, n, qs), rho)
+                got = state.apply_gate(name, qs).mat
+                assert np.max(np.abs(got - want)) < 1e-14, (name, qs)
+
+    def test_random_gates_on_six_qubits(self):
+        rng = np.random.default_rng(6)
+        state = DensityMatrix(_random_density(6, rng))
+        names = sorted(_GATE_MATS)
+        for _ in range(60):
+            name = names[int(rng.integers(len(names)))]
+            qs = tuple(int(q) for q in
+                       rng.choice(6, _gate_arity(name), replace=False))
+            want = _conjugated(_kron_embedding(_GATE_MATS[name], 6, qs),
+                               state.mat)
+            state = state.apply_gate(name, qs)
+            assert np.max(np.abs(state.mat - want)) < 1e-14, (name, qs)
+
+    @pytest.mark.parametrize("name, qs", [("CNOT", (0,)), ("H", (0, 1)),
+                                          ("SWAP", (1, 1)), ("H", (2,)),
+                                          ("H", (-1,)), ("Q", (0,))])
+    def test_bad_gate_or_qubits_rejected(self, name, qs):
+        with pytest.raises(BackendError):
+            DensityMatrix.product("0+").apply_gate(name, qs)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_clifford_to_matrix_matches_kron_product(self, n):
+        c = random_clifford(n, np.random.default_rng(10 + n))
+        want = np.eye(2 ** n, dtype=complex)
+        for name, qs in c.gates:
+            want = _kron_embedding(_GATE_MATS[name], n, qs) @ want
+        assert np.max(np.abs(c.to_matrix() - want)) < 1e-13
+
+
+def _every_pauli(n):
+    """Every n-qubit Pauli letter string under each of the four phases."""
+    for letters in itertools.product("IXYZ", repeat=n):
+        base = P("".join(letters))
+        for extra in range(4):
+            yield PauliString(base.x, base.z, base.phase + extra)
+
+
+class TestDensePauliPaths:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_apply_pauli_every_pauli_and_phase(self, n):
+        rho = _random_density(n, np.random.default_rng(20 + n))
+        for p in _every_pauli(n):
+            want = _conjugated(p.to_matrix(), rho)
+            got = DensityMatrix(rho).apply_pauli(p).mat
+            assert np.max(np.abs(got - want)) < 1e-15, p
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_expectation_every_pauli_and_phase(self, n):
+        state = DensityMatrix(_random_density(n, np.random.default_rng(30 + n)))
+        for p in _every_pauli(n):
+            if not p.is_hermitian():
+                with pytest.raises(BackendError, match="Hermitian"):
+                    state.expectation(p)
+                continue
+            want = np.real(np.trace(p.to_matrix() @ state.mat))
+            assert state.expectation(p) == pytest.approx(want, abs=1e-15)
+
+    def _check_measurement(self, rho, k):
+        """Both forced outcomes against the projector sandwich."""
+        kmat = k.to_matrix()
+        eye = np.eye(len(rho))
+        for outcome in (0, 1):
+            proj = (eye + (-1) ** outcome * kmat) / 2
+            prob = float(np.real(np.trace(proj @ rho)))
+            state = DensityMatrix(rho)
+            if prob < 1e-12:
+                with pytest.raises(ZeroProbabilityError):
+                    state.measure_pauli(k, np.random.default_rng(0), force=outcome)
+                continue
+            post, rec = state.measure_pauli(k, np.random.default_rng(0),
+                                            force=outcome)
+            assert (rec.outcome, rec.label) == (outcome, "m")
+            assert rec.probability == pytest.approx(prob, abs=1e-14)
+            want = proj @ rho @ proj / prob
+            assert np.max(np.abs(post.mat - want)) < 1e-14, (k, outcome)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_measure_every_hermitian_pauli(self, n):
+        rng = np.random.default_rng(40 + n)
+        mixed = _random_density(n, rng)
+        pure = DensityMatrix.product("0" * n).mat     # zero-probability cases
+        for p in _every_pauli(n):
+            if p.is_hermitian():
+                self._check_measurement(mixed, p)
+                self._check_measurement(pure, p)
+
+    def test_random_strings_on_six_qubits(self):
+        rng = np.random.default_rng(6)
+        rho = _random_density(6, rng)
+        for _ in range(20):
+            k = random_pauli(6, rng, phase_free=False)
+            self._check_measurement(rho, k)
+            assert DensityMatrix(rho).expectation(k) == pytest.approx(
+                np.real(np.trace(k.to_matrix() @ rho)), abs=1e-14)
+            p = PauliString(k.x, k.z, k.phase + int(rng.integers(4)))
+            got = DensityMatrix(rho).apply_pauli(p).mat
+            assert np.max(np.abs(got - _conjugated(p.to_matrix(), rho))) < 1e-15
+
+    @pytest.mark.parametrize("eps, raises", [(5e-13, True), (2e-12, False)])
+    def test_zero_probability_threshold(self, eps, raises):
+        state = DensityMatrix(np.diag([1.0 - eps, eps]).astype(complex))
+        rng = np.random.default_rng(0)
+        if raises:
+            with pytest.raises(ZeroProbabilityError):
+                state.measure_pauli(P("Z"), rng, force=1)
+        else:
+            post, rec = state.measure_pauli(P("Z"), rng, force=1)
+            # prob is 1 - p0, so it carries p0's rounding error
+            assert rec.probability == pytest.approx(eps, rel=1e-3)
+            assert post.mat[1, 1] == pytest.approx(1.0, rel=1e-3)
+
+    def test_probability_clamped_to_unit_interval(self):
+        rng = np.random.default_rng(0)
+        over = DensityMatrix(np.diag([1 + 1e-13, 0]).astype(complex),
+                             validate=False)
+        _, rec = over.measure_pauli(P("Z"), rng)
+        assert (rec.outcome, rec.probability) == (0, 1.0)
+        under = DensityMatrix(np.diag([-1e-13, 1 + 1e-13]).astype(complex),
+                              validate=False)
+        _, rec = under.measure_pauli(P("Z"), rng)
+        assert (rec.outcome, rec.probability) == (1, 1.0)
+        with pytest.raises(ZeroProbabilityError):
+            under.measure_pauli(P("Z"), rng, force=0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
+    def test_stabilizer_to_density_against_projector_product(self, n):
+        rng = np.random.default_rng(50 + n)
+        for _ in range(5):
+            spec = "".join(rng.choice(list("01+-im*"), n))
+            st = StabilizerState.product(spec).apply_clifford(
+                random_clifford(n, rng))
+            want = np.eye(2 ** n, dtype=complex)
+            for g in st.generators:
+                want = want @ (np.eye(2 ** n) + g.to_matrix()) / 2
+            want /= 2 ** (n - len(st.generators))
+            assert np.max(np.abs(st.to_density().mat - want)) < 1e-15, spec
