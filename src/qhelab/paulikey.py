@@ -48,7 +48,7 @@ class PauliKey:
     def random(cls, n: int, rng: np.random.Generator) -> "PauliKey":
         x = rng.integers(0, 2, size=n, dtype=np.uint8)
         z = rng.integers(0, 2, size=n, dtype=np.uint8)
-        return cls(PauliString(x, z, int(np.sum(x & z))))
+        return cls(PauliString(x, z).positive())
 
     def as_op(self) -> CliffordOp:
         return CliffordOp.from_pauli(self.pauli)
@@ -140,10 +140,8 @@ def zkey_scheme(n: int) -> SchemeDescriptor:
         return PauliKey(p.positive())
 
     def allows(c: CliffordOp) -> bool:
-        # closure on the generators suffices: images multiply
-        return c.n_qubits == n and not any(
-            c.conjugate(PauliString.single(n, q, "Z")).x.any()
-            for q in range(n))
+        # closure on the generators suffices: no Z_q image (row n + q) has X
+        return c.n_qubits == n and not c.x[n:].any()
 
     return SchemeDescriptor(
         name=f"zkey{n}",
@@ -180,12 +178,6 @@ class EvalTracker:
         self.sign *= s
         if not self.pending.is_identity_channel():
             self.pending = gate.compose(self.pending).compose(gate.inverse())
-
-    def absorb_circuit(self, circuit: Circuit) -> None:
-        for g in circuit.gates:
-            if g.name == "T":
-                raise SchemeError("T markers need inject_t_gate")
-            self.absorb(g.name, g.qubits)
 
     def decryption(self) -> CliffordOp:
         """Channel recovering the plaintext: key adjoint, then the pending
@@ -414,8 +406,7 @@ def compose_with_stabilizer_code(code) -> SchemeDescriptor:
         back = enc.inverse().conjugate(moved).positive()
         if back.x[k:].any() or back.z[k:].any():
             raise SchemeError("computation leaves the encoded key space")
-        return PauliKey(PauliString(back.x[:k], back.z[:k],
-                                    int(np.sum(back.x[:k] & back.z[:k]))))
+        return PauliKey(PauliString(back.x[:k], back.z[:k]).positive())
 
     def allows(comp: CliffordOp) -> bool:
         if comp.n_qubits != n:

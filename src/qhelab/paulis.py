@@ -6,9 +6,11 @@ power of i, so that the operator reads
 
     i^phase * (X^x1 Z^z1) (x) ... (x) (X^xn Z^zn).
 
-Phases live in Z4 and are never floated.  Cliffords are stored as the
-images of the 2n generators X_i, Z_i under conjugation (a tableau), plus
-the elementary-gate word they were built from.  The gate set is fixed to
+Phases live in Z4 and are never floated.  A Clifford is one packed 2n x n
+tableau (rows: the conjugation images of X_i, then of Z_i) next to the
+checked elementary-gate word it was built from; conjugation and
+composition are ordered products of its rows, and `PauliString` appears
+only at the API edge.  The gate set is fixed to
 {H, S, CNOT, CZ, SWAP, X, Y, Z}; every Clifford handed out by this module
 decomposes into it.
 """
@@ -123,9 +125,6 @@ class PauliString:
 
     def weight(self) -> int:
         return int(np.sum(self.x | self.z))
-
-    def is_identity(self) -> bool:
-        return self.weight() == 0 and self.phase == 0
 
     def is_hermitian(self) -> bool:
         n_y = int(np.sum(self.x & self.z))
@@ -242,6 +241,35 @@ def _apply_gate_rows(x: np.ndarray, z: np.ndarray, ph: np.ndarray,
     ph &= 3
 
 
+def _check_gate(name: str, qs: tuple[int, ...], n: int,
+                names=CLIFFORD_GATES, error=PauliAlgebraError) -> None:
+    """Raise `error` unless name is in `names` and qs holds its arity of
+    distinct qubits in range(n)."""
+    if name not in names:
+        raise error(f"{name} is not one of {' '.join(names)}")
+    if (len(qs) != _GATE_ARITY[name] or len(set(qs)) != len(qs)
+            or not 0 <= min(qs) <= max(qs) < n):
+        raise error(f"bad qubits {qs} for gate {name} on {n} qubits")
+
+
+def _row_product(x: np.ndarray, z: np.ndarray, phase: np.ndarray,
+                 rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """(x, z, phase) of the ordered product of the selected packed rows.
+
+    O(len(rows) * n): each factor's cross term reads the z part of the
+    running product before the factor joins it."""
+    xs, zs = x[rows], z[rows]
+    before = np.bitwise_xor.accumulate(zs, axis=0) ^ zs
+    ph = int(phase[rows].sum()) + 2 * int((before & xs).sum())
+    return np.bitwise_xor.reduce(xs), np.bitwise_xor.reduce(zs), ph & 3
+
+
+def _symplectic_gram(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Entry (i, j) is 1 where packed rows i and j anticommute."""
+    x, z = x.astype(np.int64), z.astype(np.int64)
+    return (x @ z.T + z @ x.T) & 1
+
+
 def _invert_gate(name: str, qs: tuple[int, ...]) -> list[tuple[str, tuple[int, ...]]]:
     if name == "S":
         # S^dagger = S . Z  (diagonal, order free); emitted in application order
@@ -274,13 +302,7 @@ class Circuit:
     def __post_init__(self):
         seen_bits = set()
         for g in self.gates:
-            if g.name not in _GATE_ARITY:
-                raise PauliAlgebraError(f"unknown gate {g.name}")
-            if len(g.qubits) != _GATE_ARITY[g.name]:
-                raise PauliAlgebraError(f"{g.name} takes {_GATE_ARITY[g.name]} qubit(s)")
-            for q in g.qubits:
-                if not 0 <= q < self.n_qubits:
-                    raise PauliAlgebraError(f"qubit {q} out of range")
+            _check_gate(g.name, g.qubits, self.n_qubits, _GATE_ARITY)
             if g.name == "M":
                 if g.bit is None:
                     raise PauliAlgebraError("measurement without bit label")
@@ -337,20 +359,23 @@ def parse_circuit(text: str, n_qubits: int | None = None) -> Circuit:
 # ---------------------------------------------------------------------------
 
 class CliffordOp:
-    """n-qubit Clifford unitary as a stabilizer tableau plus gate word.
+    """n-qubit Clifford unitary as a packed tableau plus gate word.
 
-    `x_images[i]` / `z_images[i]` are the conjugation images U X_i U^dag and
-    U Z_i U^dag.  The tableau determines the channel exactly (two Cliffords
-    with equal tableaux differ only by a global phase).
+    Rows i and n + i of the read-only 2n x n bit matrices `x`, `z` and Z4
+    vector `phase` are U X_i U^dag and U Z_i U^dag, read as in
+    `StabilizerState`.  The tableau determines the channel exactly (equal
+    tableaux differ only by a global phase); `from_gates` builds it from
+    a checked gate word and `compose` from row products.
     """
 
-    __slots__ = ("n_qubits", "x_images", "z_images", "gates")
+    __slots__ = ("n_qubits", "x", "z", "phase", "gates")
 
-    def __init__(self, n_qubits: int, x_images, z_images, gates):
-        object.__setattr__(self, "n_qubits", n_qubits)
-        object.__setattr__(self, "x_images", tuple(x_images))
-        object.__setattr__(self, "z_images", tuple(z_images))
-        object.__setattr__(self, "gates", tuple(gates))
+    def __init__(self, n_qubits: int, x: np.ndarray, z: np.ndarray,
+                 phase: np.ndarray, gates):
+        for name, val in zip(self.__slots__, (n_qubits, x, z, phase, tuple(gates))):
+            object.__setattr__(self, name, val)
+        for arr in (x, z, phase):
+            arr.setflags(write=False)
 
     def __setattr__(self, *_):
         raise AttributeError("CliffordOp is immutable")
@@ -363,29 +388,20 @@ class CliffordOp:
 
     @classmethod
     def from_gates(cls, n: int, gates: Iterable[tuple[str, tuple[int, ...]] | Gate]) -> "CliffordOp":
-        norm: list[tuple[str, tuple[int, ...]]] = []
-        for g in gates:
-            if isinstance(g, Gate):
-                norm.append((g.name, g.qubits))
-            else:
-                norm.append((g[0], tuple(g[1])))
-        x = np.zeros((2 * n, n), np.uint8)
-        z = np.zeros((2 * n, n), np.uint8)
-        ph = np.zeros(2 * n, np.int64)
-        for i in range(n):
-            x[i, i] = 1
-            z[n + i, i] = 1
+        norm = [(g[0], tuple(g[1])) for g in gates]
+        x = np.eye(2 * n, n, dtype=np.uint8)
+        z = np.eye(2 * n, n, -n, dtype=np.uint8)
+        ph = np.zeros(2 * n, np.uint8)
         for name, qs in norm:
+            _check_gate(name, qs, n)
             _apply_gate_rows(x, z, ph, name, qs)
-        xs = [PauliString(x[i], z[i], int(ph[i])) for i in range(n)]
-        zs = [PauliString(x[n + i], z[n + i], int(ph[n + i])) for i in range(n)]
-        return cls(n, xs, zs, norm)
+        return cls(n, x, z, ph, norm)
 
     @classmethod
     def from_circuit(cls, circuit: Circuit) -> "CliffordOp":
         if not circuit.is_clifford():
             raise PauliAlgebraError("circuit contains non-Clifford elements")
-        return cls.from_gates(circuit.n_qubits, [(g.name, g.qubits) for g in circuit.gates])
+        return cls.from_gates(circuit.n_qubits, circuit.gates)
 
     @classmethod
     def from_pauli(cls, p: PauliString) -> "CliffordOp":
@@ -399,34 +415,51 @@ class CliffordOp:
     @classmethod
     def from_images(cls, x_images: list[PauliString], z_images: list[PauliString]) -> "CliffordOp":
         """Synthesize a gate word realizing the given target tableau."""
-        gates = synthesize_tableau(x_images, z_images)
-        op = cls.from_gates(x_images[0].n_qubits, gates)
-        if list(op.x_images) != list(x_images) or list(op.z_images) != list(z_images):
+        n = x_images[0].n_qubits
+        if len(x_images) != n or len(z_images) != n:
+            raise PauliAlgebraError("tableau needs n X-images and n Z-images")
+        rows = [*x_images, *z_images]
+        want = [np.array([getattr(r, a) for r in rows], np.uint8)
+                for a in ("x", "z", "phase")]
+        op = cls.from_gates(n, synthesize_tableau(*want))
+        if not all(map(np.array_equal, (op.x, op.z, op.phase), want)):
             raise PauliAlgebraError("tableau synthesis failed to reproduce images")
         return op
+
+    # -- PauliString views ------------------------------------------------
+
+    def row(self, i: int) -> PauliString:
+        """Tableau row i: U X_i U^dag for i < n, U Z_{i-n} U^dag after."""
+        return PauliString(self.x[i], self.z[i], self.phase[i])
+
+    @property
+    def x_images(self) -> tuple[PauliString, ...]:
+        return tuple(self.row(i) for i in range(self.n_qubits))
+
+    @property
+    def z_images(self) -> tuple[PauliString, ...]:
+        return tuple(self.row(i) for i in range(self.n_qubits, 2 * self.n_qubits))
 
     # -- core operations --------------------------------------------------
 
     def conjugate(self, p: PauliString) -> PauliString:
-        """Return U p U^dag with exact phase."""
+        """Return U p U^dag with exact phase: the rows p selects, multiplied."""
         if p.n_qubits != self.n_qubits:
             raise PauliAlgebraError("qubit count mismatch")
-        acc = PauliString.identity(self.n_qubits)
-        phase = p.phase
-        for k in range(self.n_qubits):
-            if p.x[k]:
-                acc = acc * self.x_images[k]
-            if p.z[k]:
-                acc = acc * self.z_images[k]
-        return PauliString(acc.x, acc.z, acc.phase + phase)
+        x, z, ph = _row_product(self.x, self.z, self.phase,
+                                np.flatnonzero(p.symplectic()))
+        return PauliString(x, z, ph + p.phase)
 
     def compose(self, first: "CliffordOp") -> "CliffordOp":
-        """self o first (first applied first)."""
-        if first.n_qubits != self.n_qubits:
+        """self o first (first applied first): first's rows conjugated."""
+        n = self.n_qubits
+        if first.n_qubits != n:
             raise PauliAlgebraError("qubit count mismatch")
-        xs = [self.conjugate(p) for p in first.x_images]
-        zs = [self.conjugate(p) for p in first.z_images]
-        return CliffordOp(self.n_qubits, xs, zs, first.gates + self.gates)
+        x, z, ph = np.empty_like(self.x), np.empty_like(self.z), first.phase.copy()
+        for r, sel in enumerate(np.hstack([first.x, first.z])):
+            x[r], z[r], p = _row_product(self.x, self.z, self.phase, np.flatnonzero(sel))
+            ph[r] = (ph[r] + p) & 3
+        return CliffordOp(n, x, z, ph, first.gates + self.gates)
 
     def inverse(self) -> "CliffordOp":
         inv: list[tuple[str, tuple[int, ...]]] = []
@@ -448,27 +481,27 @@ class CliffordOp:
     def to_matrix(self) -> np.ndarray:
         """Dense unitary: each gate multiplied into the row axes of the
         identity by the dense oracle's gate kernel."""
-        from .states import _GATE_MATS, _apply_on_bits, _gate_operator
-        n = self.n_qubits
-        u = np.eye(2 ** n, dtype=complex)
+        from .states import _GATE_MATS, _apply_on_bits
+        u = np.eye(2 ** self.n_qubits, dtype=complex)
         for name, qs in self.gates:
-            u = _apply_on_bits(u, _gate_operator(_GATE_MATS, name, qs, n), qs)
+            u = _apply_on_bits(u, _GATE_MATS[name], qs)
         return u
 
     def is_identity_channel(self) -> bool:
-        n = self.n_qubits
-        return (self.x_images == tuple(PauliString.single(n, i, "X") for i in range(n))
-                and self.z_images == tuple(PauliString.single(n, i, "Z") for i in range(n)))
+        return (not self.phase.any() and np.array_equal(
+            np.hstack([self.x, self.z]), np.eye(2 * self.n_qubits, dtype=np.uint8)))
 
     def __eq__(self, other) -> bool:
         """Channel equality: identical tableaux (global phase ignored)."""
         return (isinstance(other, CliffordOp)
                 and self.n_qubits == other.n_qubits
-                and self.x_images == other.x_images
-                and self.z_images == other.z_images)
+                and np.array_equal(self.x, other.x)
+                and np.array_equal(self.z, other.z)
+                and np.array_equal(self.phase, other.phase))
 
     def __hash__(self) -> int:
-        return hash((self.n_qubits, self.x_images, self.z_images))
+        return hash((self.n_qubits, self.x.tobytes(), self.z.tobytes(),
+                     self.phase.tobytes()))
 
     def __repr__(self) -> str:
         return f"CliffordOp(n={self.n_qubits}, gates={len(self.gates)})"
@@ -530,26 +563,19 @@ def _reduce_pair(x: np.ndarray, z: np.ndarray, ph: np.ndarray, k: int,
     return gates
 
 
-def synthesize_tableau(x_images: list[PauliString],
-                       z_images: list[PauliString]) -> list[tuple[str, tuple[int, ...]]]:
-    """Gate word (application order) whose Clifford has the given tableau."""
-    n = x_images[0].n_qubits
-    if len(x_images) != n or len(z_images) != n:
+def synthesize_tableau(x: np.ndarray, z: np.ndarray,
+                       phase: np.ndarray) -> list[tuple[str, tuple[int, ...]]]:
+    """Gate word (application order) whose Clifford has the packed 2n x n
+    tableau (x, z, phase), rows laid out as in `CliffordOp`."""
+    n = x.shape[1]
+    if x.shape != (2 * n, n):
         raise PauliAlgebraError("tableau needs n X-images and n Z-images")
-    rows = list(x_images) + list(z_images)
-    for r in rows:
-        if not r.is_hermitian():
-            raise PauliAlgebraError("tableau images must be Hermitian Paulis")
-    for i in range(n):
-        for j in range(n):
-            if x_images[i].commutes(z_images[j]) != (i != j):
-                raise PauliAlgebraError("images break X/Z commutation relations")
-            if i < j and not (x_images[i].commutes(x_images[j])
-                              and z_images[i].commutes(z_images[j])):
-                raise PauliAlgebraError("images break commutation relations")
-    x = np.stack([r.x for r in rows]).astype(np.uint8)
-    z = np.stack([r.z for r in rows]).astype(np.uint8)
-    ph = np.array([r.phase for r in rows], np.int64)
+    if np.any((phase + (x & z).sum(axis=1)) & 1):
+        raise PauliAlgebraError("tableau images must be Hermitian Paulis")
+    omega = np.eye(2 * n, dtype=np.int64)[np.r_[n:2 * n, 0:n]]
+    if not np.array_equal(_symplectic_gram(x, z), omega):
+        raise PauliAlgebraError("images break commutation relations")
+    x, z, ph = x.astype(np.uint8), z.astype(np.uint8), phase.astype(np.int64)
     reduction: list[tuple[str, tuple[int, ...]]] = []
     for k in range(n):
         reduction.extend(_reduce_pair(x, z, ph, k, k, n + k))
@@ -599,10 +625,8 @@ def random_clifford(n: int, rng: np.random.Generator) -> CliffordOp:
 def random_pauli(n: int, rng: np.random.Generator, phase_free: bool = True) -> PauliString:
     x = rng.integers(0, 2, size=n, dtype=np.uint8)
     z = rng.integers(0, 2, size=n, dtype=np.uint8)
-    ph = int(np.sum(x & z))
-    if not phase_free:
-        ph += 2 * int(rng.integers(0, 2))
-    return PauliString(x, z, ph)
+    p = PauliString(x, z).positive()
+    return p if phase_free or not rng.integers(0, 2) else p.negate()
 
 
 def random_clifford_circuit(n: int, depth: int, rng: np.random.Generator) -> Circuit:

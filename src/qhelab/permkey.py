@@ -252,13 +252,6 @@ class SpreadRegister:
             return self._add_factor_row("magic", _spread_magic_dense(self.m))
         return self._add_factor_row(role, _spread_row_stabilizer(role, self.m))
 
-    def clone(self) -> "SpreadRegister":
-        out = SpreadRegister(self.m)
-        out.roles = list(self.roles)
-        out.alive = list(self.alive)
-        out.factors = [_Factor(list(f.rows), f.state) for f in self.factors]
-        return out
-
     # -- factor plumbing ----------------------------------------------------
 
     def _factor_of(self, row: int) -> _Factor:

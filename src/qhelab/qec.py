@@ -73,15 +73,16 @@ class StabilizerCode:
                     raise CodeError("logical X/Z pairing broken")
         # encoder must map the fresh-ancilla stabilizers into the code group
         # and the data-qubit Paulis onto the logical cosets
+        if self.encoder.n_qubits != self.n:
+            raise CodeError("encoder size mismatch")
         group = StabilizerState(self.n, self.generators)
         for j in range(len(self.generators)):
-            img = self.encoder.conjugate(PauliString.single(self.n, self.k + j, "Z"))
+            img = self.encoder.row(self.n + self.k + j)
             if group.expectation(img) != 1:
                 raise CodeError(f"encoder image of ancilla Z_{self.k + j} "
                                 "lies outside the stabilizer group")
         for i in range(self.k):
-            ix = self.encoder.conjugate(PauliString.single(self.n, i, "X"))
-            iz = self.encoder.conjugate(PauliString.single(self.n, i, "Z"))
+            ix, iz = self.encoder.row(i), self.encoder.row(self.n + i)
             if group.expectation(ix * self.logical_x[i].adjoint()) != 1:
                 raise CodeError("encoder does not produce logical X coset")
             if group.expectation(iz * self.logical_z[i].adjoint()) != 1:
@@ -205,8 +206,7 @@ def _encoder_from_images(generators, logical_x, logical_z, n, k) -> CliffordOp:
         sol = gf2.solve(np.stack(constraints), np.array(rhs, np.uint8))
         if sol is None:
             raise CodeError("destabilizer completion failed")
-        d = PauliString(sol[:n], sol[n:], int(np.sum(sol[:n] & sol[n:])))
-        destabs.append(d)
+        destabs.append(PauliString(sol[:n], sol[n:]).positive())
     x_images = list(logical_x) + destabs
     z_images = list(logical_z) + list(generators)
     return CliffordOp.from_images(x_images, z_images)
@@ -333,10 +333,11 @@ def parse_code(text: str) -> StabilizerCode:
             raise CodeError(f"line {lineno}: {exc}") from None
     if n is None or k is None:
         raise CodeError("code file missing N/K")
-    if enc_gates:
-        encoder = CliffordOp.from_gates(n, enc_gates)
-    else:
-        encoder = _encoder_from_images(tuple(gens), tuple(lx), tuple(lz), n, k)
+    try:
+        encoder = (CliffordOp.from_gates(n, enc_gates) if enc_gates else
+                   _encoder_from_images(tuple(gens), tuple(lx), tuple(lz), n, k))
+    except PauliAlgebraError as exc:
+        raise CodeError(f"bad encoder: {exc}") from None
     return StabilizerCode(name=name, n=n, k=k, d=d if d is not None else 1,
                           generators=tuple(gens), logical_x=tuple(lx),
                           logical_z=tuple(lz), encoder=encoder)

@@ -214,8 +214,7 @@ def compose_schemes(schemes) -> SchemeDescriptor:
         moved = comp.conjugate(joint).positive()
         out = []
         for s, span in zip(schemes, spans):
-            piece = PauliString(moved.x[span], moved.z[span],
-                                int(np.sum(moved.x[span] & moved.z[span])))
+            piece = PauliString(moved.x[span], moved.z[span]).positive()
             out.append(s.key_codec.from_pauli(piece))
         return tuple(out)
 

@@ -30,7 +30,8 @@ import numpy as np
 
 from . import gf2
 from .paulis import (CLIFFORD_GATES, Circuit, CliffordOp, PauliString,
-                     _apply_gate_rows, _signed_permutation)
+                     _apply_gate_rows, _check_gate, _row_product,
+                     _signed_permutation, _symplectic_gram)
 
 DENSE_QUBIT_CAP = 6
 
@@ -98,18 +99,6 @@ class MeasurementRecord:
     def __post_init__(self):
         if not 0.0 <= self.probability <= 1.0 + 1e-12:
             raise BackendError("probability outside [0, 1]")
-
-
-def _gate_operator(table: dict, name: str, qs: tuple[int, ...],
-                   n: int) -> np.ndarray:
-    """The gate's entry in `table`, after checking its qubits."""
-    op = table.get(name)
-    if op is None:
-        raise BackendError(f"no dense matrix for gate {name}")
-    if (2 ** len(qs) != len(_GATE_MATS[name]) or len(set(qs)) != len(qs)
-            or not all(0 <= q < n for q in qs)):
-        raise BackendError(f"bad qubits {qs} for gate {name} on {n} qubits")
-    return op
 
 
 def _apply_on_bits(mat: np.ndarray, op: np.ndarray, bits) -> np.ndarray:
@@ -198,12 +187,11 @@ class StabilizerState:
                      for i in range(len(self.phase)))
 
     def _validate(self) -> None:
-        x, z = self.x.astype(np.int64), self.z.astype(np.int64)
-        if np.any((self.phase + (x & z).sum(axis=1)) & 1):
+        if np.any((self.phase + (self.x & self.z).sum(axis=1)) & 1):
             raise BackendError("generator must be Hermitian")
-        if np.any((x @ z.T + z @ x.T) & 1):
+        if _symplectic_gram(self.x, self.z).any():
             raise BackendError("generators must commute")
-        if len(x) and gf2.rank(np.hstack([self.x, self.z])) != len(x):
+        if len(self.x) and gf2.rank(np.hstack([self.x, self.z])) != len(self.x):
             raise BackendError("generators must be independent")
 
     def _anticommuting(self, p: PauliString) -> np.ndarray:
@@ -247,13 +235,6 @@ class StabilizerState:
 
     # -- group queries ----------------------------------------------------
 
-    def _product_phase(self, rows: np.ndarray) -> int:
-        """Phase of the ordered product of the selected generators."""
-        xs, zs = self.x[rows], self.z[rows]
-        # z part of the running product before each factor joins it
-        before = np.bitwise_xor.accumulate(zs, axis=0) ^ zs
-        return (int(self.phase[rows].sum()) + 2 * int((before & xs).sum())) & 3
-
     def contains(self, p: PauliString) -> tuple[bool, int]:
         """Is +/-p in the stabilizer group?  Returns (found, sign).
 
@@ -267,7 +248,7 @@ class StabilizerState:
         sol = gf2.solve(mat, pos.symplectic())
         if sol is None:
             return (False, 0)
-        phase = self._product_phase(np.flatnonzero(sol))
+        phase = _row_product(self.x, self.z, self.phase, np.flatnonzero(sol))[2]
         if phase == pos.phase:
             return (True, 1)
         if phase == (pos.phase + 2) & 3:
@@ -483,9 +464,10 @@ class DensityMatrix:
         """u rho u^dag through the gate's superoperator on its row and
         column axes."""
         n = self.n_qubits
-        op = _gate_operator(_GATE_SUPEROPS, name, qs, n)
+        _check_gate(name, qs, n, _GATE_MATS, BackendError)
         bits = list(qs) + [n + q for q in qs]
-        return DensityMatrix(_apply_on_bits(self.mat, op, bits), validate=False)
+        return DensityMatrix(_apply_on_bits(self.mat, _GATE_SUPEROPS[name], bits),
+                             validate=False)
 
     def apply_clifford(self, c: CliffordOp) -> "DensityMatrix":
         if c.n_qubits != self.n_qubits:

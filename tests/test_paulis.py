@@ -282,3 +282,100 @@ class TestToMatrix:
         got = PauliString([], [], phase).to_matrix()
         assert got.shape == (1, 1)
         assert np.array_equal(got, [[1j ** phase]])
+
+
+class TestPackedTableau:
+    @pytest.mark.parametrize("n", range(1, 4))
+    def test_conjugate_matches_dense_for_every_pauli(self, n):
+        rng = np.random.default_rng(30 + n)
+        for _ in range(4):
+            c = random_clifford(n, rng)
+            u = c.to_matrix()
+            for bits in range(4 ** n):
+                x = [(bits >> q) & 1 for q in range(n)]
+                z = [(bits >> (n + q)) & 1 for q in range(n)]
+                for phase in range(4):
+                    p = PauliString(x, z, phase)
+                    assert np.allclose(c.conjugate(p).to_matrix(),
+                                       u @ p.to_matrix() @ u.conj().T,
+                                       atol=1e-12), (c.gates, p)
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_compose_equals_concatenated_gate_word(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 9))
+        a, b = random_clifford(n, rng), random_clifford(n, rng)
+        got = a.compose(b)
+        want = CliffordOp.from_gates(n, b.gates + a.gates)
+        assert got == want and got.gates == want.gates
+        assert got.x_images == want.x_images and got.z_images == want.z_images
+
+    def test_rows_are_the_images(self):
+        c = random_clifford(3, np.random.default_rng(2))
+        for q in range(3):
+            assert c.row(q) == c.conjugate(PauliString.single(3, q, "X"))
+            assert c.row(3 + q) == c.conjugate(PauliString.single(3, q, "Z"))
+        assert c.x_images + c.z_images == tuple(c.row(i) for i in range(6))
+
+    def test_tableau_is_read_only(self):
+        c = random_clifford(2, np.random.default_rng(3))
+        for arr in (c.x, c.z, c.phase):
+            with pytest.raises(ValueError):
+                arr[0] ^= 1
+
+    def test_core_operations_build_no_pauli_strings(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        words = [random_clifford(4, rng).gates for _ in range(3)]
+        built = []
+        original = PauliString.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(PauliString, "__init__", counting)
+        a, b, c = (CliffordOp.from_gates(4, w) for w in words)
+        d = a.compose(b).compose(c.inverse())
+        assert not d.is_identity_channel()
+        assert d.compose(d.inverse()).is_identity_channel()
+        assert a == CliffordOp.from_gates(4, words[0]) and a != b
+        assert hash(a) == hash(CliffordOp.from_gates(4, words[0]))
+        assert built == []
+
+    def test_from_images_rejects_broken_commutation(self):
+        with pytest.raises(PauliAlgebraError, match="commutation"):
+            CliffordOp.from_images([P("XI"), P("IX")], [P("ZI"), P("XZ")])
+        with pytest.raises(PauliAlgebraError, match="Hermitian"):
+            CliffordOp.from_images([P("X")], [PauliString([0], [1], 1)])
+
+
+class TestGateOperands:
+    def test_negative_qubit_rejected(self):
+        with pytest.raises(PauliAlgebraError):
+            CliffordOp.from_gates(2, [("CNOT", (0, -1))])
+
+    def test_extra_qubit_rejected(self):
+        with pytest.raises(PauliAlgebraError):
+            CliffordOp.from_gates(2, [("H", (0, 1))])
+
+    def test_repeated_qubit_rejected(self):
+        with pytest.raises(PauliAlgebraError):
+            CliffordOp.from_gates(2, [("CNOT", (0, 0))])
+
+    def test_qubit_past_register_is_a_value_error(self):
+        with pytest.raises(PauliAlgebraError):
+            CliffordOp.from_gates(2, [("SWAP", (0, 2))])
+
+    @pytest.mark.parametrize("name", ["T", "M", "FOO"])
+    def test_non_clifford_name_rejected(self, name):
+        with pytest.raises(PauliAlgebraError):
+            CliffordOp.from_gates(1, [(name, (0,))])
+
+    def test_repeated_qubit_rejected_in_circuits(self):
+        with pytest.raises(PauliAlgebraError):
+            parse_circuit("H 0\nCNOT 1 1\n")
+
+    def test_circuit_gates_accepted(self):
+        circ = parse_circuit("H 0\nCNOT 0 1\n")
+        assert (CliffordOp.from_gates(2, circ.gates)
+                == CliffordOp.from_gates(2, [("H", (0,)), ("CNOT", (0, 1))]))

@@ -188,3 +188,23 @@ class TestCodeFiles:
     def test_parse_error_reports_line(self):
         with pytest.raises(CodeError, match="line 2"):
             parse_code("N 3\nG NOTAPAULI\n")
+
+
+class TestBadEncoderLines:
+    HEAD = "N 3\nK 1\nG +ZZI\nG +IZZ\nLX +XXX\nLZ +ZII\n"
+
+    def test_negative_qubit_is_a_code_error(self):
+        with pytest.raises(CodeError, match="encoder"):
+            parse_code(self.HEAD + "ENC CNOT 0 1\nENC CNOT 0 -1\n")
+
+    def test_unknown_gate_is_a_code_error(self):
+        with pytest.raises(CodeError, match="FOO"):
+            parse_code(self.HEAD + "ENC FOO 0\n")
+
+    def test_wrong_arity_is_a_code_error(self):
+        with pytest.raises(CodeError):
+            parse_code(self.HEAD + "ENC CNOT 0\n")
+
+    def test_repeated_qubit_is_a_code_error(self):
+        with pytest.raises(CodeError):
+            parse_code(self.HEAD + "ENC CNOT 1 1\n")
