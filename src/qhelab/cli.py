@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -34,7 +35,8 @@ def _rng(args) -> np.random.Generator:
     if args.seed is None:
         env = os.environ.get("QHELAB_SEED")
         if env is None:
-            raise SystemExit("a seed is required (--seed or QHELAB_SEED)")
+            sys.stderr.write("error: a seed is required (--seed or QHELAB_SEED)\n")
+            raise SystemExit(USAGE_ERROR)
         args.seed = int(env)
     return np.random.default_rng(args.seed)
 
@@ -108,9 +110,21 @@ def cmd_security(args) -> int:
 
 # -- qec demo ------------------------------------------------------------------
 
+def _injected_error(spec: str, n: int) -> tuple[str, int] | None:
+    """Parse --error: 'none', or X, Y or Z followed by a qubit in range(n)."""
+    if spec.lower() == "none":
+        return None
+    m = re.fullmatch(r"([XYZ])([0-9]+)", spec, re.IGNORECASE)
+    if not m or int(m[2]) >= n:
+        raise ValueError(f"bad --error {spec!r}: want none or X, Y or Z "
+                         f"followed by a qubit 0..{n - 1}")
+    return m[1].upper(), int(m[2])
+
+
 def cmd_qec_demo(args) -> int:
     rng = _rng(args)
     code = qec.BUILTIN_CODES[args.code]()
+    error = _injected_error(args.error, code.n)
     from .paulikey import compose_with_stabilizer_code
     from .paulis import PauliString
     from .qec import extract_syndrome, lookup_decode
@@ -122,8 +136,8 @@ def cmd_qec_demo(args) -> int:
              f"data key: {key.label()}"]
     padded = args.plaintext + "0" * (code.n - code.k)
     state = scheme.encrypt(key, StabilizerState.product(padded))
-    if args.error and args.error.lower() != "none":
-        letter, qubit = args.error[0].upper(), int(args.error[1:])
+    if error:
+        letter, qubit = error
         err = PauliString.single(code.n, qubit, letter)
         state = state.apply_pauli(err)
         lines.append(f"injected error: {letter} on qubit {qubit}")
@@ -148,6 +162,9 @@ def cmd_qec_demo(args) -> int:
 # -- t-gate --------------------------------------------------------------------
 
 def cmd_t_gate(args) -> int:
+    if args.trials < 1:
+        sys.stderr.write("error: t-gate needs --trials >= 1\n")
+        return USAGE_ERROR
     rng = _rng(args)
     transcripts = []
     if args.mode == "prob":

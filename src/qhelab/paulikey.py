@@ -7,6 +7,11 @@ magic-state injection: the server runs the CNOT + measure + classically
 controlled S gadget on ciphertext; whenever the key bits flip the
 measured outcome, the resulting S-vs-S^dagger discrepancy is folded into a
 pending Clifford correction that the client resolves at decryption.
+
+The client ledger (`EvalTracker`) rests on Encr_k o C = C o Encr_lambda,
+where lambda is a symplectic linear image of the key's (x | z) bits: the
+key is one packed bit row that the tableau kernel updates in place per
+absorbed gate, and the pending correction is conjugated only when read.
 """
 from __future__ import annotations
 
@@ -17,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .paulis import Circuit, CliffordOp, PauliString
+from .paulis import (Circuit, CliffordOp, PauliString, _apply_gate_rows,
+                     _check_gate, _invert_gate)
 from .schemes import KeyCodec, SchemeDescriptor, SchemeError
 from .states import DensityMatrix
 
@@ -163,29 +169,58 @@ def zkey_scheme(n: int) -> SchemeDescriptor:
 # ---------------------------------------------------------------------------
 
 class EvalTracker:
-    """Client ledger: current register key, accumulated global sign, and
-    the pending Clifford correction produced by T injections."""
+    """Client ledger: the register key as one packed (x, z, phase) bit row
+    (the phase, the key's sign, is never part of the key) and the pending
+    Clifford correction P produced by T injections.
+
+    While P is not the identity, the gates absorbed since it was last read
+    are kept as a word W; reading `pending` materialises W P W^-1, the
+    tableau and gate word that conjugating P gate by gate gives.
+    """
 
     def __init__(self, key: PauliKey):
-        self.key = key
-        self.sign = 1
-        self.pending = CliffordOp.identity(key.n_qubits)
+        self.n_qubits = key.n_qubits
+        self._x = key.pauli.x[None, :].copy()
+        self._z = key.pauli.z[None, :].copy()
+        self._phase = np.zeros(1, np.uint8)
+        self._set_pending(CliffordOp.identity(self.n_qubits))
         self.t_injected = 0
 
-    def absorb(self, name: str, qs: tuple[int, ...]) -> None:
-        gate = CliffordOp.from_gates(self.key.n_qubits, [(name, qs)])
-        self.key, s = transport_key(self.key, gate)
-        self.sign *= s
-        if not self.pending.is_identity_channel():
-            self.pending = gate.compose(self.pending).compose(gate.inverse())
+    @property
+    def key(self) -> PauliKey:
+        return PauliKey(PauliString(self._x[0], self._z[0]).positive())
 
-    def decryption(self) -> CliffordOp:
-        """Channel recovering the plaintext: key adjoint, then the pending
-        correction's inverse."""
-        return self.pending.inverse().compose(self.key.as_op())
+    @property
+    def pending(self) -> CliffordOp:
+        if self._word:
+            undo = [g for name, qs in reversed(self._word)
+                    for g in _invert_gate(name, qs)]
+            self._pending = self._pending.compose(
+                CliffordOp.from_gates(self.n_qubits, undo)).then(self._word)
+            self._word = []
+        return self._pending
+
+    def _set_pending(self, op: CliffordOp) -> None:
+        self._pending, self._word = op, []
+        self._deferring = not op.is_identity_channel()
+
+    def absorb(self, name: str, qs: tuple[int, ...]) -> None:
+        _check_gate(name, qs, self.n_qubits)
+        _apply_gate_rows(self._x, self._z, self._phase, name, qs)
+        if self._deferring:
+            self._word.append((name, tuple(qs)))
+
+    def correct_first(self, fix: CliffordOp) -> None:
+        """Fold a correction acting before the pending one into it."""
+        self._set_pending(self.pending.compose(fix))
 
     def decrypt(self, state):
-        return state.apply_clifford(self.decryption())
+        """Recover the plaintext: the key Pauli, then the pending
+        correction's inverse when there is one."""
+        state = state.apply_pauli(self.key.pauli)
+        if self._deferring:
+            state = state.apply_clifford(self.pending.inverse())
+        return state
 
 
 @dataclass
@@ -212,11 +247,15 @@ def prepare_magic_register(plaintext: DensityMatrix, data_key: PauliKey,
     """
     n_data = plaintext.n_qubits
     anc_keys = [PauliKey.random(1, rng) for _ in range(n_t)]
+    # one wire at a time: a joint T block would regroup the kron products
+    # and move ciphertext entries in their last bits
+    t_state = DensityMatrix.product("T")
     full = plaintext
-    joint = data_key
-    for k in anc_keys:
-        full = full.tensor(DensityMatrix.product("T"))
-        joint = joint.tensor(k)
+    for _ in range(n_t):
+        full = full.tensor(t_state)
+    magic_key = PauliString([k.pauli.x[0] for k in anc_keys],
+                            [k.pauli.z[0] for k in anc_keys])
+    joint = data_key.tensor(PauliKey(magic_key.positive()))
     resource = MagicStateResource(
         wires=[n_data + i for i in range(n_t)], keys=anc_keys)
     cipher = encrypt(joint, full)
@@ -247,7 +286,7 @@ def inject_t_gate(state, target: int, magic: MagicStateResource,
 
     Returns (state, transcript messages).
     """
-    n = tracker.key.n_qubits
+    n = tracker.n_qubits
     if magic.remaining() < 1:
         raise SchemeError("magic resource exhausted")
     # a pending correction that moves Z off the target wire cannot commute
@@ -280,7 +319,7 @@ def inject_t_gate(state, target: int, magic: MagicStateResource,
     residue = (o_raw - o_true) % 4
     if residue:
         fix = CliffordOp.from_gates(n, [("S", (target,))] * residue)
-        tracker.pending = tracker.pending.compose(fix)
+        tracker.correct_first(fix)
     messages = [{"sender": "server", "kind": "classical-bits",
                  "payload": [o_raw]}]
     return state, messages

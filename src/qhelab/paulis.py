@@ -252,6 +252,17 @@ def _check_gate(name: str, qs: tuple[int, ...], n: int,
         raise error(f"bad qubits {qs} for gate {name} on {n} qubits")
 
 
+def _run_word(x: np.ndarray, z: np.ndarray, ph: np.ndarray, gates,
+              n: int) -> list[tuple[str, tuple[int, ...]]]:
+    """Check each gate of the word and conjugate the rows by it, in place;
+    returns the word as (name, qubit tuple) pairs."""
+    word = [(g[0], tuple(g[1])) for g in gates]
+    for name, qs in word:
+        _check_gate(name, qs, n)
+        _apply_gate_rows(x, z, ph, name, qs)
+    return word
+
+
 def _row_product(x: np.ndarray, z: np.ndarray, phase: np.ndarray,
                  rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """(x, z, phase) of the ordered product of the selected packed rows.
@@ -388,14 +399,10 @@ class CliffordOp:
 
     @classmethod
     def from_gates(cls, n: int, gates: Iterable[tuple[str, tuple[int, ...]] | Gate]) -> "CliffordOp":
-        norm = [(g[0], tuple(g[1])) for g in gates]
         x = np.eye(2 * n, n, dtype=np.uint8)
         z = np.eye(2 * n, n, -n, dtype=np.uint8)
         ph = np.zeros(2 * n, np.uint8)
-        for name, qs in norm:
-            _check_gate(name, qs, n)
-            _apply_gate_rows(x, z, ph, name, qs)
-        return cls(n, x, z, ph, norm)
+        return cls(n, x, z, ph, _run_word(x, z, ph, gates, n))
 
     @classmethod
     def from_circuit(cls, circuit: Circuit) -> "CliffordOp":
@@ -451,15 +458,30 @@ class CliffordOp:
         return PauliString(x, z, ph + p.phase)
 
     def compose(self, first: "CliffordOp") -> "CliffordOp":
-        """self o first (first applied first): first's rows conjugated."""
+        """self o first (first applied first): first's rows conjugated.
+
+        All 2n row products at once: with S = [first.x | first.z] selecting
+        self's rows, x = S X and z = S Z mod 2, and the phase adds S phase
+        and twice each ordered cross term z_i . x_j (i < j both selected),
+        diag(S triu(Z X^T, 1) S^T)."""
         n = self.n_qubits
         if first.n_qubits != n:
             raise PauliAlgebraError("qubit count mismatch")
-        x, z, ph = np.empty_like(self.x), np.empty_like(self.z), first.phase.copy()
-        for r, sel in enumerate(np.hstack([first.x, first.z])):
-            x[r], z[r], p = _row_product(self.x, self.z, self.phase, np.flatnonzero(sel))
-            ph[r] = (ph[r] + p) & 3
-        return CliffordOp(n, x, z, ph, first.gates + self.gates)
+        s = np.hstack([first.x, first.z]).astype(np.int64)
+        x, z = self.x.astype(np.int64), self.z.astype(np.int64)
+        cross = np.triu(z @ x.T, 1)
+        ph = first.phase + s @ self.phase + 2 * ((s @ cross) * s).sum(axis=1)
+        return CliffordOp(n, (s @ x & 1).astype(np.uint8),
+                          (s @ z & 1).astype(np.uint8),
+                          (ph & 3).astype(np.uint8), first.gates + self.gates)
+
+    def then(self, gates: Iterable[tuple[str, tuple[int, ...]] | Gate]) -> "CliffordOp":
+        """The checked gate word applied after self; the same Clifford as
+        from_gates(n, gates).compose(self), with the word run over copies
+        of self's rows instead of a second tableau."""
+        x, z, ph = self.x.copy(), self.z.copy(), self.phase.copy()
+        word = _run_word(x, z, ph, gates, self.n_qubits)
+        return CliffordOp(self.n_qubits, x, z, ph, self.gates + tuple(word))
 
     def inverse(self) -> "CliffordOp":
         inv: list[tuple[str, tuple[int, ...]]] = []

@@ -108,6 +108,36 @@ class TestQecDemo:
         assert code == 0 and "recovered: yes" in out
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize("err", ["X99", "Q1", "x-1", "X7", "Z", "XZ1"])
+    def test_bad_qec_error_exits_2(self, err, capsys):
+        code, out = run_cli(["qec-demo", "--code", "steane713", "--error", err,
+                             "--seed", "3"])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("err", ["x1", "Z6", "NONE"])
+    def test_good_qec_error_accepted(self, err):
+        code, out = run_cli(["qec-demo", "--code", "steane713", "--error", err,
+                             "--seed", "3"])
+        assert code == 0 and "recovered: yes" in out
+
+    @pytest.mark.parametrize("mode", ["prob", "det"])
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_tgate_needs_a_trial(self, mode, trials, capsys):
+        code, out = run_cli(["t-gate", "--mode", mode, "--trials", trials,
+                             "--seed", "4"])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_missing_seed_exits_2(self, h_circuit, monkeypatch, capsys):
+        monkeypatch.delenv("QHELAB_SEED", raising=False)
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["roundtrip", "pauli", "-c", h_circuit, "-i", "0"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("error: a seed is required")
+
+
 class TestResources:
     def test_fig5_preset_rows(self):
         code, out = run_cli(["resources", "--fig5", "--k", "100",

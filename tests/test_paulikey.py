@@ -1,13 +1,15 @@
 """Pauli-key scheme: twirl, transport, T injection, encrypted syndrome
 measurement, IQP sampling, and composition with stabilizer codes."""
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
-from qhelab.paulis import (Circuit, CliffordOp, Gate, PauliString,
-                           random_clifford_circuit)
-from qhelab.paulikey import (PauliKey, all_keys, compactness_budget,
+from qhelab.paulis import (Circuit, CliffordOp, Gate, PauliAlgebraError,
+                           PauliString, random_clifford_circuit)
+from qhelab.paulikey import (EvalTracker, PauliKey, all_keys,
+                             compactness_budget,
                              compose_with_stabilizer_code, encrypt,
                              encrypted_stabilizer_measurement,
                              homomorphic_eval, inject_t_gate, iqp_distribution,
@@ -237,6 +239,114 @@ class TestInjectT:
                     inject_t_gate(cipher, 0, magic, tracker, rng)
                 return
         pytest.fail("no seed produced a pending correction")
+
+
+class _PerGateLedger:
+    """Reference ledger: one CliffordOp per absorbed gate, the key moved by
+    `transport_key` and the pending correction conjugated gate by gate."""
+
+    def __init__(self, key: PauliKey):
+        self.n_qubits = key.n_qubits
+        self.key = key
+        self.pending = CliffordOp.identity(key.n_qubits)
+        self.t_injected = 0
+
+    def absorb(self, name, qs):
+        gate = CliffordOp.from_gates(self.n_qubits, [(name, qs)])
+        self.key = transport_key(self.key, gate)[0]
+        if not self.pending.is_identity_channel():
+            self.pending = gate.compose(self.pending).compose(gate.inverse())
+
+    def correct_first(self, fix):
+        self.pending = self.pending.compose(fix)
+
+
+class TestBitRowLedger:
+    """The packed-row tracker against the per-gate reference ledger."""
+
+    def _program(self, rng, n_data, n_t):
+        n = n_data + n_t
+        steps = []
+        for _ in range(n_t):
+            steps += [(g.name, g.qubits) for g in
+                      random_clifford_circuit(n, int(rng.integers(0, 7)), rng).gates]
+            steps.append(("T", (int(rng.integers(n_data)),)))
+        steps += [(g.name, g.qubits)
+                  for g in random_clifford_circuit(n, 8, rng).gates]
+        return steps
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_per_gate_reference(self, seed):
+        rng = np.random.default_rng(900 + seed)
+        n_data = int(rng.integers(1, 5))
+        n_t = int(rng.integers(1, 7 - n_data))
+        read_every_step = seed % 2 == 0
+        key = PauliKey.random(n_data, rng)
+        rho = DensityMatrix.random_pure(n_data, rng)
+        cipher, tracker, magic = prepare_magic_register(rho, key, n_t, rng)
+        ref_magic = dataclasses.replace(magic)
+        ref = _PerGateLedger(tracker.key)
+        state = cipher
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for name, qs in self._program(rng, n_data, n_t):
+                if name == "T":
+                    draw = int(rng.integers(2 ** 32))
+                    try:
+                        out, _ = inject_t_gate(state, qs[0], magic, tracker,
+                                               np.random.default_rng(draw))
+                    except SchemeError:
+                        with pytest.raises(SchemeError):
+                            inject_t_gate(state, qs[0], ref_magic, ref,
+                                          np.random.default_rng(draw))
+                        break
+                    ref_out, _ = inject_t_gate(state, qs[0], ref_magic, ref,
+                                               np.random.default_rng(draw))
+                    assert np.array_equal(out.mat, ref_out.mat)
+                    state = out
+                else:
+                    state = state.apply_gate(name, qs)
+                    tracker.absorb(name, qs)
+                    ref.absorb(name, qs)
+                assert tracker.key == ref.key
+                if read_every_step or name == "T":
+                    got, want = tracker.pending, ref.pending
+                    assert got == want and got.gates == want.gates
+        got, want = tracker.pending, ref.pending
+        assert got == want and got.gates == want.gates
+        expect = state.apply_clifford(ref.pending.inverse().compose(ref.key.as_op()))
+        assert np.max(np.abs(tracker.decrypt(state).mat - expect.mat)) < 1e-12
+
+    def test_absorb_builds_no_clifford(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        tracker = EvalTracker(PauliKey.random(4, rng))
+        tracker.correct_first(CliffordOp.from_gates(4, [("S", (1,))]))
+        built = []
+        original = CliffordOp.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(CliffordOp, "__init__", counting)
+        for g in random_clifford_circuit(4, 40, rng).gates:
+            tracker.absorb(g.name, g.qubits)
+        assert built == []
+        assert not tracker.pending.is_identity_channel() and built
+
+    def test_bad_gate_rejected(self):
+        tracker = EvalTracker(PauliKey.identity(2))
+        for name, qs in (("CNOT", (0, 0)), ("H", (2,)), ("T", (0,)),
+                         ("H", (0, 1))):
+            with pytest.raises(PauliAlgebraError):
+                tracker.absorb(name, qs)
+
+    def test_key_reads_as_a_positive_view(self):
+        tracker = EvalTracker(PauliKey.from_label("XY"))
+        tracker.absorb("H", (0,))
+        tracker.absorb("S", (1,))
+        assert tracker.key == PauliKey.from_label("ZX")
+        assert tracker.key.pauli.sign() == 1
 
 
 class TestEncryptedStabilizerMeasurement:

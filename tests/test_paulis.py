@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from qhelab.paulis import (CLIFFORD_GATES, Circuit, CliffordOp, Gate,
                            PauliAlgebraError, PauliString, parse_circuit,
-                           random_clifford, random_pauli)
+                           random_clifford, random_clifford_circuit,
+                           random_pauli)
 
 P = PauliString.from_label
 
@@ -309,6 +310,32 @@ class TestPackedTableau:
         want = CliffordOp.from_gates(n, b.gates + a.gates)
         assert got == want and got.gates == want.gates
         assert got.x_images == want.x_images and got.z_images == want.z_images
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_batched_compose_at_larger_n(self, seed):
+        rng = np.random.default_rng(500 + seed)
+        n = int(rng.integers(1, 25))
+        a = random_clifford(n, rng) if seed % 3 == 0 else \
+            CliffordOp.from_circuit(random_clifford_circuit(n, 4 * n, rng))
+        b = CliffordOp.from_circuit(random_clifford_circuit(n, 4 * n, rng))
+        for first, second in ((b, a), (a, b), (a, a)):
+            got = second.compose(first)
+            want = CliffordOp.from_gates(n, first.gates + second.gates)
+            assert got == want and got.gates == want.gates
+            assert got.x.dtype == got.z.dtype == got.phase.dtype == np.uint8
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_then_appends_a_gate_word(self, seed):
+        rng = np.random.default_rng(700 + seed)
+        n = int(rng.integers(1, 7))
+        c = random_clifford(n, rng)
+        word = list(random_clifford_circuit(n, 10, rng).gates)
+        got = c.then(word)
+        want = CliffordOp.from_gates(n, word).compose(c)
+        assert got == want and got.gates == want.gates
+        assert hash(got) == hash(want)
+        with pytest.raises(PauliAlgebraError):
+            c.then([("CNOT", (0, 0))])
 
     def test_rows_are_the_images(self):
         c = random_clifford(3, np.random.default_rng(2))
