@@ -200,6 +200,9 @@ def cmd_t_gate(args) -> int:
 # -- cv-check ------------------------------------------------------------------
 
 def cmd_cv_check(args) -> int:
+    if args.trials < 1:
+        sys.stderr.write("error: cv-check needs --trials >= 1\n")
+        return USAGE_ERROR
     rng = _rng(args)
     worst = 0.0
     for _ in range(args.trials):
@@ -301,12 +304,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "sweeps, QEC demos, resource tables")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_seed=True):
+    def common(p):
         p.add_argument("--seed", type=int, default=None,
                        help="rng seed (or set QHELAB_SEED)")
         p.add_argument("--output", help="write the report to this path")
-        p.add_argument("--format", choices=["json", "csv", "text"],
-                       default="json")
 
     p = sub.add_parser("roundtrip", help="encrypt/evaluate/decrypt and compare")
     p.add_argument("scheme", choices=["pauli", "perm"])
@@ -314,6 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-i", "--input", required=True,
                    help="plaintext characters from 01+-im")
     p.add_argument("-m", type=int, default=1, help="columns parameter (perm)")
+    p.add_argument("--format", choices=["json", "text"], default="json")
     common(p)
     p.set_defaults(func=cmd_roundtrip)
 
@@ -359,7 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, default=None,
                    help="fixed r for the budget m-rule (when no --k)")
     p.add_argument("--ntot", required=True, help="comma list, e.g. 1e6,1e8")
-    common(p, needs_seed=False)
+    p.add_argument("--format", choices=["json", "csv"], default="json")
+    common(p)
     p.set_defaults(func=cmd_resources)
 
     p = sub.add_parser("audit", help="transcript leakage audit")

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .paulis import (Circuit, CliffordOp, PauliString, _apply_gate_rows,
-                     _check_gate, _invert_gate)
-from .schemes import KeyCodec, SchemeDescriptor, SchemeError
+                     _check_gate, _inverse_word)
+from .schemes import SchemeDescriptor, SchemeError
 from .states import DensityMatrix
 
 
@@ -56,8 +56,13 @@ class PauliKey:
         z = rng.integers(0, 2, size=n, dtype=np.uint8)
         return cls(PauliString(x, z).positive())
 
+    def word(self) -> list[tuple[str, tuple[int, ...]]]:
+        """The key channel as one single-qubit gate per non-identity letter."""
+        return [(letter, (q,)) for q in range(self.n_qubits)
+                if (letter := self.pauli.restricted_letter(q)) != "I"]
+
     def as_op(self) -> CliffordOp:
-        return CliffordOp.from_pauli(self.pauli)
+        return CliffordOp.from_gates(self.n_qubits, self.word())
 
     def label(self) -> str:
         return self.pauli.label()[1:]
@@ -93,21 +98,28 @@ def all_keys(n: int):
         yield PauliKey.from_label("".join(letters))
 
 
+def _word_on(n: int):
+    """encrypt_word of a scheme keyed by n-qubit Pauli keys."""
+    def word(key: PauliKey) -> list[tuple[str, tuple[int, ...]]]:
+        if key.n_qubits != n:
+            raise SchemeError("key/state size mismatch")
+        return key.word()
+    return word
+
+
 def pauli_scheme(n: int) -> SchemeDescriptor:
     """The 4^n-key Pauli scheme on n qubits; phi is the identity."""
-    codec = KeyCodec(to_pauli=lambda k: k.pauli,
-                     from_pauli=lambda p: PauliKey(p.positive()))
     return SchemeDescriptor(
         name=f"pauli{n}",
         n_qubits=n,
         key_count=4 ** n,
         iter_keys=lambda: all_keys(n),
         sample_key=lambda rng: PauliKey.random(n, rng),
-        encrypt_op=lambda k: k.as_op(),
+        encrypt_word=_word_on(n),
         transport=lambda k, c: transport_key(k, c)[0],
         lift=lambda c: c,
         allows=lambda c: isinstance(c, CliffordOp) and c.n_qubits == n,
-        key_codec=codec,
+        key_from_pauli=lambda p: PauliKey(p.positive()),
     )
 
 
@@ -118,18 +130,17 @@ def trivial_scheme(n: int) -> SchemeDescriptor:
             raise SchemeError("computation leaves the trivial key space")
         return PauliKey.identity(n)
 
-    codec = KeyCodec(to_pauli=lambda k: k.pauli, from_pauli=from_pauli)
     return SchemeDescriptor(
         name=f"trivial{n}",
         n_qubits=n,
         key_count=1,
         iter_keys=lambda: iter([PauliKey.identity(n)]),
         sample_key=lambda rng: PauliKey.identity(n),
-        encrypt_op=lambda k: k.as_op(),
+        encrypt_word=_word_on(n),
         transport=lambda k, c: PauliKey.identity(n),
         lift=lambda c: c,
         allows=lambda c: c.is_identity_channel(),
-        key_codec=codec,
+        key_from_pauli=from_pauli,
     )
 
 
@@ -156,11 +167,11 @@ def zkey_scheme(n: int) -> SchemeDescriptor:
         iter_keys=keys,
         sample_key=lambda rng: PauliKey(PauliString(
             np.zeros(n, np.uint8), rng.integers(0, 2, n, dtype=np.uint8), 0)),
-        encrypt_op=lambda k: k.as_op(),
+        encrypt_word=_word_on(n),
         transport=lambda k, c: transport_key(k, c)[0],
         lift=lambda c: c,
         allows=allows,
-        key_codec=KeyCodec(to_pauli=lambda k: k.pauli, from_pauli=from_pauli),
+        key_from_pauli=from_pauli,
     )
 
 
@@ -193,10 +204,8 @@ class EvalTracker:
     @property
     def pending(self) -> CliffordOp:
         if self._word:
-            undo = [g for name, qs in reversed(self._word)
-                    for g in _invert_gate(name, qs)]
-            self._pending = self._pending.compose(
-                CliffordOp.from_gates(self.n_qubits, undo)).then(self._word)
+            self._pending = self._pending.compose(CliffordOp.from_gates(
+                self.n_qubits, _inverse_word(self._word))).then(self._word)
             self._word = []
         return self._pending
 
@@ -434,10 +443,7 @@ def compose_with_stabilizer_code(code) -> SchemeDescriptor:
     """
     n, k = code.n, code.k
     enc = code.encoder
-
-    def encrypt_op(key: PauliKey) -> CliffordOp:
-        padded = key.pauli.tensor(PauliString.identity(n - k))
-        return enc.compose(CliffordOp.from_pauli(padded))
+    key_word = _word_on(k)
 
     def transport(key: PauliKey, comp: CliffordOp) -> PauliKey:
         mu = enc.conjugate(key.pauli.tensor(PauliString.identity(n - k)))
@@ -465,9 +471,8 @@ def compose_with_stabilizer_code(code) -> SchemeDescriptor:
         key_count=4 ** k,
         iter_keys=lambda: all_keys(k),
         sample_key=lambda rng: PauliKey.random(k, rng),
-        encrypt_op=encrypt_op,
+        encrypt_word=lambda key: key_word(key) + list(enc.gates),
         transport=transport,
         lift=lambda c: c,
         allows=allows,
-        key_codec=None,
     )

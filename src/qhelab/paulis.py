@@ -288,6 +288,12 @@ def _invert_gate(name: str, qs: tuple[int, ...]) -> list[tuple[str, tuple[int, .
     return [(name, qs)]
 
 
+def _inverse_word(gates) -> list[tuple[str, tuple[int, ...]]]:
+    """The inverse of a gate word, in application order: the word
+    reversed, each gate inverted."""
+    return [g for name, qs in reversed(gates) for g in _invert_gate(name, qs)]
+
+
 class Gate(NamedTuple):
     """One circuit element: Clifford gate, T marker, measurement, or
     classically controlled Pauli."""
@@ -411,15 +417,6 @@ class CliffordOp:
         return cls.from_gates(circuit.n_qubits, circuit.gates)
 
     @classmethod
-    def from_pauli(cls, p: PauliString) -> "CliffordOp":
-        gates = []
-        for q in range(p.n_qubits):
-            letter = p.restricted_letter(q)
-            if letter != "I":
-                gates.append((letter, (q,)))
-        return cls.from_gates(p.n_qubits, gates)
-
-    @classmethod
     def from_images(cls, x_images: list[PauliString], z_images: list[PauliString]) -> "CliffordOp":
         """Synthesize a gate word realizing the given target tableau."""
         n = x_images[0].n_qubits
@@ -484,10 +481,7 @@ class CliffordOp:
         return CliffordOp(self.n_qubits, x, z, ph, self.gates + tuple(word))
 
     def inverse(self) -> "CliffordOp":
-        inv: list[tuple[str, tuple[int, ...]]] = []
-        for name, qs in reversed(self.gates):
-            inv.extend(_invert_gate(name, qs))
-        return CliffordOp.from_gates(self.n_qubits, inv)
+        return CliffordOp.from_gates(self.n_qubits, _inverse_word(self.gates))
 
     def tensor(self, other: "CliffordOp") -> "CliffordOp":
         n = self.n_qubits + other.n_qubits
@@ -601,10 +595,7 @@ def synthesize_tableau(x: np.ndarray, z: np.ndarray,
     reduction: list[tuple[str, tuple[int, ...]]] = []
     for k in range(n):
         reduction.extend(_reduce_pair(x, z, ph, k, k, n + k))
-    gates: list[tuple[str, tuple[int, ...]]] = []
-    for name, qs in reversed(reduction):
-        gates.extend(_invert_gate(name, qs))
-    return gates
+    return _inverse_word(reduction)
 
 
 def random_clifford(n: int, rng: np.random.Generator) -> CliffordOp:
@@ -616,7 +607,7 @@ def random_clifford(n: int, rng: np.random.Generator) -> CliffordOp:
     """
     if n < 1:
         raise PauliAlgebraError("n must be >= 1")
-    reductions: list[list[tuple[str, tuple[int, ...]]]] = []
+    reduction: list[tuple[str, tuple[int, ...]]] = []
     for k in range(n):
         m = n - k
         while True:
@@ -636,12 +627,8 @@ def random_clifford(n: int, rng: np.random.Generator) -> CliffordOp:
         for r in range(2):
             ph[r] = int(np.sum(x[r] & z[r])) + 2 * int(rng.integers(0, 2))
         ph &= 3
-        reductions.append(_reduce_pair(x, z, ph, k, 0, 1))
-    gates: list[tuple[str, tuple[int, ...]]] = []
-    for red in reversed(reductions):
-        for name, qs in reversed(red):
-            gates.extend(_invert_gate(name, qs))
-    return CliffordOp.from_gates(n, gates)
+        reduction.extend(_reduce_pair(x, z, ph, k, 0, 1))
+    return CliffordOp.from_gates(n, _inverse_word(reduction))
 
 
 def random_pauli(n: int, rng: np.random.Generator, phase_free: bool = True) -> PauliString:

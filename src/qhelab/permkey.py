@@ -102,6 +102,13 @@ class PermKey:
                 swaps.append((a0, other))
         return swaps
 
+    def word(self, rows: int = 1) -> list[tuple[str, tuple[int, ...]]]:
+        """The column swaps applied to each of `rows` register rows, as
+        one SWAP word."""
+        n_cols = 2 * self.m
+        return [("SWAP", (r * n_cols + a, r * n_cols + b))
+                for r in range(rows) for a, b in self.column_swaps()]
+
     def data_columns(self) -> list[int]:
         """Where the m data-bearing columns sit after encryption."""
         return sorted(self.perm[c] for c in range(self.m))
@@ -408,15 +415,6 @@ class SpreadRegister:
 # Scheme descriptor (register-level, enumerable keys)
 # ---------------------------------------------------------------------------
 
-def _perm_as_op(key: PermKey, rows: int) -> CliffordOp:
-    n_cols = 2 * key.m
-    gates = []
-    for r in range(rows):
-        for a, b in key.column_swaps():
-            gates.append(("SWAP", (r * n_cols + a, r * n_cols + b)))
-    return CliffordOp.from_gates(rows * n_cols, gates)
-
-
 def _all_perms(m: int):
     import itertools
     for p in itertools.permutations(range(2 * m)):
@@ -441,10 +439,15 @@ def perm_scheme(m: int, rows: int = 1) -> SchemeDescriptor:
         for c in range(2 * m - 1):
             swap = PermKey(m, tuple(
                 [*range(c), c + 1, c, *range(c + 2, 2 * m)]))
-            op = _perm_as_op(swap, rows)
+            op = CliffordOp.from_gates(n, swap.word(rows))
             if comp.compose(op) != op.compose(comp):
                 return False
         return True
+
+    def encrypt_word(key: PermKey) -> list[tuple[str, tuple[int, ...]]]:
+        if key.m != m:
+            raise SchemeError("key/register size mismatch")
+        return key.word(rows)
 
     return SchemeDescriptor(
         name=f"perm-m{m}",
@@ -452,11 +455,10 @@ def perm_scheme(m: int, rows: int = 1) -> SchemeDescriptor:
         key_count=count,
         iter_keys=lambda: _all_perms(m),
         sample_key=lambda rng: PermKey.sample(m, rng),
-        encrypt_op=lambda k: _perm_as_op(k, rows),
+        encrypt_word=encrypt_word,
         transport=lambda k, c: k,
         lift=lambda c: c,
         allows=allows,
-        key_codec=None,
     )
 
 

@@ -2,11 +2,13 @@
 derivation, scheme composition, and the encode/encrypt commutation check.
 
 A scheme is the tuple (state space, keys, allowed computations, lift map,
-encryption family).  Encryption here is always a Clifford channel, so
-`Decr_k` is the adjoint of `Encr_k`, and key transport is the executable
-form of the commutation f: moving an encryption through a computation
-yields the same computation followed by encryption under the transported
-key.
+encryption family).  Encryption here is always a Clifford channel, given
+per key as one elementary gate word: `encrypt` replays the word on a
+state and `decrypt` its inverse (so `Decr_k` is the adjoint of `Encr_k`),
+and the tableau `encrypt_op` is built only where channels are compared.
+Key transport is the executable form of the commutation f: moving an
+encryption through a computation yields the same computation followed by
+encryption under the transported key.
 """
 from __future__ import annotations
 
@@ -17,8 +19,8 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .paulis import Circuit, CliffordOp, PauliString
-from .states import DensityMatrix, trace_distance
+from .paulis import Circuit, CliffordOp, PauliString, _inverse_word
+from .states import BackendError, DensityMatrix, trace_distance
 
 
 class SchemeError(ValueError):
@@ -30,41 +32,41 @@ class KeySpaceError(SchemeError):
 
 
 @dataclass(frozen=True)
-class KeyCodec:
-    """Adapters for schemes whose keys embed into the Pauli group; lets a
-    composed scheme transport joint keys by plain conjugation."""
-    to_pauli: Callable[[object], PauliString]
-    from_pauli: Callable[[PauliString], object]
-
-
-@dataclass(frozen=True)
 class SchemeDescriptor:
-    """Concrete QHE scheme: callables over an opaque key type."""
+    """Concrete QHE scheme: callables over an opaque key type.
+
+    `key_from_pauli`, set by schemes whose keys are Pauli strings (a key k
+    is then the channel of k.pauli), maps a +1-signed Pauli back to its
+    key, raising SchemeError when it lies outside the key space."""
     name: str
     n_qubits: int
     key_count: int | None                      # None: not enumerable
     iter_keys: Callable[[], Iterator]
     sample_key: Callable[[np.random.Generator], object]
-    encrypt_op: Callable[[object], CliffordOp]
+    encrypt_word: Callable[[object], list[tuple[str, tuple[int, ...]]]]
     transport: Callable[[object, CliffordOp], object]   # forward transport
     lift: Callable[[CliffordOp], CliffordOp]            # homomorphism phi
     allows: Callable[[CliffordOp], bool]
-    key_codec: KeyCodec | None = None
+    key_from_pauli: Callable[[PauliString], object] | None = None
+
+    def encrypt_op(self, key) -> CliffordOp:
+        """Encr_key as a tableau, for comparing channels."""
+        return CliffordOp.from_gates(self.n_qubits, self.encrypt_word(key))
+
+    def _replay(self, word, state):
+        if state.n_qubits != self.n_qubits:
+            raise BackendError("qubit count mismatch")
+        return state.apply_gates(word)
 
     def encrypt(self, key, state):
-        return state.apply_clifford(self.encrypt_op(key))
+        return self._replay(self.encrypt_word(key), state)
 
     def decrypt(self, key, state):
-        return state.apply_clifford(self.encrypt_op(key).inverse())
+        return self._replay(_inverse_word(self.encrypt_word(key)), state)
 
     def transport_back(self, key, comp: CliffordOp):
         """Reverse transport: the f with Encr_k . C = phi(C) . Encr_f."""
         return self.transport(key, comp.inverse())
-
-
-@dataclass(frozen=True)
-class ComposedScheme(SchemeDescriptor):
-    components: tuple[SchemeDescriptor, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -174,9 +176,10 @@ def compose_schemes(schemes) -> SchemeDescriptor:
 
     Computations that factor componentwise always transport componentwise
     (the glue computation of the general composition is taken to be the
-    identity).  When every component exposes a Pauli key codec, arbitrary
-    joint Cliffords are transported by conjugating the joint key, provided
-    the image splits back into the component key spaces.
+    identity).  When every component's keys are Pauli strings (it sets
+    `key_from_pauli`), arbitrary joint Cliffords are transported by
+    conjugating the joint key, provided the image splits back into the
+    component key spaces.
     """
     schemes = list(schemes)
     if not schemes:
@@ -184,7 +187,7 @@ def compose_schemes(schemes) -> SchemeDescriptor:
     if len(schemes) == 1:
         return schemes[0]
     n = sum(s.n_qubits for s in schemes)
-    offsets = np.cumsum([0] + [s.n_qubits for s in schemes])[:-1]
+    offsets = [0, *itertools.accumulate(s.n_qubits for s in schemes[:-1])]
     spans = [list(range(off, off + s.n_qubits))
              for off, s in zip(offsets, schemes)]
     counts = [s.key_count for s in schemes]
@@ -196,32 +199,26 @@ def compose_schemes(schemes) -> SchemeDescriptor:
     def sample_key(rng):
         return tuple(s.sample_key(rng) for s in schemes)
 
-    def encrypt_op(keys):
-        ops = [s.encrypt_op(k) for s, k in zip(schemes, keys)]
-        joint = ops[0]
-        for op in ops[1:]:
-            joint = joint.tensor(op)
-        return joint
+    def encrypt_word(keys):
+        return [(name, tuple(q + off for q in qs))
+                for s, k, off in zip(schemes, keys, offsets)
+                for name, qs in s.encrypt_word(k)]
 
-    have_codecs = all(s.key_codec is not None for s in schemes)
+    pauli_keys = all(s.key_from_pauli is not None for s in schemes)
 
     def transport(keys, comp: CliffordOp):
-        if not have_codecs:
-            raise SchemeError("composed transport needs Pauli key codecs")
-        joint = schemes[0].key_codec.to_pauli(keys[0])
-        for s, k in zip(schemes[1:], keys[1:]):
-            joint = joint.tensor(s.key_codec.to_pauli(k))
+        if not pauli_keys:
+            raise SchemeError("composed transport needs Pauli keys")
+        joint = keys[0].pauli
+        for k in keys[1:]:
+            joint = joint.tensor(k.pauli)
         moved = comp.conjugate(joint).positive()
-        out = []
-        for s, span in zip(schemes, spans):
-            piece = PauliString(moved.x[span], moved.z[span]).positive()
-            out.append(s.key_codec.from_pauli(piece))
-        return tuple(out)
+        return tuple(
+            s.key_from_pauli(PauliString(moved.x[span], moved.z[span]).positive())
+            for s, span in zip(schemes, spans))
 
     def allows(comp: CliffordOp) -> bool:
-        if comp.n_qubits != n:
-            return False
-        if not have_codecs:
+        if comp.n_qubits != n or not pauli_keys:
             return False
         try:
             for probe in iter_key_space_generators():
@@ -245,18 +242,16 @@ def compose_schemes(schemes) -> SchemeDescriptor:
         # all shipped schemes delegate the computation verbatim
         return comp
 
-    return ComposedScheme(
+    return SchemeDescriptor(
         name="*".join(s.name for s in schemes),
         n_qubits=n,
         key_count=key_count,
         iter_keys=iter_keys,
         sample_key=sample_key,
-        encrypt_op=encrypt_op,
+        encrypt_word=encrypt_word,
         transport=transport,
         lift=lift,
         allows=allows,
-        key_codec=None,
-        components=tuple(schemes),
     )
 
 

@@ -130,6 +130,33 @@ class TestUsageErrors:
         assert code == 2 and out == ""
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_cv_check_needs_a_trial(self, trials, capsys):
+        code, out = run_cli(["cv-check", "--trials", trials, "--seed", "1"])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["security", "pauli", "--inputs", "0,1", "--format", "csv"],
+        ["resources", "--ntot", "1e6", "--format", "text"],
+        ["roundtrip", "pauli", "-c", "h.qc", "-i", "0", "--format", "csv"],
+        ["qec-demo", "--code", "repetition3", "--format", "json"],
+        ["t-gate", "--mode", "det", "--format", "json"],
+        ["cv-check", "--format", "json"],
+        ["audit", "--scheme", "pauli", "--format", "json"],
+    ])
+    def test_format_only_where_read(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv + ["--seed", "1"])
+        assert exc.value.code == 2
+        assert "--format" in capsys.readouterr().err
+
+    def test_roundtrip_text_format(self, h_circuit):
+        code, out = run_cli(["roundtrip", "pauli", "-c", h_circuit, "-i", "0",
+                             "--seed", "1", "--format", "text"])
+        assert code == 0
+        assert out.startswith("trace distance ") and out.endswith("(PASS)\n")
+
     def test_missing_seed_exits_2(self, h_circuit, monkeypatch, capsys):
         monkeypatch.delenv("QHELAB_SEED", raising=False)
         with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,6 @@
 """Pauli/Clifford algebra: every value checked against the dense oracle."""
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -182,6 +184,22 @@ class TestRandomClifford:
             c = random_clifford(3, rng)
             rebuilt = CliffordOp.from_gates(3, c.gates)
             assert rebuilt == c
+
+    # sha256 prefixes of the words drawn at seeds 0..19, one per n
+    WORD_HASHES = {1: "38e4d127fdfe10b0", 2: "25f992ad3e26b210",
+                   3: "60cb3d6c5189a974", 4: "ae7369f79b2f5c56",
+                   5: "5356d953c284524a", 6: "f4347e710f4e5687",
+                   7: "c42788c8e78c1f44", 8: "0ff870360178516a"}
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_gate_words_pinned(self, n):
+        """The sampled words, not just their tableaux, stay fixed per seed,
+        so every seeded run that draws a random Clifford repeats."""
+        text = "\n".join(
+            ";".join(name + "".join(f" {q}" for q in qs) for name, qs in
+                     random_clifford(n, np.random.default_rng(seed)).gates)
+            for seed in range(20))
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == self.WORD_HASHES[n]
 
     def test_gate_set_is_the_fixed_one(self):
         rng = np.random.default_rng(6)

@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 
 from qhelab.paulis import CliffordOp, random_clifford, random_clifford_circuit
-from qhelab.paulikey import (PauliKey, all_keys, pauli_scheme, trivial_scheme,
-                             zkey_scheme)
+from qhelab.paulikey import (PauliKey, all_keys, compose_with_stabilizer_code,
+                             pauli_scheme, trivial_scheme, zkey_scheme)
 from qhelab.permkey import PermKey, perm_scheme, security_bound, spread_basis_input
 from qhelab.qec import repetition_code, logical_lift
 from qhelab.schemes import (KeySpaceError, SchemeError, check_qec_commutation,
                             ciphertext_average, compose_schemes,
                             derive_decryption, security_delta)
-from qhelab.states import DensityMatrix, trace_distance
+from qhelab.states import (BackendError, DensityMatrix, StabilizerState,
+                           trace_distance)
 
 
 class TestCiphertextAverage:
@@ -205,6 +206,21 @@ class TestComposeSchemes:
         moved = comp.transport(key, h0)
         assert moved[0].label() == "Z"
 
+    def test_perm_component_has_no_pauli_transport(self):
+        """Perm keys are not Pauli strings, so the joint scheme allows no
+        computation and cannot transport, yet still encrypts."""
+        comp = compose_schemes([pauli_scheme(1), perm_scheme(1)])
+        assert comp.key_from_pauli is None
+        assert not comp.allows(CliffordOp.identity(3))
+        with pytest.raises(SchemeError):
+            comp.transport((PauliKey.from_label("X"), PermKey.identity(1)),
+                           CliffordOp.identity(3))
+        avg = ciphertext_average(comp, DensityMatrix.product("0").tensor(
+            spread_basis_input(1, 1)))
+        ref = ciphertext_average(pauli_scheme(1), DensityMatrix.product("0")).tensor(
+            ciphertext_average(perm_scheme(1), spread_basis_input(1, 1)))
+        assert trace_distance(avg, ref) < 1e-12
+
     def test_composition_homomorphism_randomized(self):
         comp = compose_schemes([pauli_scheme(1), pauli_scheme(2)])
         rng = np.random.default_rng(4)
@@ -284,7 +300,78 @@ class TestQecCommutation:
         from qhelab.schemes import SchemeDescriptor
         cv_like = SchemeDescriptor(
             name="cv", n_qubits=1, key_count=None, iter_keys=lambda: iter([]),
-            sample_key=lambda rng: None, encrypt_op=lambda k: CliffordOp.identity(1),
+            sample_key=lambda rng: None, encrypt_word=lambda k: [],
             transport=lambda k, c: k, lift=lambda c: c, allows=lambda c: True)
         with pytest.raises(KeySpaceError):
             ciphertext_average(cv_like, DensityMatrix.product("0"))
+
+
+WORD_SCHEMES = {
+    "perm1": lambda: perm_scheme(1),
+    "perm2": lambda: perm_scheme(2),
+    "pauli2": lambda: pauli_scheme(2),
+    "zkey2": lambda: zkey_scheme(2),
+    "trivial1": lambda: trivial_scheme(1),
+    "pauli*repetition": lambda: compose_with_stabilizer_code(repetition_code()),
+    "pauli*trivial": lambda: compose_schemes([pauli_scheme(1), trivial_scheme(1)]),
+}
+
+
+class TestEncryptionWord:
+    """`encrypt` replays the key's gate word; `encrypt_op` is the same
+    channel as a tableau."""
+
+    @pytest.fixture(params=sorted(WORD_SCHEMES))
+    def scheme(self, request):
+        return WORD_SCHEMES[request.param]()
+
+    def test_word_matches_tableau_on_dense_states(self, scheme):
+        rng = np.random.default_rng(11)
+        rho = DensityMatrix.random_pure(scheme.n_qubits, rng)
+        for key in scheme.iter_keys():
+            cipher = scheme.encrypt(key, rho)
+            ref = rho.apply_clifford(scheme.encrypt_op(key))
+            assert np.array_equal(cipher.mat, ref.mat)
+            assert np.array_equal(scheme.decrypt(key, cipher).mat, rho.mat)
+
+    def test_word_matches_tableau_on_stabilizer_states(self, scheme):
+        rng = np.random.default_rng(12)
+        n = scheme.n_qubits
+        psi = StabilizerState.product("0" * n).apply_clifford(random_clifford(n, rng))
+        for key in scheme.iter_keys():
+            cipher = scheme.encrypt(key, psi)
+            ref = psi.apply_clifford(scheme.encrypt_op(key))
+            assert cipher.generators == ref.generators
+            assert scheme.decrypt(key, cipher).generators == psi.generators
+
+    @pytest.mark.parametrize("backend", [DensityMatrix, StabilizerState])
+    def test_wrong_size_state_rejected(self, scheme, backend):
+        key = next(iter(scheme.iter_keys()))
+        wrong = backend.product("0" * (scheme.n_qubits + 1))
+        with pytest.raises(BackendError):
+            scheme.encrypt(key, wrong)
+        with pytest.raises(BackendError):
+            scheme.decrypt(key, wrong)
+
+    @pytest.mark.parametrize("scheme, key", [
+        (pauli_scheme(2), PauliKey.from_label("X")),
+        (perm_scheme(2), PermKey.identity(1)),
+        (compose_with_stabilizer_code(repetition_code()), PauliKey.from_label("XI")),
+    ])
+    def test_wrong_size_key_rejected(self, scheme, key):
+        rho = DensityMatrix.product("0" * scheme.n_qubits)
+        with pytest.raises(SchemeError):
+            scheme.encrypt(key, rho)
+
+    def test_ciphertext_average_builds_no_tableau(self, monkeypatch):
+        built = []
+        init = CliffordOp.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        scheme, rho = perm_scheme(2), spread_basis_input(2, 1)
+        monkeypatch.setattr(CliffordOp, "__init__", counting_init)
+        ciphertext_average(scheme, rho)
+        assert built == []
