@@ -76,6 +76,8 @@ def cmd_roundtrip(args) -> int:
 
 def _scheme_inputs(args):
     specs = args.inputs.split(",")
+    if len(specs) < 2 or "" in specs:
+        raise SchemeError("--inputs needs at least two non-empty inputs")
     if args.scheme == "perm":
         states = []
         for s in specs:

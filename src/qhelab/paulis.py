@@ -252,13 +252,27 @@ def _check_gate(name: str, qs: tuple[int, ...], n: int,
         raise error(f"bad qubits {qs} for gate {name} on {n} qubits")
 
 
+def _check_word(word, n: int, names=CLIFFORD_GATES,
+                error=PauliAlgebraError) -> None:
+    """`_check_gate` on every gate of a word of (name, qubit tuple) pairs,
+    in one pass of builtins (every arity is 1 or 2); a word that fails it
+    is checked gate by gate, which raises at its first bad gate."""
+    flat = [q for _, qs in word for q in qs]
+    if (all(name in names and len(qs) == _GATE_ARITY[name]
+            and (len(qs) == 1 or qs[0] != qs[1]) for name, qs in word)
+            and (not flat or 0 <= min(flat) and max(flat) < n)):
+        return
+    for name, qs in word:
+        _check_gate(name, qs, n, names, error)
+
+
 def _run_word(x: np.ndarray, z: np.ndarray, ph: np.ndarray, gates,
               n: int) -> list[tuple[str, tuple[int, ...]]]:
-    """Check each gate of the word and conjugate the rows by it, in place;
+    """Check the word and conjugate the rows by each gate, in place;
     returns the word as (name, qubit tuple) pairs."""
     word = [(g[0], tuple(g[1])) for g in gates]
+    _check_word(word, n)
     for name, qs in word:
-        _check_gate(name, qs, n)
         _apply_gate_rows(x, z, ph, name, qs)
     return word
 

@@ -8,11 +8,14 @@ maximally mixed ancillas look like, so no purification bookkeeping is
 needed.
 
 `DensityMatrix` is the exact dense oracle, capped at n = 6 so exhaustive
-key sweeps stay fast.  It never forms a 2^n x 2^n operator: a k-qubit
-gate views rho as a (2,)*2n tensor and multiplies the gate's 4^k x 4^k
-superoperator u (x) conj(u) into its k row and k column axes
-(`_apply_on_bits`, the one dense gate kernel), and a Pauli acts as a
-signed permutation of rows and columns (P rho = s[:, None] * rho[idx]).
+key sweeps stay fast.  It never forms a 2^n x 2^n operator.  A SWAP is a
+qubit relabelling: each run of consecutive SWAPs in a gate word becomes
+one transpose of rho's (2,)*2n tensor (`_relabel`, shared with
+`permute_qubits`), so a permutation key encrypts without arithmetic.
+Any other k-qubit gate multiplies its 4^k x 4^k superoperator
+u (x) conj(u) into its k row and k column axes (`_apply_on_bits`), and a
+Pauli acts as a signed permutation of rows and columns
+(P rho = s[:, None] * rho[idx]).
 The two backends are cross-checked against each other in the test suite.
 
 Both implement the same state protocol, so scheme code never asks which
@@ -30,7 +33,7 @@ import numpy as np
 
 from . import gf2
 from .paulis import (CLIFFORD_GATES, Circuit, CliffordOp, PauliString,
-                     _apply_gate_rows, _check_gate, _row_product,
+                     _apply_gate_rows, _check_gate, _check_word, _row_product,
                      _signed_permutation, _symplectic_gram)
 
 DENSE_QUBIT_CAP = 6
@@ -51,8 +54,10 @@ _GATE_MATS: dict[str, np.ndarray] = {
                      dtype=complex),
 }
 
-# what the dense kernel multiplies into a gate's row and column axes
-_GATE_SUPEROPS = {name: np.kron(u, u.conj()) for name, u in _GATE_MATS.items()}
+# what the dense kernel multiplies into a gate's row and column axes; a
+# SWAP has none, it relabels its qubits
+_GATE_SUPEROPS = {name: np.kron(u, u.conj()) for name, u in _GATE_MATS.items()
+                  if name != "SWAP"}
 
 _1Q_VECTORS = {
     "0": np.array([1, 0], dtype=complex),
@@ -268,11 +273,11 @@ class StabilizerState:
     def apply_gates(self, gates) -> "StabilizerState":
         """Conjugate every generator by an elementary Clifford gate word
         (application order)."""
+        word = [(name, tuple(qs)) for name, qs in gates]
+        _check_word(word, self.n_qubits, CLIFFORD_GATES, BackendError)
         x, z, phase = self._rows()
-        for name, qs in gates:
-            if name not in CLIFFORD_GATES:
-                raise BackendError(f"{name} is not a Clifford gate")
-            _apply_gate_rows(x, z, phase, name, tuple(qs))
+        for name, qs in word:
+            _apply_gate_rows(x, z, phase, name, qs)
         return _tableau(self.n_qubits, x, z, phase)
 
     def apply_gate(self, name: str, qs: tuple[int, ...]) -> "StabilizerState":
@@ -454,15 +459,30 @@ class DensityMatrix:
     # -- dynamics ---------------------------------------------------------
 
     def apply_gates(self, gates) -> "DensityMatrix":
-        """Apply an elementary gate word (application order), T included."""
-        out = self
+        """Apply an elementary gate word (application order), T included.
+
+        Each maximal run of SWAPs is folded into one relabelling, applied
+        before the next other gate: new qubit q carries qubit src[q] of
+        `out`."""
+        n = self.n_qubits
+        out, src = self, None
         for name, qs in gates:
+            if name == "SWAP":
+                _check_gate(name, qs, n, _GATE_MATS, BackendError)
+                src = src or list(range(n))
+                a, b = qs
+                src[a], src[b] = src[b], src[a]
+                continue
+            if src:
+                out, src = out._relabel(src), None
             out = out.apply_gate(name, qs)
-        return out
+        return out._relabel(src) if src else out
 
     def apply_gate(self, name: str, qs: tuple[int, ...]) -> "DensityMatrix":
         """u rho u^dag through the gate's superoperator on its row and
-        column axes."""
+        column axes; a SWAP relabels its qubits instead."""
+        if name == "SWAP":
+            return self.apply_gates([(name, qs)])
         n = self.n_qubits
         _check_gate(name, qs, n, _GATE_MATS, BackendError)
         bits = list(qs) + [n + q for q in qs]
@@ -508,9 +528,13 @@ class DensityMatrix:
         n = self.n_qubits
         if sorted(perm) != list(range(n)):
             raise BackendError("perm must be a bijection on the register")
+        return self._relabel(np.argsort(perm))
+
+    def _relabel(self, src) -> "DensityMatrix":
+        """New qubit q carries old qubit src[q], on rows and columns alike."""
+        n = self.n_qubits
         t = self.mat.reshape((2,) * (2 * n))
-        inv = list(np.argsort(np.asarray(perm)))
-        t = t.transpose(inv + [n + a for a in inv])
+        t = t.transpose([*src, *(n + a for a in src)])
         return DensityMatrix(t.reshape(2 ** n, 2 ** n), validate=False)
 
     # -- extraction -------------------------------------------------------

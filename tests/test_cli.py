@@ -137,6 +137,19 @@ class TestUsageErrors:
         assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("argv", [
+        ["perm", "-m", "1", "--inputs", "0"],
+        ["perm", "-m", "1", "--inputs", "0,"],
+        ["pauli", "--inputs", "0"],
+        ["pauli", "--inputs", ","],
+        ["pauli", "--inputs", "00,,11"],
+        ["zkey", "--inputs", ""],
+    ])
+    def test_security_needs_two_inputs(self, argv, capsys):
+        code, out = run_cli(["security"] + argv + ["--seed", "1"])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith("error: --inputs needs")
+
+    @pytest.mark.parametrize("argv", [
         ["security", "pauli", "--inputs", "0,1", "--format", "csv"],
         ["resources", "--ntot", "1e6", "--format", "text"],
         ["roundtrip", "pauli", "-c", "h.qc", "-i", "0", "--format", "csv"],

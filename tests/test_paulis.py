@@ -10,6 +10,7 @@ from qhelab.paulis import (CLIFFORD_GATES, Circuit, CliffordOp, Gate,
                            PauliAlgebraError, PauliString, parse_circuit,
                            random_clifford, random_clifford_circuit,
                            random_pauli)
+from qhelab.paulis import _check_gate, _check_word
 
 P = PauliString.from_label
 
@@ -424,3 +425,24 @@ class TestGateOperands:
         circ = parse_circuit("H 0\nCNOT 0 1\n")
         assert (CliffordOp.from_gates(2, circ.gates)
                 == CliffordOp.from_gates(2, [("H", (0,)), ("CNOT", (0, 1))]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 5), st.lists(st.tuples(
+        st.sampled_from(CLIFFORD_GATES + ("T", "Q")),
+        st.lists(st.integers(-2, 6), max_size=3).map(tuple)), max_size=6))
+    def test_word_check_matches_gate_by_gate(self, n, word):
+        """The one-pass word check raises exactly when, and as, the first
+        failing per-gate check does."""
+        want = None
+        for name, qs in word:
+            try:
+                _check_gate(name, qs, n)
+            except PauliAlgebraError as exc:
+                want = str(exc)
+                break
+        if want is None:
+            _check_word(word, n)
+        else:
+            with pytest.raises(PauliAlgebraError) as exc:
+                _check_word(word, n)
+            assert str(exc.value) == want

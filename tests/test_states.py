@@ -43,6 +43,17 @@ class TestApplyClifford:
         with pytest.raises(BackendError):
             DensityMatrix.maximally_mixed(7)
 
+    @pytest.mark.parametrize("name, qs", [("CNOT", (0,)), ("H", (0, 1)),
+                                          ("SWAP", (1, 1)), ("CNOT", (0, 0)),
+                                          ("H", (2,)), ("H", (5,)),
+                                          ("H", (-1,)), ("Q", (0,)),
+                                          ("T", (0,))])
+    def test_bad_gate_or_qubits_rejected(self, name, qs):
+        with pytest.raises(BackendError):
+            StabilizerState.product("0+").apply_gate(name, qs)
+        with pytest.raises(BackendError):
+            StabilizerState.product("0+").apply_gates([("H", (1,)), (name, qs)])
+
 
 class TestMeasurePauli:
     def test_z_on_zero_deterministic(self):
@@ -331,7 +342,8 @@ class TestDenseGateKernel:
 
     @pytest.mark.parametrize("name, qs", [("CNOT", (0,)), ("H", (0, 1)),
                                           ("SWAP", (1, 1)), ("H", (2,)),
-                                          ("H", (-1,)), ("Q", (0,))])
+                                          ("H", (-1,)), ("Q", (0,)),
+                                          ("SWAP", (0, 2)), ("SWAP", (-1, 0))])
     def test_bad_gate_or_qubits_rejected(self, name, qs):
         with pytest.raises(BackendError):
             DensityMatrix.product("0+").apply_gate(name, qs)
