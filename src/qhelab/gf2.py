@@ -5,7 +5,8 @@ Entries are masked with ``& 1``.  Each column is packed into an ``int``
 inserted into a greedy basis left to right: a column outside the span of
 those before it is a pivot.  ``rank`` counts the basis; ``solve`` reduces
 ``rhs`` against it and reads x off the tag bits, which gives the pivot-only
-particular solution (every free variable 0).
+particular solution (every free variable 0); ``relations`` keeps the tag
+bits of the columns that reduce to zero, a basis of the left null space.
 """
 from __future__ import annotations
 
@@ -28,15 +29,27 @@ def _reduce(v: int, basis: dict[int, int], mask: int) -> int:
     return v
 
 
-def _echelon(cols: list[int], n_rows: int) -> dict[int, int]:
-    """Greedy left-to-right basis of tagged columns, keyed by pivot row."""
+def _echelon(cols: list[int], n_rows: int,
+             relations: list[int] | None = None) -> dict[int, int]:
+    """Greedy left-to-right basis of tagged columns, keyed by pivot row.
+
+    A column that reduces to zero is dropped; with `relations` given, its
+    tag bits (itself and the basis columns that sum to it) are appended."""
     mask = (1 << n_rows) - 1
     basis: dict[int, int] = {}
     for j, col in enumerate(cols):
         v = _reduce(col | 1 << (n_rows + j), basis, mask)
         if v & mask:
             basis[(v & mask).bit_length() - 1] = v
+        elif relations is not None:
+            relations.append(v >> n_rows)
     return basis
+
+
+def _unpack(tags: int, n: int) -> np.ndarray:
+    """Bits 0..n-1 of an int as a 0/1 vector."""
+    packed = np.frombuffer(tags.to_bytes(n // 8 + 1, "little"), np.uint8)
+    return np.unpackbits(packed, count=n, bitorder="little")
 
 
 def solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
@@ -47,11 +60,19 @@ def solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
     v = _reduce(target, _echelon(cols, m), mask)
     if v & mask:
         return None
-    tags = np.frombuffer((v >> m).to_bytes(n // 8 + 1, "little"), np.uint8)
-    return np.unpackbits(tags, count=n, bitorder="little")
+    return _unpack(v >> m, n)
 
 
 def rank(mat: np.ndarray) -> int:
     """Rank over GF(2), eliminating along the shorter side."""
     vecs = mat if mat.shape[0] < mat.shape[1] else mat.T
     return len(_echelon(_bitsets(vecs), vecs.shape[1]))
+
+
+def relations(vecs: np.ndarray) -> list[np.ndarray]:
+    """Each row of `vecs` that is a sum of rows before it, as the 0/1
+    vector of the rows (itself the last) that sum to zero: a basis of the
+    left null space, one vector per dependent row."""
+    found: list[int] = []
+    _echelon(_bitsets(vecs), vecs.shape[1], found)
+    return [_unpack(tags, len(vecs)) for tags in found]

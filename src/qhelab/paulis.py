@@ -206,30 +206,35 @@ def _signed_permutation(x: np.ndarray, z: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def _apply_gate_rows(x: np.ndarray, z: np.ndarray, ph: np.ndarray,
-                     name: str, qs: tuple[int, ...]) -> None:
-    """Conjugate every row Pauli by the elementary gate, in place."""
+                     name: str, qs: tuple) -> None:
+    """Conjugate every row Pauli by the elementary gate, in place.
+
+    Each slot of `qs` is a qubit, or an index array that applies the gate
+    to several pairwise-disjoint qubits (slot i of the gate on qs[i][j]
+    for every j) as one column-sliced update; phase terms are then summed
+    over the slice."""
     if name == "H":
         q = qs[0]
-        ph += 2 * (x[:, q] & z[:, q])
+        ph += 2 * _per_row(x[:, q] & z[:, q])
         x[:, q], z[:, q] = z[:, q].copy(), x[:, q].copy()
     elif name == "S":
         q = qs[0]
-        ph += x[:, q]
+        ph += _per_row(x[:, q])
         z[:, q] ^= x[:, q]
     elif name == "X":
-        ph += 2 * z[:, qs[0]]
+        ph += 2 * _per_row(z[:, qs[0]])
     elif name == "Y":
         q = qs[0]
-        ph += 2 * (x[:, q] ^ z[:, q])
+        ph += 2 * _per_row(x[:, q] ^ z[:, q])
     elif name == "Z":
-        ph += 2 * x[:, qs[0]]
+        ph += 2 * _per_row(x[:, qs[0]])
     elif name == "CNOT":
         c, t = qs
         z[:, c] ^= z[:, t]
         x[:, t] ^= x[:, c]
     elif name == "CZ":
         a, b = qs
-        ph += 2 * (x[:, a] & x[:, b])
+        ph += 2 * _per_row(x[:, a] & x[:, b])
         z[:, a] ^= x[:, b]
         z[:, b] ^= x[:, a]
     elif name == "SWAP":
@@ -239,6 +244,11 @@ def _apply_gate_rows(x: np.ndarray, z: np.ndarray, ph: np.ndarray,
     else:
         raise PauliAlgebraError(f"not a Clifford gate: {name}")
     ph &= 3
+
+
+def _per_row(cols: np.ndarray) -> np.ndarray:
+    """A phase term per row: a column as it is, a column slice summed."""
+    return cols if cols.ndim == 1 else cols.sum(axis=1, dtype=cols.dtype)
 
 
 def _check_gate(name: str, qs: tuple[int, ...], n: int,

@@ -210,13 +210,18 @@ def _spread_magic_dense(m: int) -> DensityMatrix:
 # Registers
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class _Factor:
     rows: list[int]
     state: object  # StabilizerState | DensityMatrix
 
     def loc(self, row: int, col: int, n_cols: int) -> int:
         return self.rows.index(row) * n_cols + col
+
+    def columns(self, row: int, n_cols: int) -> range:
+        """The qubits that hold the row's columns."""
+        base = self.loc(row, 0, n_cols)
+        return range(base, base + n_cols)
 
 
 class SpreadRegister:
@@ -230,15 +235,23 @@ class SpreadRegister:
         self.roles: list[str] = []
         self.alive: list[bool] = []
         self.factors: list[_Factor] = []
+        self._owner: dict[int, _Factor] = {}   # live row -> its factor
 
     # -- construction -----------------------------------------------------
 
+    def _add_factor(self, roles: list[str], state) -> _Factor:
+        """A new factor holding one new row per role, in order."""
+        f = _Factor(list(range(len(self.roles), len(self.roles) + len(roles))),
+                    state)
+        self.roles += roles
+        self.alive += [True] * len(roles)
+        self.factors.append(f)
+        for row in f.rows:
+            self._owner[row] = f
+        return f
+
     def _add_factor_row(self, role: str, state) -> int:
-        row = len(self.roles)
-        self.roles.append(role)
-        self.alive.append(True)
-        self.factors.append(_Factor([row], state))
-        return row
+        return self._add_factor([role], state).rows[0]
 
     def add_data_row(self, plaintext) -> int:
         """Spread a 1-qubit plaintext (state object or character spec)."""
@@ -264,18 +277,14 @@ class SpreadRegister:
     def _factor_of(self, row: int) -> _Factor:
         if not self.alive[row]:
             raise RegisterError(f"row {row} was already consumed")
-        for f in self.factors:
-            if row in f.rows:
-                return f
-        raise RegisterError(f"row {row} not found")
+        f = self._owner.get(row)
+        if f is None:
+            raise RegisterError(f"row {row} not found")
+        return f
 
     def _merge(self, rows: list[int]) -> _Factor:
-        touched = []
-        for f in self.factors:
-            if any(r in f.rows for r in rows):
-                touched.append(f)
-        for r in rows:
-            self._factor_of(r)
+        owners = {self._factor_of(r) for r in rows}
+        touched = [f for f in self.factors if f in owners]
         if len(touched) == 1:
             return touched[0]
         all_rows = sorted(r for f in touched for r in f.rows)
@@ -284,17 +293,15 @@ class SpreadRegister:
         state = touched[0].state
         for f in touched[1:]:
             state = state.tensor(f.state)
-        concat_rows = [r for f in touched for r in f.rows]
-        # reorder qubits so factor rows are sorted
-        order = np.argsort(np.asarray(concat_rows))
-        perm = [0] * (len(concat_rows) * self.n_cols)
-        for new_pos, old_pos in enumerate(order):
-            for c in range(self.n_cols):
-                perm[old_pos * self.n_cols + c] = new_pos * self.n_cols + c
-        state = state.permute_qubits(perm)
+        # reorder qubits so factor rows are sorted: the block of the row at
+        # position i of the concatenation moves to that row's sorted rank
+        rank = np.argsort(np.argsort([r for f in touched for r in f.rows]))
+        perm = rank[:, None] * self.n_cols + np.arange(self.n_cols)
+        state = state.permute_qubits(perm.ravel().tolist())
         merged = _Factor(all_rows, state)
-        self.factors = [f for f in self.factors if f not in touched]
+        self.factors = [f for f in self.factors if f not in owners]
         self.factors.append(merged)
+        self._owner.update(dict.fromkeys(all_rows, merged))
         return merged
 
     def _apply(self, factor: _Factor, gates: list[tuple[str, tuple[int, ...]]]) -> None:
@@ -326,15 +333,13 @@ class SpreadRegister:
         if name == "H" and self.m % 2 != 1:
             raise RegisterError("transversal H needs odd m")
         f = self._factor_of(row)
-        gates = [(name, (f.loc(row, c, self.n_cols),)) for c in range(self.n_cols)]
-        self._apply(f, gates)
+        self._apply(f, [(name, (q,)) for q in f.columns(row, self.n_cols)])
 
     def transversal_pair(self, name: str, row_c: int, row_t: int) -> None:
         """Columnwise two-row gate (logical CNOT/CZ/SWAP between rows)."""
         f = self._merge([row_c, row_t])
-        gates = [(name, (f.loc(row_c, c, self.n_cols), f.loc(row_t, c, self.n_cols)))
-                 for c in range(self.n_cols)]
-        self._apply(f, gates)
+        self._apply(f, [(name, qs) for qs in zip(f.columns(row_c, self.n_cols),
+                                                 f.columns(row_t, self.n_cols))])
 
     def apply_logical(self, op: CliffordOp, rows: list[int]) -> None:
         """A logical Clifford over the given rows, applied transversally."""
@@ -346,33 +351,30 @@ class SpreadRegister:
 
     def measure_row(self, row: int, rng: np.random.Generator,
                     basis: str = "Z") -> list[int]:
-        """Transversally measure a row; the row is consumed (traced out)."""
+        """Transversally measure a row; the row is consumed (traced out).
+
+        One `measure_discard` on the row's columns: on a tableau factor,
+        two column eliminations over the row plus at most one GF(2)
+        reduction the size of one `contains`."""
         if basis == "X":
             self.transversal_single(row, "H")
         f = self._factor_of(row)
-        bits = []
-        state = f.state
-        for c in range(self.n_cols):
-            q = f.loc(row, c, self.n_cols)
-            zq = PauliString.single(len(f.rows) * self.n_cols, q, "Z")
-            state, rec = state.measure_pauli(zq, rng, label=f"r{row}c{c}")
-            bits.append(rec.outcome)
-        f.state = state
-        self._drop_row(f, row)
+        f.state, bits = f.state.measure_discard(f.columns(row, self.n_cols), rng)
+        self._remove_row(f, row)
         return bits
 
     def discard_row(self, row: int) -> None:
         f = self._factor_of(row)
-        self._drop_row(f, row)
+        if len(f.rows) > 1:
+            f.state = f.state.discard_qubits(f.columns(row, self.n_cols))
+        self._remove_row(f, row)
 
-    def _drop_row(self, f: _Factor, row: int) -> None:
-        idx = f.rows.index(row)
+    def _remove_row(self, f: _Factor, row: int) -> None:
+        """Retire a row whose qubits have left its factor's state."""
         f.rows.remove(row)
         self.alive[row] = False
-        if f.rows:
-            f.state = f.state.discard_qubits(
-                [idx * self.n_cols + c for c in range(self.n_cols)])
-        else:
+        del self._owner[row]
+        if not f.rows:
             self.factors.remove(f)
 
     def consumed_ancilla_rows(self) -> int:
@@ -397,8 +399,7 @@ class SpreadRegister:
         f = self._factor_of(row)
         if len(f.rows) == 1:
             return f.state
-        idx = f.rows.index(row)
-        keep = [idx * self.n_cols + c for c in range(self.n_cols)]
+        keep = f.columns(row, self.n_cols)
         return f.state.discard_qubits(
             [q for q in range(len(f.rows) * self.n_cols) if q not in keep])
 
@@ -641,13 +642,11 @@ class ConcatenatedSpreadCode:
             perm[r] = r * 2 * m          # data qubit to column 0
             for j in range(mixed_per_row):
                 perm[n + r * mixed_per_row + j] = r * 2 * m + 1 + j
+        # each spread gate on every row at once, one transversal gate
         full = full.permute_qubits(perm).apply_gates(
             (name, tuple(r * 2 * m + q for q in qs))
-            for r in range(n) for name, qs in spread_gate_list(m))
-        for r in range(n):
-            reg.roles.append("data")
-            reg.alive.append(True)
-        reg.factors = [_Factor(list(range(n)), full)]
+            for name, qs in spread_gate_list(m) for r in range(n))
+        reg._add_factor(["data"] * n, full)
         return reg
 
 

@@ -135,6 +135,8 @@ def security_delta(scheme: SchemeDescriptor, inputs,
     inputs = list(inputs)
     if not inputs:
         raise SchemeError("empty input set")
+    if len(inputs) < 2:
+        raise SchemeError("security delta compares at least two inputs")
     if scheme.key_count is None:
         raise KeySpaceError(f"{scheme.name} has no enumerable key space")
     if scheme.key_count <= exact_limit:

@@ -21,9 +21,12 @@ The two backends are cross-checked against each other in the test suite.
 Both implement the same state protocol, so scheme code never asks which
 backend it holds: `apply_gates` (the gate entry point; `apply_gate` and
 `apply_clifford` replay through it), `apply_pauli`, `measure_pauli`,
+`measure_discard` (Z on a list of qubits in order, then trace them out),
 `permute_qubits`, `discard_qubits`, `reduced_density`, `expectation`,
 `to_density`, `tensor` (a dense operand promotes a stabilizer one), and
-the `product` / `maximally_mixed` constructors.
+the `product` / `maximally_mixed` constructors.  On the tableau a
+transversal gate is one column-sliced engine call and `measure_discard`
+one elimination over the row; the dense oracle measures qubit by qubit.
 """
 from __future__ import annotations
 
@@ -84,6 +87,15 @@ def _check_pauli(n: int, p: PauliString, use: str | None = None) -> None:
         raise BackendError("qubit count mismatch")
     if use is not None and not p.is_hermitian():
         raise BackendError(f"can only {use} Hermitian Paulis")
+
+
+def _check_qubits(n: int, qs) -> list[int]:
+    """Both backends' check on the qubits to measure or discard: distinct
+    qubits in range(n), returned as a list."""
+    qs = list(qs)
+    if len(set(qs)) != len(qs) or qs and not 0 <= min(qs) <= max(qs) < n:
+        raise BackendError(f"bad qubits {qs} on {n} qubits")
+    return qs
 
 
 def _check_dense_cap(n: int) -> None:
@@ -245,7 +257,10 @@ class StabilizerState:
 
         Costs one ``gf2.solve`` on the 2n x k generator matrix: O(nk)
         numpy work to pack it, then O(k^2) XORs of (2n + k)-bit ints, and
-        an O(kn) phase product over the generators that make up p."""
+        an O(kn) phase product over the generators that make up p.  A
+        deterministic `measure_pauli` pays this once per call;
+        `measure_discard` settles a whole list of Z outcomes with one
+        reduction of the same size instead."""
         pos = p.positive()
         if not len(self.phase):
             return (pos.weight() == 0, 1)
@@ -272,12 +287,15 @@ class StabilizerState:
 
     def apply_gates(self, gates) -> "StabilizerState":
         """Conjugate every generator by an elementary Clifford gate word
-        (application order)."""
+        (application order).
+
+        Each maximal run of one gate on pairwise-disjoint qubits (a
+        transversal gate) is one column-sliced call of the gate engine."""
         word = [(name, tuple(qs)) for name, qs in gates]
         _check_word(word, self.n_qubits, CLIFFORD_GATES, BackendError)
         x, z, phase = self._rows()
-        for name, qs in word:
-            _apply_gate_rows(x, z, phase, name, qs)
+        for name, slots in _gate_runs(word):
+            _apply_gate_rows(x, z, phase, name, slots)
         return _tableau(self.n_qubits, x, z, phase)
 
     def apply_gate(self, name: str, qs: tuple[int, ...]) -> "StabilizerState":
@@ -336,23 +354,82 @@ class StabilizerState:
     def discard_qubits(self, qs: list[int]) -> "StabilizerState":
         """Trace out the given qubits (exact stabilizer partial trace).
 
-        Generators are Gaussian-eliminated over the discarded columns;
-        pivots (the part of the group with support there) are dropped and
-        the remainder is restricted to the kept qubits.
+        Generators are Gaussian-eliminated over the discarded x columns,
+        then over their z columns; pivots (the part of the group with
+        support there) are dropped and the remainder is restricted to the
+        kept qubits.
         """
+        qs = _check_qubits(self.n_qubits, qs)
         x, z, phase = self._rows()
         alive = np.ones(len(phase), bool)
-        for q in qs:
-            for bits in (x, z):
-                hits = (bits[:, q] & alive).nonzero()[0]
-                if len(hits):
-                    _multiply_rows(x, z, phase, hits[1:], hits[0])
-                    alive[hits[0]] = False
+        for bits in (x, z):
+            _eliminate(x, z, phase, bits, qs, alive)
+        return self._restrict(x, z, phase, alive, qs)
+
+    def measure_discard(self, qs: list[int], rng: np.random.Generator,
+                        ) -> tuple["StabilizerState", list[int]]:
+        """Measure Z on each listed qubit in the order given, then trace
+        them out; returns (state, outcome bits).
+
+        Same bits, ``rng.integers(0, 2)`` draws and group as
+        `measure_pauli` on each Z_q in turn, then `discard_qubits(qs)`.
+        After eliminating the x, then the z columns over qs, a GF(2)
+        reduction of the z-pivot rows' kept parts against the other rows
+        finds the group's elements +/-Z^v on qs alone; in echelon form by
+        last position they fix those outcomes, all others are uniform.
+        Z-pivot rows stay with sign (-1)^(v.b), dependent ones are dropped.
+        """
+        qs = _check_qubits(self.n_qubits, qs)
+        x, z, phase = self._rows()
+        alive = np.ones(len(phase), bool)
+        _eliminate(x, z, phase, x, qs, alive)
+        zpiv = [p for p in _eliminate(x, z, phase, z, qs, alive) if p >= 0]
+        # the group's +/-Z^v on qs, as (v, sign) bit masks over positions
+        # in qs, in echelon form keyed by each v's last position
+        fixed: dict[int, tuple[int, int]] = {}
+        if zpiv:
+            rows = np.concatenate([np.flatnonzero(alive), zpiv])
+            alive[zpiv] = True
+            keep = np.ones(self.n_qubits, bool)
+            keep[qs] = False
+            kept = np.hstack([x[rows][:, keep], z[rows][:, keep]])
+            for rel in gf2.relations(kept):
+                sel = rows[np.flatnonzero(rel)]
+                _, vz, ph = _row_product(x, z, phase, sel)
+                v = sum(1 << int(j) for j in np.flatnonzero(vz[qs]))
+                sign = ph >> 1
+                while v and (v.bit_length() - 1) in fixed:
+                    fv, fs = fixed[v.bit_length() - 1]
+                    v, sign = v ^ fv, sign ^ fs
+                if v:
+                    fixed[v.bit_length() - 1] = (v, sign)
+                # the relation's last row depends on the rows before it
+                alive[sel[-1]] = False
+        bits: list[int] = []
+        done = 0
+        for j in range(len(qs)):
+            if j in fixed:
+                v, sign = fixed[j]
+                bit = sign ^ ((v & done).bit_count() & 1)
+            else:
+                bit = int(rng.integers(0, 2))
+            bits.append(bit)
+            done |= bit << j
+        for p in zpiv:
+            phase[p] = (phase[p] + 2 * int(z[p, qs] @ bits)) & 3
+            z[p, qs] = 0
+        return self._restrict(x, z, phase, alive, qs), bits
+
+    def _restrict(self, x: np.ndarray, z: np.ndarray, phase: np.ndarray,
+                  alive: np.ndarray, qs: list[int]) -> "StabilizerState":
+        """The alive rows, which must act trivially on qs, restricted to
+        the other qubits."""
         x, z, phase = x[alive], z[alive], phase[alive]
         if x[:, qs].any() or z[:, qs].any():
             raise BackendError("discard elimination left support behind")
-        keep = [q for q in range(self.n_qubits) if q not in qs]
-        return _tableau(len(keep), x[:, keep], z[:, keep], phase)
+        keep = np.ones(self.n_qubits, bool)
+        keep[qs] = False
+        return _tableau(self.n_qubits - len(qs), x[:, keep], z[:, keep], phase)
 
     # -- extraction -------------------------------------------------------
 
@@ -389,11 +466,46 @@ def _tableau(n_qubits: int, x: np.ndarray, z: np.ndarray,
     return object.__new__(StabilizerState)._set(n_qubits, x, z, phase)
 
 
+def _gate_runs(word) -> list[tuple[str, tuple]]:
+    """(name, slots) per maximal run of one gate on pairwise-disjoint
+    qubits: a lone gate keeps its qubit tuple, a longer run gives one
+    index array per gate slot."""
+    runs = []
+    for name, qs in word:
+        if runs and runs[-1][0] == name and runs[-1][2].isdisjoint(qs):
+            runs[-1][1].append(qs)
+            runs[-1][2].update(qs)
+        else:
+            runs.append((name, [qs], set(qs)))
+    return [(name, run[0] if len(run) == 1 else tuple(map(np.array, zip(*run))))
+            for name, run, _ in runs]
+
+
 def _block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]), np.uint8)
     out[:a.shape[0], :a.shape[1]] = a
     out[a.shape[0]:, a.shape[1]:] = b
     return out
+
+
+def _eliminate(x: np.ndarray, z: np.ndarray, phase: np.ndarray,
+               bits: np.ndarray, cols: list[int], alive: np.ndarray,
+               ) -> list[int]:
+    """Gaussian elimination of `bits` (x or z) over `cols` in the order
+    given, among the rows marked in `alive`, in place: the first alive row
+    with a 1 in a column is its pivot, every other alive row with a 1 is
+    multiplied by it, and the pivot leaves `alive`.  Returns each column's
+    pivot row, or -1."""
+    pivots = []
+    for q in cols:
+        hits = (bits[:, q] & alive).nonzero()[0]
+        if len(hits):
+            _multiply_rows(x, z, phase, hits[1:], hits[0])
+            alive[hits[0]] = False
+            pivots.append(int(hits[0]))
+        else:
+            pivots.append(-1)
+    return pivots
 
 
 def _multiply_rows(x: np.ndarray, z: np.ndarray, phase: np.ndarray,
@@ -551,7 +663,21 @@ class DensityMatrix:
                              validate=False)
 
     def discard_qubits(self, qs: list[int]) -> "DensityMatrix":
+        qs = _check_qubits(self.n_qubits, qs)
         return self.partial_trace([q for q in range(self.n_qubits) if q not in qs])
+
+    def measure_discard(self, qs: list[int], rng: np.random.Generator,
+                        ) -> tuple["DensityMatrix", list[int]]:
+        """Measure Z on each listed qubit in the order given, then trace
+        them out; returns (state, outcome bits).  The reference for the
+        tableau's fused kernel: one `measure_pauli` per qubit."""
+        qs = _check_qubits(self.n_qubits, qs)
+        state, bits = self, []
+        for q in qs:
+            zq = PauliString.single(self.n_qubits, q, "Z")
+            state, rec = state.measure_pauli(zq, rng)
+            bits.append(rec.outcome)
+        return state.discard_qubits(qs), bits
 
     def reduced_density(self, qubits: list[int]) -> np.ndarray:
         """Reduced density matrix on `qubits`, in the order given."""

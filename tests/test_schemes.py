@@ -57,6 +57,11 @@ class TestSecurityDelta:
         with pytest.raises(SchemeError):
             security_delta(pauli_scheme(1), [])
 
+    def test_single_input_rejected(self):
+        # one input has no pair to compare: no delta, no witness pair
+        with pytest.raises(SchemeError):
+            security_delta(perm_scheme(1), [spread_basis_input(1, 0)])
+
     def test_report_serializes(self):
         rep = security_delta(pauli_scheme(1), [DensityMatrix.product("0"),
                                                DensityMatrix.product("1")])
