@@ -209,10 +209,10 @@ def _apply_gate_rows(x: np.ndarray, z: np.ndarray, ph: np.ndarray,
                      name: str, qs: tuple) -> None:
     """Conjugate every row Pauli by the elementary gate, in place.
 
-    Each slot of `qs` is a qubit, or an index array that applies the gate
-    to several pairwise-disjoint qubits (slot i of the gate on qs[i][j]
-    for every j) as one column-sliced update; phase terms are then summed
-    over the slice."""
+    Each slot of `qs` is a qubit, or an index array or a slice that
+    applies the gate to several pairwise-disjoint qubits (slot i of the
+    gate on qs[i][j] for every j) as one column-sliced update; phase terms
+    are then summed over the slice."""
     if name == "H":
         q = qs[0]
         ph += 2 * _per_row(x[:, q] & z[:, q])

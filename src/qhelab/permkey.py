@@ -284,41 +284,41 @@ class SpreadRegister:
 
     def _merge(self, rows: list[int]) -> _Factor:
         owners = {self._factor_of(r) for r in rows}
-        touched = [f for f in self.factors if f in owners]
-        if len(touched) == 1:
-            return touched[0]
-        all_rows = sorted(r for f in touched for r in f.rows)
+        if len(owners) == 1:
+            return owners.pop()
+        touched = sorted(owners, key=lambda f: f.rows[0])
+        order = [r for f in touched for r in f.rows]
         # a dense factor makes the merge dense; past the oracle cap the
         # tensor product raises before any matrix is built
         state = touched[0].state
         for f in touched[1:]:
             state = state.tensor(f.state)
-        # reorder qubits so factor rows are sorted: the block of the row at
-        # position i of the concatenation moves to that row's sorted rank
-        rank = np.argsort(np.argsort([r for f in touched for r in f.rows]))
-        perm = rank[:, None] * self.n_cols + np.arange(self.n_cols)
-        state = state.permute_qubits(perm.ravel().tolist())
+        all_rows = sorted(order)
+        if order != all_rows:
+            # reorder qubits so factor rows are sorted: the block of the row
+            # at position i of the concatenation moves to that row's rank
+            rank = np.argsort(np.argsort(order))
+            perm = rank[:, None] * self.n_cols + np.arange(self.n_cols)
+            state = state.permute_qubits(perm.ravel())
         merged = _Factor(all_rows, state)
         self.factors = [f for f in self.factors if f not in owners]
         self.factors.append(merged)
         self._owner.update(dict.fromkeys(all_rows, merged))
         return merged
 
-    def _apply(self, factor: _Factor, gates: list[tuple[str, tuple[int, ...]]]) -> None:
-        factor.state = factor.state.apply_gates(gates)
-
     # -- register operations ------------------------------------------------
 
     def permute_columns(self, key: PermKey) -> None:
         if key.m != self.m:
             raise SchemeError("column count mismatch")
+        # one qubit permutation per factor size: key.perm within each row
+        perms: dict[int, np.ndarray] = {}
         for f in self.factors:
-            n = len(f.rows) * self.n_cols
-            perm = [0] * n
-            for i, _ in enumerate(f.rows):
-                for c in range(self.n_cols):
-                    perm[i * self.n_cols + c] = i * self.n_cols + key.perm[c]
-            f.state = f.state.permute_qubits(perm)
+            k = len(f.rows)
+            if k not in perms:
+                perms[k] = (np.arange(k)[:, None] * self.n_cols
+                            + np.asarray(key.perm)).ravel()
+            f.state = f.state.permute_qubits(perms[k])
 
     def encrypt(self, key: PermKey) -> None:
         self.permute_columns(key)
@@ -326,20 +326,33 @@ class SpreadRegister:
     def decrypt(self, key: PermKey) -> None:
         self.permute_columns(key.inverse())
 
-    def transversal_single(self, row: int, name: str) -> None:
-        """The same 1-qubit gate on every column of a row."""
+    def _require_transversal(self, name: str) -> None:
+        """Raise unless transversal `name` is the logical `name` at this m."""
         if name == "S" and self.m % 4 != 1:
             raise RegisterError("transversal S needs m = 1 (mod 4)")
         if name == "H" and self.m % 2 != 1:
             raise RegisterError("transversal H needs odd m")
+
+    def transversal_single(self, row: int, name: str) -> None:
+        """The same 1-qubit gate on every column of a row: one
+        `apply_transversal` on the row's column range."""
+        self._require_transversal(name)
         f = self._factor_of(row)
-        self._apply(f, [(name, (q,)) for q in f.columns(row, self.n_cols)])
+        f.state = f.state.apply_transversal(name, [f.columns(row, self.n_cols)])
 
     def transversal_pair(self, name: str, row_c: int, row_t: int) -> None:
-        """Columnwise two-row gate (logical CNOT/CZ/SWAP between rows)."""
+        """Columnwise two-row gate (logical CNOT/CZ/SWAP between rows): one
+        `apply_transversal` on the two rows' column ranges of the merged
+        factor."""
         f = self._merge([row_c, row_t])
-        self._apply(f, [(name, qs) for qs in zip(f.columns(row_c, self.n_cols),
-                                                 f.columns(row_t, self.n_cols))])
+        f.state = f.state.apply_transversal(
+            name, [f.columns(row_c, self.n_cols), f.columns(row_t, self.n_cols)])
+
+    def controlled_z(self, control_row: int, row: int) -> None:
+        """Logical CZ as one transversal CZ.  Per column it is the unitary
+        of H; CNOT; H on `row`, and like transversal H it needs odd m."""
+        self._require_transversal("H")
+        self.transversal_pair("CZ", control_row, row)
 
     def apply_logical(self, op: CliffordOp, rows: list[int]) -> None:
         """A logical Clifford over the given rows, applied transversally."""
@@ -570,8 +583,8 @@ def t_gate_deterministic(reg: SpreadRegister, data_row: int,
        client, who alone can read the logical outcome o1.
     2. client names one row of the identity/S pair; consuming it applies
        S^(+-1) exactly when o1 = 1, leaving a Pauli (Z^c) byproduct.
-    3. client names one row of the |0>/|1> pair; an H-conjugated
-       transversal CNOT from it applies the Z^c correction.
+    3. client names one row of the |0>/|1> pair; a transversal CZ from
+       it applies the Z^c correction.
 
     Row labels are uniform and carry no information about data or key.
     Returns the transcript messages.
@@ -599,9 +612,7 @@ def t_gate_deterministic(reg: SpreadRegister, data_row: int,
     row_b = client.row_for(f"{tag}b", "one" if c else "zero")
     messages.append({"sender": "client", "kind": "classical-bits",
                      "payload": [bundle["slots_b"].index(row_b)]})
-    reg.transversal_single(data_row, "H")
-    reg.transversal_pair("CNOT", row_b, data_row)
-    reg.transversal_single(data_row, "H")
+    reg.controlled_z(row_b, data_row)
     # burn the consumed pair rows
     for row in (*bundle["slots_a"], *bundle["slots_b"]):
         if reg.alive[row]:
@@ -678,9 +689,7 @@ def encrypted_syndrome_protocol(reg: SpreadRegister, stabilizer: PauliString,
         if letter == "X":
             reg.transversal_pair("CNOT", ancilla_row, row)
         elif letter == "Z":
-            reg.transversal_single(row, "H")
-            reg.transversal_pair("CNOT", ancilla_row, row)
-            reg.transversal_single(row, "H")
+            reg.controlled_z(ancilla_row, row)
         else:
             raise SchemeError("Y-type inner stabilizers are not supported")
     bits = reg.measure_row(ancilla_row, rng, basis="X")
@@ -695,8 +704,6 @@ def apply_conditional_logical(reg: SpreadRegister, letter: str, row: int,
     if letter == "X":
         reg.transversal_pair("CNOT", control_row, row)
     elif letter == "Z":
-        reg.transversal_single(row, "H")
-        reg.transversal_pair("CNOT", control_row, row)
-        reg.transversal_single(row, "H")
+        reg.controlled_z(control_row, row)
     else:
         raise SchemeError("only X/Z conditional corrections are supported")

@@ -20,13 +20,17 @@ The two backends are cross-checked against each other in the test suite.
 
 Both implement the same state protocol, so scheme code never asks which
 backend it holds: `apply_gates` (the gate entry point; `apply_gate` and
-`apply_clifford` replay through it), `apply_pauli`, `measure_pauli`,
-`measure_discard` (Z on a list of qubits in order, then trace them out),
-`permute_qubits`, `discard_qubits`, `reduced_density`, `expectation`,
-`to_density`, `tensor` (a dense operand promotes a stabilizer one), and
-the `product` / `maximally_mixed` constructors.  On the tableau a
-transversal gate is one column-sliced engine call and `measure_discard`
-one elimination over the row; the dense oracle measures qubit by qubit.
+`apply_clifford` replay through it), `apply_transversal` (one gate on
+each column of equal-length, disjoint qubit ranges), `apply_pauli`,
+`measure_pauli`, `measure_discard` (Z on a list of qubits in order, then
+trace them out), `permute_qubits`, `discard_qubits`, `reduced_density`,
+`expectation`, `to_density`, `tensor` (a dense operand promotes a
+stabilizer one), and the `product` / `maximally_mixed` constructors.  On
+the tableau `apply_transversal` is one engine call on column slices, a
+run of one gate on disjoint qubits inside a general word is folded into
+one call too, and `measure_discard` is one elimination over the row; the
+dense oracle replays a transversal gate gate by gate and measures qubit
+by qubit.
 """
 from __future__ import annotations
 
@@ -35,9 +39,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf2
-from .paulis import (CLIFFORD_GATES, Circuit, CliffordOp, PauliString,
-                     _apply_gate_rows, _check_gate, _check_word, _row_product,
-                     _signed_permutation, _symplectic_gram)
+from .paulis import (_GATE_ARITY, CLIFFORD_GATES, Circuit, CliffordOp,
+                     PauliString, _apply_gate_rows, _check_gate, _check_word,
+                     _row_product, _signed_permutation, _symplectic_gram)
 
 DENSE_QUBIT_CAP = 6
 
@@ -96,6 +100,38 @@ def _check_qubits(n: int, qs) -> list[int]:
     if len(set(qs)) != len(qs) or qs and not 0 <= min(qs) <= max(qs) < n:
         raise BackendError(f"bad qubits {qs} on {n} qubits")
     return qs
+
+
+def _check_slots(name: str, slots, n: int, names) -> tuple[range, ...]:
+    """Both backends' check on a transversal gate: `name` in `names` and
+    its arity of step-1 `range` slots, of equal length, inside range(n)
+    and pairwise disjoint; O(1) per slot.  Returns the slots as a tuple."""
+    if name not in names:
+        raise BackendError(f"{name} is not one of {' '.join(names)}")
+    slots = tuple(slots)
+    if (len(slots) != _GATE_ARITY[name]
+            or not all(isinstance(r, range) and r.step == 1 for r in slots)):
+        raise BackendError(f"gate {name} takes {_GATE_ARITY[name]} step-1 "
+                           f"qubit ranges, not {slots}")
+    if len({len(r) for r in slots}) != 1:
+        raise BackendError(f"unequal slot lengths {slots} for gate {name}")
+    if not slots[0]:
+        return slots
+    if not all(0 <= r.start and r.stop <= n for r in slots):
+        raise BackendError(f"slots {slots} leave the {n}-qubit register")
+    if len(slots) == 2 and max(r.start for r in slots) < min(r.stop for r in slots):
+        raise BackendError(f"overlapping slots {slots} for gate {name}")
+    return slots
+
+
+def _check_perm(perm, n: int) -> np.ndarray:
+    """Both backends' check that perm (a list or an integer array) is a
+    bijection on range(n); returns its inverse."""
+    perm = np.asarray(perm)
+    inv = np.argsort(perm) if perm.shape == (n,) else None
+    if inv is None or not np.array_equal(perm[inv], np.arange(n)):
+        raise BackendError("perm must be a bijection on the register")
+    return inv
 
 
 def _check_dense_cap(n: int) -> None:
@@ -298,6 +334,16 @@ class StabilizerState:
             _apply_gate_rows(x, z, phase, name, slots)
         return _tableau(self.n_qubits, x, z, phase)
 
+    def apply_transversal(self, name: str, slots) -> "StabilizerState":
+        """One gate on each column of its step-1 qubit ranges (gate j acts
+        on slots[0][j], slots[1][j], ...): one engine call whose slots are
+        basic slices, so numpy works on views."""
+        slots = _check_slots(name, slots, self.n_qubits, CLIFFORD_GATES)
+        x, z, phase = self._rows()
+        _apply_gate_rows(x, z, phase, name,
+                         tuple(slice(r.start, r.stop) for r in slots))
+        return _tableau(self.n_qubits, x, z, phase)
+
     def apply_gate(self, name: str, qs: tuple[int, ...]) -> "StabilizerState":
         return self.apply_gates([(name, qs)])
 
@@ -344,11 +390,9 @@ class StabilizerState:
         rec = MeasurementRecord(label, o_pos ^ flip, 0.5)
         return _tableau(self.n_qubits, x, z, phase), rec
 
-    def permute_qubits(self, perm: list[int]) -> "StabilizerState":
+    def permute_qubits(self, perm) -> "StabilizerState":
         """Relabel qubits: new qubit perm[q] carries old qubit q."""
-        if sorted(perm) != list(range(self.n_qubits)):
-            raise BackendError("perm must be a bijection on the register")
-        inv = np.argsort(np.asarray(perm))
+        inv = _check_perm(perm, self.n_qubits)
         return _tableau(self.n_qubits, self.x[:, inv], self.z[:, inv], self.phase)
 
     def discard_qubits(self, qs: list[int]) -> "StabilizerState":
@@ -590,6 +634,12 @@ class DensityMatrix:
             out = out.apply_gate(name, qs)
         return out._relabel(src) if src else out
 
+    def apply_transversal(self, name: str, slots) -> "DensityMatrix":
+        """One gate on each column of its step-1 qubit ranges, replayed as
+        the gate word it stands for (the gate path checks each gate)."""
+        slots = _check_slots(name, slots, self.n_qubits, _GATE_MATS)
+        return self.apply_gates((name, qs) for qs in zip(*slots))
+
     def apply_gate(self, name: str, qs: tuple[int, ...]) -> "DensityMatrix":
         """u rho u^dag through the gate's superoperator on its row and
         column axes; a SWAP relabels its qubits instead."""
@@ -635,12 +685,9 @@ class DensityMatrix:
         return (DensityMatrix(post, validate=False),
                 MeasurementRecord(label, outcome, prob))
 
-    def permute_qubits(self, perm: list[int]) -> "DensityMatrix":
+    def permute_qubits(self, perm) -> "DensityMatrix":
         """Relabel qubits: new qubit perm[q] carries old qubit q."""
-        n = self.n_qubits
-        if sorted(perm) != list(range(n)):
-            raise BackendError("perm must be a bijection on the register")
-        return self._relabel(np.argsort(perm))
+        return self._relabel(_check_perm(perm, self.n_qubits))
 
     def _relabel(self, src) -> "DensityMatrix":
         """New qubit q carries old qubit src[q], on rows and columns alike."""
