@@ -37,7 +37,7 @@ got = reg.data_qubit_density(0)
 want = DensityMatrix.product("+")
 for gate in ("H", "S", "S", "H"):
     want = want.apply_gate(gate, (0,))
-print(f"H S S H round trip distance: {trace_distance(got, want.mat):.2e}")
+print(f"H S S H round trip distance: {trace_distance(got, want):.2e}")
 print(f"decryption cost: {decryption_complexity(key, 1, 0)} swaps\n")
 
 print("=== 3. T gates: probabilistic, then deterministic ===")
@@ -57,7 +57,7 @@ messages = t_gate_deterministic(reg, 0, budget, client, rng)
 reg.decrypt(k)
 out = reg.data_qubit_density(0)
 print(f"deterministic T distance to T|+>: "
-      f"{trace_distance(out, DensityMatrix.product('T').mat):.2e}")
+      f"{trace_distance(out, DensityMatrix.product('T')):.2e}")
 print("classical chatter it took:")
 for msg in messages:
     print(f"  {msg['sender']:>6} -> {msg['payload']}")

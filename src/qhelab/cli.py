@@ -183,16 +183,14 @@ def cmd_t_gate(args) -> int:
                                 "success_rate": rate}))
         return 0 if 0.4 <= rate <= 0.6 else CHECK_FAILED
     worst = 0.0
+    ref = DensityMatrix.product(args.plaintext).apply_gate("T", (0,))
     for _ in range(args.trials):
         key = PermKey.sample(args.m, rng)
         reg, client, budget = build_t_register(args.plaintext, args.m, 1,
                                                key, rng)
-        msgs = t_gate_deterministic(reg, 0, budget, client, rng)
-        transcripts.append([m_ for m_ in msgs])
+        transcripts.append(t_gate_deterministic(reg, 0, budget, client, rng))
         reg.decrypt(key)
-        got = reg.data_qubit_density(0)
-        ref = DensityMatrix.product(args.plaintext).apply_gate("T", (0,))
-        worst = max(worst, trace_distance(got, ref.mat))
+        worst = max(worst, trace_distance(reg.data_qubit_density(0), ref))
     blob = {"mode": "det", "trials": args.trials, "worst_distance": worst,
             "transcript_sample": transcripts[0] if transcripts else []}
     _emit(args, json.dumps(blob, indent=2))

@@ -236,7 +236,6 @@ class EvalTracker:
 class MagicStateResource:
     """Encrypted |T> = T|+> ancillas living on dedicated register wires."""
     wires: list[int]
-    keys: list[PauliKey]          # one single-qubit key per ancilla
     used: int = 0
 
     @property
@@ -265,8 +264,7 @@ def prepare_magic_register(plaintext: DensityMatrix, data_key: PauliKey,
     magic_key = PauliString([k.pauli.x[0] for k in anc_keys],
                             [k.pauli.z[0] for k in anc_keys])
     joint = data_key.tensor(PauliKey(magic_key.positive()))
-    resource = MagicStateResource(
-        wires=[n_data + i for i in range(n_t)], keys=anc_keys)
+    resource = MagicStateResource(wires=[n_data + i for i in range(n_t)])
     cipher = encrypt(joint, full)
     return cipher, EvalTracker(joint), resource
 

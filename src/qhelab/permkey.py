@@ -22,7 +22,8 @@ import numpy as np
 
 from .paulis import CliffordOp, PauliString, _signed_permutation
 from .schemes import SchemeDescriptor, SchemeError
-from .states import DENSE_QUBIT_CAP, DensityMatrix, StabilizerState, _tableau
+from .states import (DENSE_QUBIT_CAP, DensityMatrix, StabilizerState, _dense,
+                     _tableau)
 
 
 class RegisterError(ValueError):
@@ -203,7 +204,7 @@ def _spread_magic_dense(m: int) -> DensityMatrix:
     _, s_y = _signed_permutation(*_column_power("Y", m))
     rho = np.eye(dim, dtype=complex)
     rho[np.arange(dim), idx] += (sx + sy * s_y) / np.sqrt(2.0)
-    return DensityMatrix(rho / dim, validate=False)
+    return _dense(rho / dim)
 
 
 # ---------------------------------------------------------------------------
@@ -254,9 +255,11 @@ class SpreadRegister:
         return self._add_factor([role], state).rows[0]
 
     def add_data_row(self, plaintext) -> int:
-        """Spread a 1-qubit plaintext (state object or character spec)."""
+        """Spread a 1-qubit plaintext (state object or one character)."""
         m = self.m
         if isinstance(plaintext, str):
+            if len(plaintext) != 1:
+                raise RegisterError(f"a data row takes one character, not {plaintext!r}")
             direct = {"0": "zero", "1": "one", "+": "plus", "-": "minus",
                       "i": "plusi", "m": "minusi"}
             if plaintext in direct and (m % 2 == 1 or plaintext in "01"):
@@ -416,7 +419,7 @@ class SpreadRegister:
         return f.state.discard_qubits(
             [q for q in range(len(f.rows) * self.n_cols) if q not in keep])
 
-    def data_qubit_density(self, row: int) -> np.ndarray:
+    def data_qubit_density(self, row: int) -> DensityMatrix:
         """Unspread a decrypted row and return the 2x2 data-qubit state."""
         st = self.row_state(row)
         if self.m > 1:
@@ -524,14 +527,12 @@ class TGateBudget:
     a |0>/|1> correction pair, with secretly randomized slot assignment."""
     bundles: list[dict]
     used: int = 0
-    rows_consumed: int = 0
 
     def take(self) -> dict:
         if self.used >= len(self.bundles):
             raise SchemeError("T-gate budget exhausted")
         bundle = self.bundles[self.used]
         self.used += 1
-        self.rows_consumed += 5
         return bundle
 
 

@@ -53,18 +53,6 @@ class Transcript:
         return "\n".join(json.dumps(m.to_json()) for m in self.messages) + "\n"
 
 
-@dataclass
-class PartyState:
-    role: str
-    keys: object | None = None          # client only
-    registers: dict = field(default_factory=dict)
-    classical: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.role == "server" and self.keys is not None:
-            raise ProtocolViolation("server state never contains a key")
-
-
 def run_session(scheme: str, plaintext: str, circuit: Circuit,
                 rng: np.random.Generator, m: int = 1):
     """Full encrypt -> hand off -> evaluate -> return -> decrypt flow.
@@ -112,9 +100,8 @@ def _run_pauli_session(plaintext: str, circuit: Circuit,
     output = tracker.decrypt(state)
 
     # plain-evaluation reference on the data wires
-    ref = DensityMatrix.product(plaintext)
-    for g in circuit.gates:
-        ref = ref.apply_gate(g.name, g.qubits)
+    ref = DensityMatrix.product(plaintext).apply_gates(
+        (g.name, g.qubits) for g in circuit.gates)
     out_data = output.partial_trace(list(range(n)))
     return out_data, ref, transcript
 
@@ -126,7 +113,7 @@ def _run_perm_session(plaintext: str, circuit: Circuit,
     transcript = Transcript()
     n_t = circuit.t_count()
     key = PermKey.sample(m, rng)
-    reg, client, budget = build_t_register(plaintext[0], m, n_t, key, rng)
+    reg, client, budget = build_t_register(plaintext, m, n_t, key, rng)
     transcript.log("client", "quantum-handoff",
                    [sum(reg.alive) * reg.n_cols])
     for g in circuit.gates:
@@ -141,11 +128,9 @@ def _run_perm_session(plaintext: str, circuit: Circuit,
     transcript.log("server", "quantum-handoff",
                    [sum(reg.alive) * reg.n_cols])
     reg.decrypt(key)
-    got = reg.data_qubit_density(0)
-    ref = DensityMatrix.product(plaintext[0])
-    for g in circuit.gates:
-        ref = ref.apply_gate(g.name, g.qubits)
-    return DensityMatrix(got, validate=False), ref, transcript
+    ref = DensityMatrix.product(plaintext).apply_gates(
+        (g.name, g.qubits) for g in circuit.gates)
+    return reg.data_qubit_density(0), ref, transcript
 
 
 def canary_session(plaintext: str, circuit: Circuit,
@@ -169,15 +154,26 @@ def canary_session(plaintext: str, circuit: Circuit,
 
 
 def load_session_config(path: str) -> dict:
-    """Session config file: scheme, circuit file, seeds, sample count."""
+    """Session config file: a JSON object with the scheme and circuit file
+    (strings), the seed and sample count (ints), and optionally the
+    plaintexts (a list of strings) and m (an int)."""
     with open(path) as fh:
         blob = json.load(fh)
-    required = {"scheme", "circuit", "seed", "runs"}
-    missing = required - set(blob)
+    if not isinstance(blob, dict):
+        raise ProtocolViolation("session config must be a JSON object")
+    missing = {"scheme", "circuit", "seed", "runs"} - set(blob)
     if missing:
         raise ProtocolViolation(f"session config missing {sorted(missing)}")
     blob.setdefault("plaintexts", ["0", "1"])
     blob.setdefault("m", 1)
+    # exact types: a JSON true is a bool, which would pass as an int
+    for name, kind in (("scheme", str), ("circuit", str), ("seed", int),
+                       ("runs", int), ("m", int)):
+        if type(blob[name]) is not kind:
+            raise ProtocolViolation(f"session config {name!r} must be a {kind.__name__}")
+    if type(blob["plaintexts"]) is not list or any(
+            type(p) is not str for p in blob["plaintexts"]):
+        raise ProtocolViolation("session config 'plaintexts' must be a list of strings")
     return blob
 
 

@@ -20,7 +20,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .paulis import Circuit, CliffordOp, PauliString, _inverse_word
-from .states import BackendError, DensityMatrix, trace_distance
+from .states import BackendError, DensityMatrix, _dense, trace_distance
 
 
 class SchemeError(ValueError):
@@ -116,7 +116,7 @@ def _key_average(scheme: SchemeDescriptor, keys, rho: DensityMatrix,
     if count != expected:
         raise SchemeError("key iterator disagrees with key_count")
     total /= count
-    return DensityMatrix(total, validate=False)
+    return _dense(total)
 
 
 def ciphertext_average(scheme: SchemeDescriptor, rho: DensityMatrix) -> DensityMatrix:

@@ -23,14 +23,18 @@ backend it holds: `apply_gates` (the gate entry point; `apply_gate` and
 `apply_clifford` replay through it), `apply_transversal` (one gate on
 each column of equal-length, disjoint qubit ranges), `apply_pauli`,
 `measure_pauli`, `measure_discard` (Z on a list of qubits in order, then
-trace them out), `permute_qubits`, `discard_qubits`, `reduced_density`,
-`expectation`, `to_density`, `tensor` (a dense operand promotes a
-stabilizer one), and the `product` / `maximally_mixed` constructors.  On
-the tableau `apply_transversal` is one engine call on column slices, a
-run of one gate on disjoint qubits inside a general word is folded into
-one call too, and `measure_discard` is one elimination over the row; the
-dense oracle replays a transversal gate gate by gate and measures qubit
-by qubit.
+trace them out), `permute_qubits`, `discard_qubits`, `reduced_density`
+(a state), `expectation`, `to_density`, `tensor` (a dense operand
+promotes a stabilizer one), and the `product` / `maximally_mixed`
+constructors; `trace_distance` takes two states.  On the tableau
+`apply_transversal` is one engine call on column slices, a run of one
+gate on disjoint qubits inside a general word is folded into one call
+too, and `measure_discard` is one elimination over the row; the dense
+oracle replays a transversal gate gate by gate and measures qubit by
+qubit.  `StabilizerState(n, generators)` and `DensityMatrix(mat)` check
+outside data; `_tableau` (packed rows) and `_dense` (an exactly built
+matrix) are the only internal constructors, and take over their arrays
+without checks or copies.
 """
 from __future__ import annotations
 
@@ -76,8 +80,10 @@ _1Q_VECTORS = {
     "T": np.array([1, np.exp(1j * np.pi / 4)], dtype=complex) * _INV_SQRT2,
 }
 
-# stabilizer generator for the stabilizer-representable plaintext characters
-_1Q_GENERATORS = {"0": "+Z", "1": "-Z", "+": "+X", "-": "-X", "i": "+Y", "m": "-Y"}
+# stabilizer generator (x bit, z bit, Z4 phase; Y = iXZ) for the
+# stabilizer-representable plaintext characters
+_1Q_GENERATORS = {"0": (0, 1, 0), "1": (0, 1, 2), "+": (1, 0, 0),
+                  "-": (1, 0, 2), "i": (1, 1, 1), "m": (1, 1, 3)}
 
 
 class BackendError(ValueError):
@@ -137,6 +143,14 @@ def _check_perm(perm, n: int) -> np.ndarray:
 def _check_dense_cap(n: int) -> None:
     if n > DENSE_QUBIT_CAP:
         raise BackendError(f"dense oracle capped at {DENSE_QUBIT_CAP} qubits")
+
+
+def _check_dense_shape(shape: tuple) -> None:
+    """A dense state from outside is 2^n x 2^n, with n within the cap."""
+    n = shape[0].bit_length() - 1 if len(shape) == 2 else -1
+    if shape != (2 ** n, 2 ** n):
+        raise BackendError("density matrix must be square power-of-two")
+    _check_dense_cap(n)
 
 
 class ZeroProbabilityError(BackendError):
@@ -205,20 +219,18 @@ class StabilizerState:
     __slots__ = ("n_qubits", "x", "z", "phase")
     BACKEND = "stabilizer"
 
-    def __init__(self, n_qubits: int, generators=(), validate: bool = True):
+    def __init__(self, n_qubits: int, generators=()):
         gens = tuple(generators)
-        if validate:
-            if len(gens) > n_qubits:
-                raise BackendError("more generators than qubits")
-            if any(g.n_qubits != n_qubits for g in gens):
-                raise BackendError("generator size mismatch")
+        if len(gens) > n_qubits:
+            raise BackendError("more generators than qubits")
+        if any(g.n_qubits != n_qubits for g in gens):
+            raise BackendError("generator size mismatch")
         k = len(gens)
         self._set(n_qubits,
                   np.array([g.x for g in gens], np.uint8).reshape(k, n_qubits),
                   np.array([g.z for g in gens], np.uint8).reshape(k, n_qubits),
                   np.array([g.phase for g in gens], np.uint8))
-        if validate:
-            self._validate()
+        self._validate()
 
     def _set(self, *values) -> "StabilizerState":
         for name, val in zip(self.__slots__, values):
@@ -259,23 +271,21 @@ class StabilizerState:
 
     @classmethod
     def maximally_mixed(cls, n: int) -> "StabilizerState":
-        return cls(n, [], validate=False)
+        return cls.product("*" * n)
 
     @classmethod
     def product(cls, spec: str) -> "StabilizerState":
         """Product state from characters in '01+-im'; '*' marks a
         maximally mixed qubit."""
-        n = len(spec)
-        gens = []
-        for q, ch in enumerate(spec):
-            if ch == "*":
-                continue
-            if ch not in _1Q_GENERATORS:
-                raise BackendError(f"not a stabilizer state character: {ch!r}")
-            sign, letter = _1Q_GENERATORS[ch]
-            gens.append(PauliString.single(n, q, letter,
-                                           phase=0 if sign == "+" else 2))
-        return cls(n, gens, validate=False)
+        qs = [q for q, ch in enumerate(spec) if ch != "*"]
+        x = np.zeros((len(qs), len(spec)), np.uint8)
+        z = np.zeros_like(x)
+        phase = np.zeros(len(qs), np.uint8)
+        for i, q in enumerate(qs):
+            if spec[q] not in _1Q_GENERATORS:
+                raise BackendError(f"not a stabilizer state character: {spec[q]!r}")
+            x[i, q], z[i, q], phase[i] = _1Q_GENERATORS[spec[q]]
+        return _tableau(len(spec), x, z, phase)
 
     def tensor(self, other) -> "StabilizerState":
         """self (x) other; a dense operand promotes the result to dense."""
@@ -477,8 +487,8 @@ class StabilizerState:
 
     # -- extraction -------------------------------------------------------
 
-    def reduced_density(self, qubits: list[int]) -> np.ndarray:
-        """Exact reduced density matrix on `qubits`, in the order given."""
+    def reduced_density(self, qubits: list[int]) -> "DensityMatrix":
+        """Exact reduced state on `qubits`, in the order given."""
         order = sorted(qubits)
         kept = self.discard_qubits([q for q in range(self.n_qubits) if q not in qubits])
         return kept.to_density().reduced_density([order.index(q) for q in qubits])
@@ -489,7 +499,7 @@ class StabilizerState:
         for row in zip(self.x, self.z, self.phase):
             idx, s = _signed_permutation(*row)
             rho = (rho + s[:, None] * rho[idx]) / 2.0      # (I + g) rho / 2
-        return DensityMatrix(rho / 2 ** (self.n_qubits - len(self.phase)))
+        return _dense(rho / 2 ** (self.n_qubits - len(self.phase)))
 
     def to_json(self) -> dict:
         return {"backend": self.BACKEND, "n_qubits": self.n_qubits,
@@ -569,23 +579,22 @@ class DensityMatrix:
     __slots__ = ("n_qubits", "mat")
     BACKEND = "dense"
 
-    def __init__(self, mat: np.ndarray, validate: bool = True):
+    def __init__(self, mat: np.ndarray):
         mat = np.asarray(mat, dtype=complex)
-        dim = mat.shape[0]
-        n = int(round(np.log2(dim)))
-        if mat.shape != (dim, dim) or 2 ** n != dim:
-            raise BackendError("density matrix must be square power-of-two")
-        _check_dense_cap(n)
-        object.__setattr__(self, "n_qubits", n)
+        _check_dense_shape(mat.shape)
+        self._set(mat)
+        if abs(np.trace(mat) - 1.0) > 1e-12:
+            raise BackendError("trace != 1")
+        if np.max(np.abs(mat - mat.conj().T)) > 1e-12:
+            raise BackendError("not Hermitian")
+        if np.min(np.linalg.eigvalsh((mat + mat.conj().T) / 2)) < -1e-10:
+            raise BackendError("not positive semidefinite")
+
+    def _set(self, mat: np.ndarray) -> "DensityMatrix":
+        object.__setattr__(self, "n_qubits", len(mat).bit_length() - 1)
         object.__setattr__(self, "mat", mat)
-        self.mat.setflags(write=False)
-        if validate:
-            if abs(np.trace(mat) - 1.0) > 1e-12:
-                raise BackendError("trace != 1")
-            if np.max(np.abs(mat - mat.conj().T)) > 1e-12:
-                raise BackendError("not Hermitian")
-            if np.min(np.linalg.eigvalsh((mat + mat.conj().T) / 2)) < -1e-10:
-                raise BackendError("not positive semidefinite")
+        mat.setflags(write=False)
+        return self
 
     def __setattr__(self, *_):
         raise AttributeError("DensityMatrix is immutable")
@@ -595,8 +604,9 @@ class DensityMatrix:
     @classmethod
     def from_statevector(cls, v: np.ndarray) -> "DensityMatrix":
         v = np.asarray(v, dtype=complex)
+        _check_dense_shape((v.size, v.size))
         v = v / np.linalg.norm(v)
-        return cls(np.outer(v, v.conj()), validate=False)
+        return _dense(np.outer(v, v.conj()))
 
     @classmethod
     def product(cls, spec: str) -> "DensityMatrix":
@@ -605,7 +615,7 @@ class DensityMatrix:
     @classmethod
     def maximally_mixed(cls, n: int) -> "DensityMatrix":
         _check_dense_cap(n)
-        return cls(np.eye(2 ** n, dtype=complex) / 2 ** n, validate=False)
+        return _dense(np.eye(2 ** n, dtype=complex) / 2 ** n)
 
     @classmethod
     def random_pure(cls, n: int, rng: np.random.Generator) -> "DensityMatrix":
@@ -648,8 +658,7 @@ class DensityMatrix:
         n = self.n_qubits
         _check_gate(name, qs, n, _GATE_MATS, BackendError)
         bits = list(qs) + [n + q for q in qs]
-        return DensityMatrix(_apply_on_bits(self.mat, _GATE_SUPEROPS[name], bits),
-                             validate=False)
+        return _dense(_apply_on_bits(self.mat, _GATE_SUPEROPS[name], bits))
 
     def apply_clifford(self, c: CliffordOp) -> "DensityMatrix":
         if c.n_qubits != self.n_qubits:
@@ -659,8 +668,7 @@ class DensityMatrix:
     def apply_pauli(self, p: PauliString) -> "DensityMatrix":
         _check_pauli(self.n_qubits, p)
         idx, s = _signed_permutation(p.x, p.z, p.phase)
-        return DensityMatrix(np.outer(s, s.conj()) * self.mat[np.ix_(idx, idx)],
-                             validate=False)
+        return _dense(np.outer(s, s.conj()) * self.mat[np.ix_(idx, idx)])
 
     def measure_pauli(self, k: PauliString, rng: np.random.Generator,
                       label: str = "m", force: int | None = None,
@@ -682,8 +690,7 @@ class DensityMatrix:
         # (I +/- K)/2 rho (I +/- K)/2, with K rho K = s[:, None] * (rho K)[idx]
         sign = 1 if outcome == 0 else -1
         post = (rho + sign * (k_rho + rho_k) + s[:, None] * rho_k[idx]) / (4 * prob)
-        return (DensityMatrix(post, validate=False),
-                MeasurementRecord(label, outcome, prob))
+        return _dense(post), MeasurementRecord(label, outcome, prob)
 
     def permute_qubits(self, perm) -> "DensityMatrix":
         """Relabel qubits: new qubit perm[q] carries old qubit q."""
@@ -694,7 +701,7 @@ class DensityMatrix:
         n = self.n_qubits
         t = self.mat.reshape((2,) * (2 * n))
         t = t.transpose([*src, *(n + a for a in src)])
-        return DensityMatrix(t.reshape(2 ** n, 2 ** n), validate=False)
+        return _dense(t.reshape(2 ** n, 2 ** n))
 
     # -- extraction -------------------------------------------------------
 
@@ -706,8 +713,7 @@ class DensityMatrix:
         t = self.mat.reshape((2,) * (2 * n))
         for q in sorted(drop, reverse=True):
             t = np.trace(t, axis1=q, axis2=q + (t.ndim // 2))
-        return DensityMatrix(t.reshape(2 ** len(keep), 2 ** len(keep)),
-                             validate=False)
+        return _dense(t.reshape(2 ** len(keep), 2 ** len(keep)))
 
     def discard_qubits(self, qs: list[int]) -> "DensityMatrix":
         qs = _check_qubits(self.n_qubits, qs)
@@ -726,11 +732,11 @@ class DensityMatrix:
             bits.append(rec.outcome)
         return state.discard_qubits(qs), bits
 
-    def reduced_density(self, qubits: list[int]) -> np.ndarray:
-        """Reduced density matrix on `qubits`, in the order given."""
+    def reduced_density(self, qubits: list[int]) -> "DensityMatrix":
+        """Reduced state on `qubits`, in the order given."""
         order = sorted(qubits)
         reduced = self.partial_trace(order)
-        return reduced.permute_qubits([list(qubits).index(q) for q in order]).mat
+        return reduced.permute_qubits([list(qubits).index(q) for q in order])
 
     def to_density(self) -> "DensityMatrix":
         return self
@@ -738,8 +744,7 @@ class DensityMatrix:
     def tensor(self, other) -> "DensityMatrix":
         """self (x) other; a stabilizer operand is promoted to dense."""
         _check_dense_cap(self.n_qubits + other.n_qubits)
-        return DensityMatrix(np.kron(self.mat, other.to_density().mat),
-                             validate=False)
+        return _dense(np.kron(self.mat, other.to_density().mat))
 
     def expectation(self, p: PauliString) -> float:
         _check_pauli(self.n_qubits, p, "take the expectation of")
@@ -760,19 +765,20 @@ class DensityMatrix:
         return f"DensityMatrix(n={self.n_qubits})"
 
 
+def _dense(mat: np.ndarray) -> DensityMatrix:
+    """State from an exactly built complex 2^n x 2^n matrix, taken over
+    without checks or copies."""
+    return object.__new__(DensityMatrix)._set(mat)
+
+
 def trace_distance(a, b) -> float:
-    """(1/2)||a - b||_1 via eigenvalues of the Hermitian difference."""
-    amat = a.mat if isinstance(a, DensityMatrix) else np.asarray(a)
-    bmat = b.mat if isinstance(b, DensityMatrix) else np.asarray(b)
-    if amat.shape != bmat.shape:
+    """(1/2)||a - b||_1 between two states of either backend, via the
+    eigenvalues of the Hermitian difference of their dense forms."""
+    if a.n_qubits != b.n_qubits:
         raise BackendError("dimension mismatch")
-    diff = amat - bmat
+    diff = a.to_density().mat - b.to_density().mat
     eig = np.linalg.eigvalsh((diff + diff.conj().T) / 2)
     return float(0.5 * np.sum(np.abs(eig)))
-
-
-def to_density(state) -> DensityMatrix:
-    return state.to_density()
 
 
 def evaluate_circuit(state, circuit: Circuit, rng: np.random.Generator,

@@ -84,7 +84,7 @@ class TestAcceptance:
             want = DensityMatrix.product(plain)
             for g in word:
                 want = want.apply_gate(g, (0,))
-            worst = max(worst, trace_distance(got, want.mat))
+            worst = max(worst, trace_distance(got, want))
         elapsed = time.time() - start
         assert worst < 1e-10
         assert elapsed < 30.0
@@ -123,8 +123,7 @@ class TestAcceptance:
             reg, client, budget = build_t_register("+", 1, 1, key, rng)
             t_gate_deterministic(reg, 0, budget, client, rng)
             reg.decrypt(key)
-            worst = max(worst, trace_distance(reg.data_qubit_density(0),
-                                              want.mat))
+            worst = max(worst, trace_distance(reg.data_qubit_density(0), want))
         assert worst < 1e-10
         succ = 0
         trials = 10 ** 4

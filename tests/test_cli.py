@@ -72,6 +72,16 @@ class TestRoundtrip:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("plain", ["01", "1Z"])
+    def test_perm_multi_character_plaintext_exits_2(self, tmp_path, plain,
+                                                   capsys):
+        circ = tmp_path / "t.qc"
+        circ.write_text("T 0\n")
+        code, _ = run_cli(["roundtrip", "perm", "-c", str(circ), "-i", plain,
+                           "--seed", "1"])
+        assert code == 2
+        assert "one character" in capsys.readouterr().err
+
     def test_seed_from_environment(self, h_circuit, monkeypatch):
         monkeypatch.setenv("QHELAB_SEED", "7")
         code, out = run_cli(["roundtrip", "pauli", "-c", h_circuit, "-i", "0"])
@@ -213,6 +223,14 @@ class TestDeterminism:
                      "--seed", "123", "--output", str(path)])
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("mode", ["det", "prob"])
+    def test_tgate_multi_character_plaintext_exits_2(self, mode, capsys):
+        code, _ = run_cli(["t-gate", "--mode", mode, "--plaintext", "01",
+                           "--trials", "1", "--seed", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "one character" in err and "bijection" not in err
+
     def test_tgate_det_demo(self):
         code, out = run_cli(["t-gate", "--mode", "det", "--trials", "10",
                              "--seed", "4"])
@@ -270,6 +288,22 @@ class TestAuditCommand:
         code, _ = run_cli(["audit", "--config", str(config)])
         assert code == 2
         assert "missing ['runs']" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("blob", [
+        [{"scheme": "pauli", "circuit": "c.qc", "seed": 5, "runs": 1000}],
+        {"scheme": "pauli", "circuit": "c.qc", "seed": 5, "runs": "1000"},
+        {"scheme": "perm", "circuit": "c.qc", "seed": 5, "runs": 1000,
+         "m": "3"},
+        {"scheme": "pauli", "circuit": "c.qc", "seed": 5, "runs": 1000,
+         "plaintexts": "0,1"},
+    ])
+    def test_malformed_config_exits_2(self, tmp_path, blob, capsys):
+        config = tmp_path / "session.json"
+        config.write_text(json.dumps(blob))
+        code, _ = run_cli(["audit", "--config", str(config)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: session config")
 
 
 class TestEntryPoint:

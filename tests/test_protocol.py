@@ -6,8 +6,9 @@ import pytest
 
 from qhelab.paulikey import all_keys, prepare_magic_register
 from qhelab.paulis import Circuit, Gate, parse_circuit
-from qhelab.protocol import (PartyState, ProtocolViolation, Transcript,
-                             audit_transcript, canary_session, run_session)
+from qhelab.permkey import RegisterError
+from qhelab.protocol import (ProtocolViolation, Transcript, audit_transcript,
+                             canary_session, load_session_config, run_session)
 from qhelab.states import DensityMatrix, trace_distance
 
 
@@ -51,6 +52,12 @@ class TestRunSession:
         with pytest.raises(ProtocolViolation):
             run_session("rot13", "0", Circuit(1, ()), np.random.default_rng(0))
 
+    @pytest.mark.parametrize("plain", ["01", "1Z"])
+    def test_perm_session_takes_one_plaintext_character(self, plain):
+        circuit = Circuit(1, (Gate("T", (0,)),))
+        with pytest.raises(RegisterError, match="one character"):
+            run_session("perm", plain, circuit, np.random.default_rng(1))
+
     def test_transcript_determinism(self):
         circuit = Circuit(1, (Gate("T", (0,)), Gate("H", (0,))))
         a = run_session("perm", "0", circuit, np.random.default_rng(42), m=1)[2]
@@ -85,9 +92,36 @@ class TestTranscript:
         with pytest.raises(ProtocolViolation):
             Transcript().log("client", "smoke-signals", [1])
 
-    def test_server_party_cannot_hold_keys(self):
-        with pytest.raises(ProtocolViolation):
-            PartyState(role="server", keys="shhh")
+
+class TestSessionConfig:
+    GOOD = {"scheme": "perm", "circuit": "t.qc", "seed": 7, "runs": 1000}
+
+    def _load(self, tmp_path, blob):
+        path = tmp_path / "session.json"
+        path.write_text(json.dumps(blob))
+        return load_session_config(str(path))
+
+    def test_defaults(self, tmp_path):
+        blob = self._load(tmp_path, self.GOOD)
+        assert blob["plaintexts"] == ["0", "1"] and blob["m"] == 1
+
+    def test_not_an_object(self, tmp_path):
+        with pytest.raises(ProtocolViolation, match="JSON object"):
+            self._load(tmp_path, [self.GOOD])
+
+    @pytest.mark.parametrize("key, value", [
+        ("scheme", 3), ("scheme", None), ("circuit", ["t.qc"]),
+        ("circuit", None), ("seed", "7"), ("seed", 7.0), ("seed", True),
+        ("runs", "1000"), ("runs", False), ("m", "3"), ("m", True),
+    ])
+    def test_field_types(self, tmp_path, key, value):
+        with pytest.raises(ProtocolViolation, match=repr(key)):
+            self._load(tmp_path, {**self.GOOD, key: value})
+
+    @pytest.mark.parametrize("value", ["0,1", ["0", 1], [["0"]], {"0": "1"}])
+    def test_plaintexts_list_of_strings(self, tmp_path, value):
+        with pytest.raises(ProtocolViolation, match="plaintexts"):
+            self._load(tmp_path, {**self.GOOD, "plaintexts": value})
 
 
 class TestAudit:

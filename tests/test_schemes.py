@@ -128,7 +128,7 @@ class TestDeriveDecryption:
         rng = np.random.default_rng(6)
         for key in sch.iter_keys():
             rho = DensityMatrix(np.kron(DensityMatrix.random_pure(1, rng).mat,
-                                        np.eye(2) / 2), validate=False)
+                                        np.eye(2) / 2))
             served = sch.encrypt(key, rho).apply_clifford(
                 sch.lift(transversal_h))
             out = derive_decryption(sch, key, transversal_h)(served)

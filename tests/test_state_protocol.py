@@ -54,8 +54,8 @@ class TestSameProgramBothBackends:
         _assert_agree(stab, dense)
         m = stab.n_qubits
         qubits = [int(q) for q in rng.permutation(m)[:min(m, 3)]]
-        assert np.allclose(stab.reduced_density(qubits),
-                           dense.reduced_density(qubits), atol=1e-10)
+        assert np.allclose(stab.reduced_density(qubits).mat,
+                           dense.reduced_density(qubits).mat, atol=1e-10)
 
     def test_apply_clifford_replays_the_gate_word(self):
         rng = np.random.default_rng(3)

@@ -9,8 +9,8 @@ from qhelab.paulis import CliffordOp, PauliString, parse_circuit, random_cliffor
 from qhelab.paulis import random_pauli
 from qhelab.states import (BackendError, DensityMatrix, StabilizerState,
                            ZeroProbabilityError, evaluate_circuit,
-                           statevector, to_density, trace_distance)
-from qhelab.states import _GATE_MATS
+                           statevector, trace_distance)
+from qhelab.states import _GATE_MATS, _dense
 
 P = PauliString.from_label
 H = CliffordOp.from_gates(1, [("H", (0,))])
@@ -147,7 +147,7 @@ class TestToDensity:
         for _ in range(10):
             st = StabilizerState.product("000").apply_clifford(
                 random_clifford(3, rng))
-            DensityMatrix(to_density(st).mat)  # runs the full validator
+            DensityMatrix(st.to_density().mat)  # runs the full validator
 
     def test_cap(self):
         with pytest.raises(BackendError):
@@ -216,8 +216,8 @@ class TestClassicallyControlledPauli:
 class TestReductionAndDiscard:
     def test_reduced_density_of_bell(self):
         bell = StabilizerState.product("00").apply_clifford(BELL)
-        assert np.allclose(bell.reduced_density([0]), np.eye(2) / 2)
-        assert np.allclose(bell.reduced_density([1]), np.eye(2) / 2)
+        assert np.allclose(bell.reduced_density([0]).mat, np.eye(2) / 2)
+        assert np.allclose(bell.reduced_density([1]).mat, np.eye(2) / 2)
 
     def test_reduced_density_matches_dense_partial_trace(self):
         rng = np.random.default_rng(8)
@@ -225,7 +225,7 @@ class TestReductionAndDiscard:
             st = StabilizerState.product("000").apply_clifford(
                 random_clifford(3, rng))
             keep = sorted(rng.choice(3, 2, replace=False).tolist())
-            assert np.allclose(st.reduced_density(keep),
+            assert np.allclose(st.reduced_density(keep).mat,
                                st.to_density().partial_trace(keep).mat,
                                atol=1e-12)
 
@@ -261,10 +261,71 @@ class TestSerialization:
             DensityMatrix(notherm)
 
 
+class TestConstructors:
+    """The public constructors check outside data; `_dense` and `_tableau`
+    take exactly built arrays as they are."""
+
+    @pytest.mark.parametrize("mat, why", [
+        (np.eye(2)[:, :1], "square"),
+        (np.eye(3) / 3, "power-of-two"),
+        (np.eye(2 ** 7) / 2 ** 7, "capped"),
+        (np.diag([1.5, -0.5]), "semidefinite"),
+    ])
+    def test_density_matrix_rejects(self, mat, why):
+        with pytest.raises(BackendError, match=why):
+            DensityMatrix(mat)
+
+    @pytest.mark.parametrize("labels, why", [
+        (["XI", "ZI"], "commute"),
+        (["ZZ", "ZZ"], "independent"),
+        (["iZ"], "Hermitian"),
+    ])
+    def test_stabilizer_state_rejects(self, labels, why):
+        gens = [P(s) for s in labels]
+        with pytest.raises(BackendError, match=why):
+            StabilizerState(gens[0].n_qubits, gens)
+
+    @pytest.mark.parametrize("v", [np.ones(3), np.ones(2 ** 7)])
+    def test_from_statevector_checks_size(self, v):
+        with pytest.raises(BackendError):
+            DensityMatrix.from_statevector(v)
+
+    def test_random_pure_capped(self):
+        with pytest.raises(BackendError):
+            DensityMatrix.random_pure(7, np.random.default_rng(0))
+
+    def test_dense_takes_the_array_as_is(self):
+        mat = np.diag([1.0, 0, 0, 0]).astype(complex)
+        rho = _dense(mat)
+        assert rho.mat is mat and rho.n_qubits == 2
+        assert not mat.flags.writeable
+
+    @pytest.mark.parametrize("spec", ["0", "1+", "im*", "*-0", "", "**"])
+    def test_built_states_pass_the_checks(self, spec):
+        st = StabilizerState.product(spec)
+        again = StabilizerState(st.n_qubits, st.generators)
+        assert again.generators == st.generators
+        dense = DensityMatrix(st.to_density().mat)
+        assert np.array_equal(dense.mat, st.to_density().mat)
+
+    def test_reduced_density_is_a_state_on_both_backends(self):
+        st = StabilizerState.product("0+1")
+        for state in (st, st.to_density()):
+            red = state.reduced_density([2, 0])
+            assert isinstance(red, DensityMatrix)
+            assert trace_distance(red, DensityMatrix.product("10")) < 1e-12
+
+    def test_trace_distance_across_backends(self):
+        st = StabilizerState.product("+")
+        assert trace_distance(st, DensityMatrix.product("+")) < 1e-12
+        assert trace_distance(st, StabilizerState.product("-")) == pytest.approx(1.0)
+
+
 class TestNoBackendBranches:
-    def test_isinstance_on_backends_only_in_trace_distance(self):
-        """Scheme code talks to states through the protocol; the only
-        backend check left is trace_distance accepting raw matrices."""
+    def test_no_backend_isinstance_or_validate_keyword(self):
+        """Library code talks to states through the protocol: no module
+        asks which backend it holds, and no call passes a `validate` flag
+        (internal states come from the private `_tableau` / `_dense`)."""
         import ast
         from pathlib import Path
 
@@ -272,21 +333,17 @@ class TestNoBackendBranches:
         backends = {"DensityMatrix", "StabilizerState"}
         found = []
         for path in sorted(Path(qhelab.__file__).parent.glob("*.py")):
-            tree = ast.parse(path.read_text())
-            allowed = set()
-            for node in ast.walk(tree):
-                if (path.name == "states.py" and isinstance(node, ast.FunctionDef)
-                        and node.name == "trace_distance"):
-                    allowed = set(range(node.lineno, node.end_lineno + 1))
-            for node in ast.walk(tree):
-                if not (isinstance(node, ast.Call)
-                        and isinstance(node.func, ast.Name)
-                        and node.func.id == "isinstance" and len(node.args) == 2):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.Call):
                     continue
-                kinds = node.args[1]
-                names = {e.id for e in ast.walk(kinds) if isinstance(e, ast.Name)}
-                if names & backends and node.lineno not in allowed:
-                    found.append(f"{path.name}:{node.lineno}")
+                if any(kw.arg == "validate" for kw in node.keywords):
+                    found.append(f"{path.name}:{node.lineno} validate=")
+                if (isinstance(node.func, ast.Name) and node.func.id == "isinstance"
+                        and len(node.args) == 2):
+                    names = {e.id for e in ast.walk(node.args[1])
+                             if isinstance(e, ast.Name)}
+                    if names & backends:
+                        found.append(f"{path.name}:{node.lineno} isinstance")
         assert found == []
 
 
@@ -441,12 +498,10 @@ class TestDensePauliPaths:
 
     def test_probability_clamped_to_unit_interval(self):
         rng = np.random.default_rng(0)
-        over = DensityMatrix(np.diag([1 + 1e-13, 0]).astype(complex),
-                             validate=False)
+        over = _dense(np.diag([1 + 1e-13, 0]).astype(complex))
         _, rec = over.measure_pauli(P("Z"), rng)
         assert (rec.outcome, rec.probability) == (0, 1.0)
-        under = DensityMatrix(np.diag([-1e-13, 1 + 1e-13]).astype(complex),
-                              validate=False)
+        under = _dense(np.diag([-1e-13, 1 + 1e-13]).astype(complex))
         _, rec = under.measure_pauli(P("Z"), rng)
         assert (rec.outcome, rec.probability) == (1, 1.0)
         with pytest.raises(ZeroProbabilityError):
