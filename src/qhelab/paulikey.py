@@ -98,6 +98,13 @@ def all_keys(n: int):
         yield PauliKey.from_label("".join(letters))
 
 
+def _single_qubit_factors(n: int, letters: str) -> list[list[PauliKey]]:
+    """One factor per qubit: the keys with one of `letters` on that qubit
+    and I elsewhere, the identity first."""
+    return [[PauliKey.from_label("I" * q + a + "I" * (n - q - 1))
+             for a in letters] for q in range(n)]
+
+
 def _word_on(n: int):
     """encrypt_word of a scheme keyed by n-qubit Pauli keys."""
     def word(key: PauliKey) -> list[tuple[str, tuple[int, ...]]]:
@@ -120,6 +127,7 @@ def pauli_scheme(n: int) -> SchemeDescriptor:
         lift=lambda c: c,
         allows=lambda c: isinstance(c, CliffordOp) and c.n_qubits == n,
         key_from_pauli=lambda p: PauliKey(p.positive()),
+        key_factors=lambda: _single_qubit_factors(n, "IXYZ"),
     )
 
 
@@ -172,6 +180,7 @@ def zkey_scheme(n: int) -> SchemeDescriptor:
         lift=lambda c: c,
         allows=allows,
         key_from_pauli=from_pauli,
+        key_factors=lambda: _single_qubit_factors(n, "IZ"),
     )
 
 

@@ -266,6 +266,9 @@ class SpreadRegister:
                 return self._add_factor_row(
                     "data", _spread_row_stabilizer(direct[plaintext], m))
             plaintext = DensityMatrix.product(plaintext)
+        elif plaintext.n_qubits != 1:
+            raise RegisterError(f"a data row spreads one qubit, not "
+                                f"{plaintext.n_qubits}")
         spread = spread_qubit(plaintext, m)
         full = spread.tensor(type(spread).maximally_mixed(m))
         return self._add_factor_row("data", full)
@@ -438,11 +441,26 @@ def _all_perms(m: int):
         yield PermKey(m, p)
 
 
+def _transposition_chain(m: int) -> list[list[PermKey]]:
+    """Factor k (k = 1 .. 2m-1) holds the identity and every (j k) with
+    j < k: each permutation is exactly one product t_{2m-1} ... t_1."""
+    factors = []
+    for k in range(1, 2 * m):
+        factor = [PermKey.identity(m)]
+        for j in range(k):
+            perm = list(range(2 * m))
+            perm[j], perm[k] = k, j
+            factor.append(PermKey(m, tuple(perm)))
+        factors.append(factor)
+    return factors
+
+
 def perm_scheme(m: int, rows: int = 1) -> SchemeDescriptor:
     """Permutation-key scheme descriptor on a rows x 2m register.
 
     Key enumeration is (2m)!, so exact sweeps stop at m = 3 (720 keys
-    on the 6-qubit dense oracle).
+    on the 6-qubit dense oracle); the key average runs as a chain of
+    transposition factors of sizes 2, 3, ..., 2m.
     Transport is the identity: transversal computations commute with
     column permutations, which is why decryption never depends on the
     delegated circuit.
@@ -476,6 +494,7 @@ def perm_scheme(m: int, rows: int = 1) -> SchemeDescriptor:
         transport=lambda k, c: k,
         lift=lambda c: c,
         allows=allows,
+        key_factors=lambda: _transposition_chain(m),
     )
 
 

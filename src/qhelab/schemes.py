@@ -9,11 +9,20 @@ and the tableau `encrypt_op` is built only where channels are compared.
 Key transport is the executable form of the commutation f: moving an
 encryption through a computation yields the same computation followed by
 encryption under the transported key.
+
+Key averages are exact sums over every key ("exact-sweep").  A scheme
+whose keys form a group may declare `key_factors`: lists of keys such
+that every key is exactly one product of one key per list (the first
+list's key applied first), each list starting with the identity key.
+The average then runs as a chain of small twirls, one per list, so the
+720 keys of a 6-column permutation scheme cost 2 + 3 + 4 + 5 + 6
+encryptions and the 4^n Pauli keys 4n.
 """
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -37,7 +46,10 @@ class SchemeDescriptor:
 
     `key_from_pauli`, set by schemes whose keys are Pauli strings (a key k
     is then the channel of k.pauli), maps a +1-signed Pauli back to its
-    key, raising SchemeError when it lies outside the key space."""
+    key, raising SchemeError when it lies outside the key space.
+    `key_factors`, set by schemes whose keys form a group, returns lists
+    of keys, each starting with the identity key, such that every key is
+    exactly one product of one key per list."""
     name: str
     n_qubits: int
     key_count: int | None                      # None: not enumerable
@@ -48,6 +60,7 @@ class SchemeDescriptor:
     lift: Callable[[CliffordOp], CliffordOp]            # homomorphism phi
     allows: Callable[[CliffordOp], bool]
     key_from_pauli: Callable[[PauliString], object] | None = None
+    key_factors: Callable[[], list[list]] | None = None
 
     def encrypt_op(self, key) -> CliffordOp:
         """Encr_key as a tableau, for comparing channels."""
@@ -104,19 +117,21 @@ def _as_clifford(comp) -> CliffordOp:
     raise SchemeError(f"not a computation: {comp!r}")
 
 
-def _key_average(scheme: SchemeDescriptor, keys, rho: DensityMatrix,
+def _key_average(scheme: SchemeDescriptor, factors, rho: DensityMatrix,
                  expected: int) -> DensityMatrix:
-    """Uniform mixture of rho's encryptions under `keys`, which must
-    number `expected`."""
-    total = np.zeros_like(rho.mat)
-    count = 0
-    for key in keys:
-        total += scheme.encrypt(key, rho).mat
-        count += 1
-    if count != expected:
-        raise SchemeError("key iterator disagrees with key_count")
-    total /= count
-    return _dense(total)
+    """Uniform mixture of rho's encryptions under every product of one key
+    per factor list, the first list's key applied first; the list sizes
+    must multiply to `expected`.  Each list sums its encryptions of the
+    previous list's sum, and the one division comes last."""
+    if math.prod(len(factor) for factor in factors) != expected:
+        raise SchemeError("key factors disagree with key_count")
+    total = rho
+    for factor in factors:
+        acc = np.zeros_like(rho.mat)
+        for key in factor:
+            acc += scheme.encrypt(key, total).mat
+        total = _dense(acc)
+    return _dense(total.mat / expected)
 
 
 def ciphertext_average(scheme: SchemeDescriptor, rho: DensityMatrix) -> DensityMatrix:
@@ -124,7 +139,9 @@ def ciphertext_average(scheme: SchemeDescriptor, rho: DensityMatrix) -> DensityM
     mixture of the encryptions under every key."""
     if scheme.key_count is None:
         raise KeySpaceError(f"{scheme.name} has no enumerable key space")
-    return _key_average(scheme, scheme.iter_keys(), rho, scheme.key_count)
+    factors = (scheme.key_factors() if scheme.key_factors is not None
+               else [list(scheme.iter_keys())])
+    return _key_average(scheme, factors, rho, scheme.key_count)
 
 
 def security_delta(scheme: SchemeDescriptor, inputs,
@@ -148,7 +165,7 @@ def security_delta(scheme: SchemeDescriptor, inputs,
             raise SchemeError("sampled sweep needs an rng")
         method = "sampled"
         keys = [scheme.sample_key(rng) for _ in range(sample_count)]
-        averaged = [_key_average(scheme, keys, rho, sample_count)
+        averaged = [_key_average(scheme, [keys], rho, sample_count)
                     for rho in inputs]
         swept = sample_count
     best = 0.0
@@ -229,16 +246,35 @@ def compose_schemes(schemes) -> SchemeDescriptor:
             return False
         return True
 
+    def component_generators():
+        """Per component, keys generating its key group, the identity key
+        first: its factor keys where it declares them, else every key."""
+        return [[k for factor in s.key_factors() for k in factor]
+                if s.key_factors is not None else list(s.iter_keys())
+                for s in schemes]
+
+    def lifted(base, idx, key):
+        probe = list(base)
+        probe[idx] = key
+        return tuple(probe)
+
     def iter_key_space_generators():
-        """A generating set of the joint key space (X / Z singles per
-        component where the component key space contains them)."""
-        base = tuple(next(iter(s.iter_keys())) for s in schemes)
+        """The identity key, then every component generator lifted with
+        the other components at their identity keys.  These generate the
+        joint key group, and transport is linear in the key, so a
+        computation that keeps them in the key space keeps every key."""
+        gens = component_generators()
+        base = tuple(g[0] for g in gens)
         yield base
-        for idx, s in enumerate(schemes):
-            for key in s.iter_keys():
-                probe = list(base)
-                probe[idx] = key
-                yield tuple(probe)
+        for idx, g in enumerate(gens):
+            for key in g:
+                yield lifted(base, idx, key)
+
+    def key_factors():
+        per_scheme = [s.key_factors() for s in schemes]
+        base = tuple(factors[0][0] for factors in per_scheme)
+        return [[lifted(base, idx, key) for key in factor]
+                for idx, factors in enumerate(per_scheme) for factor in factors]
 
     def lift(comp: CliffordOp) -> CliffordOp:
         # all shipped schemes delegate the computation verbatim
@@ -254,6 +290,8 @@ def compose_schemes(schemes) -> SchemeDescriptor:
         transport=transport,
         lift=lift,
         allows=allows,
+        key_factors=(key_factors if all(s.key_factors is not None
+                                        for s in schemes) else None),
     )
 
 

@@ -32,9 +32,9 @@ gate on disjoint qubits inside a general word is folded into one call
 too, and `measure_discard` is one elimination over the row; the dense
 oracle replays a transversal gate gate by gate and measures qubit by
 qubit.  `StabilizerState(n, generators)` and `DensityMatrix(mat)` check
-outside data; `_tableau` (packed rows) and `_dense` (an exactly built
-matrix) are the only internal constructors, and take over their arrays
-without checks or copies.
+outside data, and `DensityMatrix(mat)` keeps a copy; `_tableau` (packed
+rows) and `_dense` (an exactly built matrix) are the only internal
+constructors, and take over their arrays without checks or copies.
 """
 from __future__ import annotations
 
@@ -580,7 +580,7 @@ class DensityMatrix:
     BACKEND = "dense"
 
     def __init__(self, mat: np.ndarray):
-        mat = np.asarray(mat, dtype=complex)
+        mat = np.array(mat, dtype=complex)      # the caller's array stays writable
         _check_dense_shape(mat.shape)
         self._set(mat)
         if abs(np.trace(mat) - 1.0) > 1e-12:

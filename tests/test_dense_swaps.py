@@ -11,7 +11,7 @@ import pytest
 
 from qhelab import states
 from qhelab.permkey import perm_scheme, spread_basis_input
-from qhelab.schemes import ciphertext_average
+from qhelab.schemes import _key_average, ciphertext_average
 from qhelab.states import (_GATE_MATS, _GATE_SUPEROPS, BackendError,
                            DensityMatrix, _apply_on_bits)
 
@@ -56,8 +56,8 @@ def _inputs(m):
 
 
 # sha256 prefixes of every key's encryption and decryption (concatenated in
-# key order) and of the key average, taken when each SWAP was still a
-# superoperator contraction
+# key order) and of the per-key sum over every key, taken when each SWAP was
+# still a superoperator contraction
 PINNED = {
     (1, "basis0"): ("dc7345818f06521e", "dc7345818f06521e", "7fefcf0666d4a249"),
     (1, "basis1"): ("ef0d8180e3905361", "ef0d8180e3905361", "e67fc78d6e0bfd34"),
@@ -80,9 +80,18 @@ class TestPermCiphertextsPinned:
             for key in scheme.iter_keys():
                 enc.update(scheme.encrypt(key, rho).mat.tobytes())
                 dec.update(scheme.decrypt(key, rho).mat.tobytes())
-            avg = hashlib.sha256(ciphertext_average(scheme, rho).mat.tobytes())
+            per_key = _key_average(scheme, [list(scheme.iter_keys())], rho,
+                                   scheme.key_count).mat
+            avg = hashlib.sha256(per_key.tobytes())
             got = tuple(h.hexdigest()[:16] for h in (enc, dec, avg))
             assert got == PINNED[(m, label)], (m, label)
+            # the factor chain sums in another order: exact sums on the
+            # basis inputs, last bits on the random one
+            chain = ciphertext_average(scheme, rho).mat
+            if label == "random":
+                assert np.max(np.abs(chain - per_key)) < 1e-15, m
+            else:
+                assert chain.tobytes() == per_key.tobytes(), (m, label)
 
 
 class TestSwapRunsMatchContraction:

@@ -89,6 +89,16 @@ class TestSpread:
             reg.add_data_row(plain)
         assert reg.roles == [] and reg.factors == []
 
+    @pytest.mark.parametrize("backend", [DensityMatrix, StabilizerState])
+    @pytest.mark.parametrize("spec", ["01", "+0-", ""])
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_data_row_takes_one_qubit_state(self, backend, spec, m):
+        reg = SpreadRegister(m)
+        state = backend.product(spec)
+        with pytest.raises(RegisterError, match=f"one qubit, not {len(spec)}"):
+            reg.add_data_row(state)
+        assert reg.roles == [] and reg.factors == []
+
     def test_cnot_count_is_2m_minus_2(self):
         for m in (3, 5, 7):
             assert len(spread_gate_list(m)) == 2 * m - 2

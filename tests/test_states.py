@@ -294,6 +294,14 @@ class TestConstructors:
         with pytest.raises(BackendError):
             DensityMatrix.random_pure(7, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("dtype", [complex, float])
+    def test_density_matrix_copies_the_callers_array(self, dtype):
+        mat = np.eye(2, dtype=dtype) / 2
+        rho = DensityMatrix(mat)
+        mat[0, 0] = 0.4
+        assert mat.flags.writeable and rho.mat is not mat
+        assert rho.mat[0, 0] == 0.5 and not rho.mat.flags.writeable
+
     def test_dense_takes_the_array_as_is(self):
         mat = np.diag([1.0, 0, 0, 0]).astype(complex)
         rho = _dense(mat)
