@@ -16,6 +16,7 @@ decomposes into it.
 """
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
@@ -194,11 +195,26 @@ def _signed_permutation(x: np.ndarray, z: np.ndarray,
                         phase: int) -> tuple[np.ndarray, np.ndarray]:
     """i^phase X^x Z^z (qubit 0 the most significant bit) as a signed
     permutation: row r holds s[r] = i^phase (-1)^popcount(z & idx[r]) at
-    column idx[r] = r ^ x, so P rho = s[:, None] * rho[idx]."""
-    weights = 1 << np.arange(len(x) - 1, -1, -1)
-    idx = np.arange(1 << len(x)) ^ int(x @ weights)
-    signs = np.where(np.bitwise_count(idx & int(z @ weights)) & 1, -1, 1)
-    return idx, (1j ** int(phase)) * signs
+    column idx[r] = r ^ x, so P rho = s[:, None] * rho[idx].
+
+    The read-only pair comes from a bounded LRU cache: a dense session
+    measures the same few Paulis over and over, while random keys would
+    fill an unbounded one with up to 4^n entries."""
+    x, z = np.asarray(x, np.uint8), np.asarray(z, np.uint8)
+    return _signed_permutation_of(len(x), x.tobytes(), z.tobytes(), int(phase))
+
+
+@functools.lru_cache(maxsize=128)
+def _signed_permutation_of(n: int, x: bytes, z: bytes,
+                           phase: int) -> tuple[np.ndarray, np.ndarray]:
+    weights = 1 << np.arange(n - 1, -1, -1)
+    x_mask, z_mask = (int(np.frombuffer(b, np.uint8) @ weights) for b in (x, z))
+    idx = np.arange(1 << n) ^ x_mask
+    signs = np.where(np.bitwise_count(idx & z_mask) & 1, -1, 1)
+    s = (1j ** phase) * signs
+    idx.setflags(write=False)
+    s.setflags(write=False)
+    return idx, s
 
 
 # ---------------------------------------------------------------------------

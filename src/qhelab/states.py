@@ -8,13 +8,20 @@ maximally mixed ancillas look like, so no purification bookkeeping is
 needed.
 
 `DensityMatrix` is the exact dense oracle, capped at n = 6 so exhaustive
-key sweeps stay fast.  It never forms a 2^n x 2^n operator.  A SWAP is a
-qubit relabelling: each run of consecutive SWAPs in a gate word becomes
-one transpose of rho's (2,)*2n tensor (`_relabel`, shared with
-`permute_qubits`), so a permutation key encrypts without arithmetic.
-Any other k-qubit gate multiplies its 4^k x 4^k superoperator
-u (x) conj(u) into its k row and k column axes (`_apply_on_bits`), and a
-Pauli acts as a signed permutation of rows and columns
+key sweeps stay fast.  It never forms a 2^n x 2^n operator per gate, and
+has three gate kernels:
+
+- relabel: a SWAP is a qubit relabelling, and each run of consecutive
+  SWAPs in a gate word becomes one transpose of rho's (2,)*2n tensor
+  (`_relabel`, shared with `permute_qubits`), so a permutation key
+  encrypts without arithmetic;
+- row-map gather: S, X, Y, Z, CNOT and CZ have one nonzero per row, so
+  u rho u^dag gathers rho's rows and columns by a cached index vector and
+  re-phases them (`_row_map`);
+- contraction: H and T multiply their 4^k x 4^k superoperator
+  u (x) conj(u) into their k row and k column axes (`_apply_on_bits`).
+
+A Pauli acts as a signed permutation of rows and columns
 (P rho = s[:, None] * rho[idx]).
 The two backends are cross-checked against each other in the test suite.
 
@@ -38,6 +45,7 @@ constructors, and take over their arrays without checks or copies.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,10 +73,11 @@ _GATE_MATS: dict[str, np.ndarray] = {
                      dtype=complex),
 }
 
-# what the dense kernel multiplies into a gate's row and column axes; a
-# SWAP has none, it relabels its qubits
+# what the contraction kernel multiplies into a gate's row and column axes.
+# Only H and T contract: every other gate has one nonzero per row and is a
+# row-map gather (`_row_map`), and a SWAP relabels its qubits
 _GATE_SUPEROPS = {name: np.kron(u, u.conj()) for name, u in _GATE_MATS.items()
-                  if name != "SWAP"}
+                  if name in ("H", "T")}
 
 _1Q_VECTORS = {
     "0": np.array([1, 0], dtype=complex),
@@ -157,6 +166,16 @@ class ZeroProbabilityError(BackendError):
     """A forced measurement outcome had probability zero."""
 
 
+def _check_force(force) -> int | None:
+    """Both backends' check on a forced measurement outcome: None, or an
+    integer 0 or 1, returned as an int."""
+    if force is None:
+        return None
+    if not isinstance(force, (int, np.integer)) or force not in (0, 1):
+        raise BackendError(f"forced outcome must be 0 or 1, not {force!r}")
+    return int(force)
+
+
 @dataclass(frozen=True)
 class MeasurementRecord:
     label: str
@@ -196,13 +215,32 @@ def _apply_on_bits(mat: np.ndarray, op: np.ndarray, bits) -> np.ndarray:
     return t.transpose(undo).reshape(mat.shape)
 
 
+@functools.lru_cache(maxsize=None)
+def _row_map(n: int, name: str, qs: tuple[int, ...]):
+    """A gate with one nonzero per row on n qubits as read-only (idx, d):
+    row r of its 2^n x 2^n unitary holds d[r] at column idx[r], so
+    u rho u^dag = d[:, None] * d.conj() * rho[idx][:, idx].  d is None when
+    every entry is 1.  Read off the gate multiplied into the identity, once
+    per (n, name, qs); the cache holds at most the 224 gates of
+    n <= 6 qubits, as 2^n-entry vectors."""
+    u = _apply_on_bits(np.eye(2 ** n, dtype=complex), _GATE_MATS[name], qs)
+    idx = np.argmax(u != 0, axis=1)
+    d = u[np.arange(2 ** n), idx]
+    idx.setflags(write=False)
+    if (d == 1).all():
+        return idx, None
+    d.setflags(write=False)
+    return idx, d
+
+
 def statevector(spec: str) -> np.ndarray:
     """Product state vector from a character spec, e.g. '0+1' or 'T'."""
     v = np.array([1.0 + 0j])
     for ch in spec:
         if ch not in _1Q_VECTORS:
             raise BackendError(f"unknown state character {ch!r}")
-        v = np.kron(v, _1Q_VECTORS[ch])
+        # np.kron's entries, each the one product of its two factors
+        v = np.multiply.outer(v, _1Q_VECTORS[ch]).reshape(-1)
     return v
 
 
@@ -372,6 +410,7 @@ class StabilizerState:
                       label: str = "m", force: int | None = None,
                       ) -> tuple["StabilizerState", MeasurementRecord]:
         _check_pauli(self.n_qubits, k, "measure")
+        force = _check_force(force)
         pos = k.positive()
         flip = 0 if k.sign() == 1 else 1
         anti = np.flatnonzero(self._anticommuting(pos))
@@ -651,14 +690,21 @@ class DensityMatrix:
         return self.apply_gates((name, qs) for qs in zip(*slots))
 
     def apply_gate(self, name: str, qs: tuple[int, ...]) -> "DensityMatrix":
-        """u rho u^dag through the gate's superoperator on its row and
-        column axes; a SWAP relabels its qubits instead."""
+        """u rho u^dag: H and T through the gate's superoperator on its row
+        and column axes, any other gate as a gather of rows and columns by
+        its cached row map; a SWAP relabels its qubits instead."""
         if name == "SWAP":
             return self.apply_gates([(name, qs)])
         n = self.n_qubits
         _check_gate(name, qs, n, _GATE_MATS, BackendError)
-        bits = list(qs) + [n + q for q in qs]
-        return _dense(_apply_on_bits(self.mat, _GATE_SUPEROPS[name], bits))
+        if name in _GATE_SUPEROPS:
+            bits = list(qs) + [n + q for q in qs]
+            return _dense(_apply_on_bits(self.mat, _GATE_SUPEROPS[name], bits))
+        idx, d = _row_map(n, name, tuple(qs))
+        out = self.mat.take(idx, 0).take(idx, 1)
+        if d is not None:
+            out *= d[:, None] * d.conj()
+        return _dense(out)
 
     def apply_clifford(self, c: CliffordOp) -> "DensityMatrix":
         if c.n_qubits != self.n_qubits:
@@ -674,6 +720,7 @@ class DensityMatrix:
                       label: str = "m", force: int | None = None,
                       ) -> tuple["DensityMatrix", MeasurementRecord]:
         _check_pauli(self.n_qubits, k, "measure")
+        force = _check_force(force)
         idx, s = _signed_permutation(k.x, k.z, k.phase)
         rho = self.mat
         k_rho = s[:, None] * rho[idx]
@@ -744,7 +791,10 @@ class DensityMatrix:
     def tensor(self, other) -> "DensityMatrix":
         """self (x) other; a stabilizer operand is promoted to dense."""
         _check_dense_cap(self.n_qubits + other.n_qubits)
-        return _dense(np.kron(self.mat, other.to_density().mat))
+        a, b = self.mat, other.to_density().mat
+        # np.kron's entries, each the one product a[i, j] * b[k, l]
+        out = a[:, None, :, None] * b[None, :, None, :]
+        return _dense(out.reshape(len(a) * len(b), -1))
 
     def expectation(self, p: PauliString) -> float:
         _check_pauli(self.n_qubits, p, "take the expectation of")

@@ -1,0 +1,134 @@
+"""The dense oracle's gate kernels: monomial gates as row-map gathers.
+
+S, X, Y, Z, CNOT and CZ have one nonzero per row, so u rho u^dag only moves
+and re-phases entries of rho.  These tests hold the gather to the
+superoperator contraction it replaced, show that only H and T still
+contract, and hold the outer-product builds of product vectors and
+tensors to np.kron."""
+import functools
+import itertools
+
+import numpy as np
+import pytest
+
+from qhelab import states
+from qhelab.paulikey import PauliKey, encrypt, prepare_magic_register
+from qhelab.states import (_GATE_MATS, _GATE_SUPEROPS, DensityMatrix,
+                           StabilizerState, _apply_on_bits, _dense,
+                           statevector)
+
+MONOMIAL = ["S", "X", "Y", "Z", "CNOT", "CZ"]
+
+
+def _contraction(rho, name, qs):
+    """u rho u^dag through the gate's 4^k x 4^k superoperator."""
+    n = rho.n_qubits
+    u = _GATE_MATS[name]
+    bits = list(qs) + [n + q for q in qs]
+    return _apply_on_bits(rho.mat, np.kron(u, u.conj()), bits)
+
+
+def _every_placement(name, n):
+    arity = len(_GATE_MATS[name]).bit_length() - 1
+    return list(itertools.permutations(range(n), arity))
+
+
+def _kron_all(factors, start):
+    return functools.reduce(np.kron, factors, start)
+
+
+class TestGatherMatchesContraction:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_random_pure_bitwise(self, n):
+        rng = np.random.default_rng(60 + n)
+        rho = DensityMatrix.random_pure(n, rng)
+        for name in MONOMIAL:
+            for qs in _every_placement(name, n):
+                got = rho.apply_gate(name, qs).mat
+                assert got.tobytes() == _contraction(rho, name, qs).tobytes(), \
+                    (name, qs)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_product_inputs_equal(self, n):
+        # a contraction can flip the sign of a zero entry, so compare values
+        rng = np.random.default_rng(70 + n)
+        for _ in range(3):
+            rho = DensityMatrix.product("".join(rng.choice(list("01+-T"), n)))
+            for name in MONOMIAL:
+                for qs in _every_placement(name, n):
+                    got = rho.apply_gate(name, qs).mat
+                    assert np.array_equal(got, _contraction(rho, name, qs)), \
+                        (name, qs)
+
+    def test_row_maps_are_read_only_and_unit(self):
+        for name in MONOMIAL:
+            for qs in _every_placement(name, 3):
+                idx, d = states._row_map(3, name, qs)
+                assert sorted(idx) == list(range(8))
+                assert not idx.flags.writeable
+                if name in ("X", "CNOT"):
+                    assert d is None
+                else:
+                    assert not d.flags.writeable
+                    assert np.array_equal(np.abs(d), np.ones(8))
+
+
+def test_only_h_and_t_contract(monkeypatch):
+    rng = np.random.default_rng(5)
+    rho = DensityMatrix.random_pure(4, rng)
+    word = [("H", (0,)), ("S", (1,)), ("CNOT", (0, 2)), ("T", (3,)),
+            ("X", (2,)), ("Y", (3,)), ("Z", (0,)), ("CZ", (1, 3)),
+            ("SWAP", (0, 3)), ("T", (1,)), ("CNOT", (3, 1)), ("H", (2,))]
+    want = rho.apply_gates(word)     # builds every row map the word needs
+    ops = []
+
+    def counting(mat, op, bits):
+        ops.append(op)
+        return _apply_on_bits(mat, op, bits)
+
+    monkeypatch.setattr(states, "_apply_on_bits", counting)
+    got = rho.apply_gates(word)
+    assert got.mat.tobytes() == want.mat.tobytes()
+    contracted = [name for name, u in _GATE_SUPEROPS.items()
+                  for op in ops if op is u]
+    assert sorted(contracted) == ["H", "H", "T", "T"]
+    assert len(ops) == 4
+    assert sorted(_GATE_SUPEROPS) == ["H", "T"]
+
+
+class TestOuterProductsMatchKron:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_statevector(self, n):
+        rng = np.random.default_rng(80 + n)
+        for _ in range(10):
+            spec = "".join(rng.choice(list("01+-imT"), n))
+            want = _kron_all([states._1Q_VECTORS[ch] for ch in spec],
+                             np.array([1.0 + 0j]))
+            assert statevector(spec).tobytes() == want.tobytes(), spec
+
+    def test_tensor(self):
+        rng = np.random.default_rng(90)
+        for na in range(1, 4):
+            for nb in range(1, 4):
+                a = DensityMatrix.random_pure(na, rng)
+                dense_spec = "".join(rng.choice(list("0+-T"), nb))
+                stab_spec = "".join(rng.choice(list("01+-im*"), nb))
+                for b in (DensityMatrix.random_pure(nb, rng),
+                          DensityMatrix.product(dense_spec),
+                          StabilizerState.product(stab_spec)):
+                    want = np.kron(a.mat, b.to_density().mat)
+                    assert a.tensor(b).mat.tobytes() == want.tobytes()
+                    want = np.kron(b.to_density().mat, a.mat)
+                    assert b.tensor(a).mat.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n_t", [1, 2, 3])
+    def test_prepare_magic_register(self, n_t):
+        plaintext = DensityMatrix.product("+0")
+        t_mat = DensityMatrix.product("T").mat
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            key = PauliKey.random(plaintext.n_qubits, rng)
+            cipher, tracker, _ = prepare_magic_register(plaintext, key, n_t, rng)
+            full = _kron_all([t_mat] * n_t, plaintext.mat)
+            want = encrypt(tracker.key, _dense(full)).mat
+            assert cipher.mat.tobytes() == want.tobytes(), seed

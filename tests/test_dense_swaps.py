@@ -12,10 +12,12 @@ import pytest
 from qhelab import states
 from qhelab.permkey import perm_scheme, spread_basis_input
 from qhelab.schemes import _key_average, ciphertext_average
-from qhelab.states import (_GATE_MATS, _GATE_SUPEROPS, BackendError,
-                           DensityMatrix, _apply_on_bits)
+from qhelab.states import (_GATE_MATS, BackendError, DensityMatrix,
+                           _apply_on_bits)
 
-_SWAP_SUPEROP = np.kron(_GATE_MATS["SWAP"], _GATE_MATS["SWAP"])
+# every gate's superoperator u (x) conj(u), for a contraction reference
+# that covers the gates the dense oracle relabels or gathers
+_SUPEROPS = {name: np.kron(u, u.conj()) for name, u in _GATE_MATS.items()}
 
 
 def _reference(rho, word):
@@ -24,8 +26,7 @@ def _reference(rho, word):
     n = rho.n_qubits
     mat = rho.mat
     for name, qs in word:
-        op = _SWAP_SUPEROP if name == "SWAP" else _GATE_SUPEROPS[name]
-        mat = _apply_on_bits(mat, op, list(qs) + [n + q for q in qs])
+        mat = _apply_on_bits(mat, _SUPEROPS[name], list(qs) + [n + q for q in qs])
     return mat
 
 

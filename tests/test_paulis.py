@@ -10,7 +10,8 @@ from qhelab.paulis import (CLIFFORD_GATES, Circuit, CliffordOp, Gate,
                            PauliAlgebraError, PauliString, parse_circuit,
                            random_clifford, random_clifford_circuit,
                            random_pauli)
-from qhelab.paulis import _check_gate, _check_word
+from qhelab.paulis import (_check_gate, _check_word, _signed_permutation,
+                           _signed_permutation_of)
 
 P = PauliString.from_label
 
@@ -302,6 +303,32 @@ class TestToMatrix:
         got = PauliString([], [], phase).to_matrix()
         assert got.shape == (1, 1)
         assert np.array_equal(got, [[1j ** phase]])
+
+
+class TestSignedPermutationCache:
+    def test_returned_arrays_are_read_only(self):
+        idx, s = _signed_permutation(np.array([1, 0], np.uint8),
+                                     np.array([1, 1], np.uint8), 1)
+        for arr in (idx, s):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+
+    def test_cache_stays_bounded(self):
+        cache = _signed_permutation_of
+        cache.cache_clear()
+        rng = np.random.default_rng(9)
+        for _ in range(3 * cache.cache_info().maxsize):
+            p = random_pauli(6, rng, phase_free=False)
+            idx, s = _signed_permutation(p.x, p.z, p.phase)
+            assert cache.cache_info().currsize <= cache.cache_info().maxsize
+            assert np.array_equal(p.to_matrix()[np.arange(64), idx], s)
+        assert cache.cache_info().currsize == cache.cache_info().maxsize
+
+    def test_equal_paulis_share_one_entry(self):
+        a = PauliString.from_label("XYZ")
+        first = _signed_permutation(a.x, a.z, a.phase)
+        again = _signed_permutation(a.x.copy(), a.z.copy(), a.phase)
+        assert all(f is g for f, g in zip(first, again))
 
 
 class TestPackedTableau:

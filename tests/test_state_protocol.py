@@ -137,8 +137,8 @@ class TestRegisterMergeCap:
 
 
 class TestDenseOracleBuildsNoFullOperator:
-    """Dense gates go in as 4^k x 4^k superoperators and Paulis as signed
-    permutations, so whole sessions and sweeps never build a 2^n x 2^n
+    """Dense gates go in as row maps or 4^k x 4^k superoperators and
+    Paulis as signed permutations, so whole sessions and sweeps never build a 2^n x 2^n
     operator and never ask a Pauli for its matrix."""
 
     def test_sessions_and_sweep(self, monkeypatch):

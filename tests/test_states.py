@@ -87,6 +87,21 @@ class TestMeasurePauli:
         with pytest.raises(ZeroProbabilityError):
             DensityMatrix.product("0").measure_pauli(P("Z"), rng, force=1)
 
+    @pytest.mark.parametrize("backend", [StabilizerState, DensityMatrix])
+    @pytest.mark.parametrize("bad", [2, -1, 0.0, 1.0, "1"])
+    @pytest.mark.parametrize("spec", ["0", "+"])
+    def test_forced_outcome_must_be_zero_or_one(self, backend, bad, spec):
+        rng = np.random.default_rng(3)
+        with pytest.raises(BackendError, match="must be 0 or 1"):
+            backend.product(spec).measure_pauli(P("Z"), rng, force=bad)
+
+    @pytest.mark.parametrize("backend", [StabilizerState, DensityMatrix])
+    @pytest.mark.parametrize("force", [True, False, np.int64(1), np.uint8(0)])
+    def test_forced_outcome_recorded_as_int(self, backend, force):
+        rng = np.random.default_rng(3)
+        _, rec = backend.product("+").measure_pauli(P("Z"), rng, force=force)
+        assert type(rec.outcome) is int and rec.outcome == int(force)
+
     def test_negative_operator_measurement(self):
         rng = np.random.default_rng(4)
         _, rec = StabilizerState.product("0").measure_pauli(P("-Z"), rng)
