@@ -22,7 +22,11 @@ has three gate kernels:
   u (x) conj(u) into their k row and k column axes (`_apply_on_bits`).
 
 A Pauli acts as a signed permutation of rows and columns
-(P rho = s[:, None] * rho[idx]).
+(P rho = s[:, None] * rho[idx]).  Z measurements are diagonal, so they
+select blocks instead: a Z-type `measure_pauli` keeps the rows and
+columns of the outcome's sign, and `measure_discard` draws its bits from
+rho's diagonal and returns the block at those bits (`_draw` is the one
+outcome rule).
 The two backends are cross-checked against each other in the test suite.
 
 Both implement the same state protocol, so scheme code never asks which
@@ -37,10 +41,11 @@ constructors; `trace_distance` takes two states.  On the tableau
 `apply_transversal` is one engine call on column slices, a run of one
 gate on disjoint qubits inside a general word is folded into one call
 too, and `measure_discard` is one elimination over the row; the dense
-oracle replays a transversal gate gate by gate and measures qubit by
-qubit.  `StabilizerState(n, generators)` and `DensityMatrix(mat)` check
-outside data, and `DensityMatrix(mat)` keeps a copy; `_tableau` (packed
-rows) and `_dense` (an exactly built matrix) are the only internal
+oracle replays a transversal gate gate by gate, and its
+`measure_discard` is one diagonal-block selection.
+`StabilizerState(n, generators)` and `DensityMatrix(mat)` check outside
+data, and `DensityMatrix(mat)` keeps a copy; `_tableau` (packed rows)
+and `_dense` (an exactly built matrix) are the only internal
 constructors, and take over their arrays without checks or copies.
 """
 from __future__ import annotations
@@ -174,6 +179,20 @@ def _check_force(force) -> int | None:
     if not isinstance(force, (int, np.integer)) or force not in (0, 1):
         raise BackendError(f"forced outcome must be 0 or 1, not {force!r}")
     return int(force)
+
+
+def _draw(p0: float, rng: np.random.Generator,
+          force: int | None = None) -> tuple[int, float]:
+    """A dense outcome and its probability: 0 with probability p0 (clipped
+    to [0, 1]), from one ``rng.random()`` unless forced.  An outcome of
+    probability below 1e-12 raises `ZeroProbabilityError`."""
+    p0 = min(max(p0, 0.0), 1.0)
+    if force is None:
+        force = 0 if rng.random() < p0 else 1
+    prob = p0 if force == 0 else 1.0 - p0
+    if prob < 1e-12:
+        raise ZeroProbabilityError(f"outcome {force} has probability ~0")
+    return force, prob
 
 
 @dataclass(frozen=True)
@@ -719,24 +738,32 @@ class DensityMatrix:
     def measure_pauli(self, k: PauliString, rng: np.random.Generator,
                       label: str = "m", force: int | None = None,
                       ) -> tuple["DensityMatrix", MeasurementRecord]:
+        """A Z-type k (no X bits) is the diagonal of signs s, so p0 needs
+        only s * diag(rho) and the post-state keeps the rows and columns
+        where s is the outcome's sign; any other k is a signed
+        permutation, and the post-state (I +/- K)/2 rho (I +/- K)/2."""
         _check_pauli(self.n_qubits, k, "measure")
         force = _check_force(force)
         idx, s = _signed_permutation(k.x, k.z, k.phase)
         rho = self.mat
-        k_rho = s[:, None] * rho[idx]
-        rho_k = rho[:, idx] * s.conj()
-        p0 = float(np.real(np.trace(rho) + np.trace(k_rho))) / 2
-        p0 = min(max(p0, 0.0), 1.0)
-        if force is not None:
-            outcome = force
+        diagonal = not k.x.any()
+        if diagonal:
+            k_diag = s * np.diagonal(rho)
         else:
-            outcome = 0 if rng.random() < p0 else 1
-        prob = p0 if outcome == 0 else 1.0 - p0
-        if prob < 1e-12:
-            raise ZeroProbabilityError(f"outcome {outcome} has probability ~0")
-        # (I +/- K)/2 rho (I +/- K)/2, with K rho K = s[:, None] * (rho K)[idx]
+            k_rho = s[:, None] * rho[idx]
+            k_diag = np.diagonal(k_rho)
+        p0 = float(np.real(np.trace(rho) + k_diag.sum())) / 2
+        outcome, prob = _draw(p0, rng, force)
         sign = 1 if outcome == 0 else -1
-        post = (rho + sign * (k_rho + rho_k) + s[:, None] * rho_k[idx]) / (4 * prob)
+        if diagonal:
+            keep = s == sign
+            post = np.divide(rho, prob, out=np.zeros_like(rho),
+                             where=keep[:, None] & keep)
+        else:
+            # K rho K = s[:, None] * (rho K)[idx]
+            rho_k = rho[:, idx] * s.conj()
+            post = (rho + sign * (k_rho + rho_k)
+                    + s[:, None] * rho_k[idx]) / (4 * prob)
         return _dense(post), MeasurementRecord(label, outcome, prob)
 
     def permute_qubits(self, perm) -> "DensityMatrix":
@@ -769,15 +796,29 @@ class DensityMatrix:
     def measure_discard(self, qs: list[int], rng: np.random.Generator,
                         ) -> tuple["DensityMatrix", list[int]]:
         """Measure Z on each listed qubit in the order given, then trace
-        them out; returns (state, outcome bits).  The reference for the
-        tableau's fused kernel: one `measure_pauli` per qubit."""
+        them out; returns (state, outcome bits).
+
+        Z outcomes are read off rho's diagonal alone: each qubit's p0 is
+        the mass of its 0 outcome among the diagonal entries that agree
+        with the bits drawn so far, with one ``rng.random()`` per qubit
+        as in `measure_pauli`.  The result is rho's block at the drawn
+        bits on rows and columns alike, over its trace: the same bits,
+        draws and state as one `measure_pauli` per qubit, then
+        `discard_qubits(qs)`."""
         qs = _check_qubits(self.n_qubits, qs)
-        state, bits = self, []
+        n = self.n_qubits
+        diag = np.diagonal(self.mat).real.reshape((2,) * n)
+        # the drawn bits as size-1 slices, so each qubit keeps its axis
+        sel = [slice(None)] * n
+        bits: list[int] = []
         for q in qs:
-            zq = PauliString.single(self.n_qubits, q, "Z")
-            state, rec = state.measure_pauli(zq, rng)
-            bits.append(rec.outcome)
-        return state.discard_qubits(qs), bits
+            mass = diag[tuple(sel)]
+            bit, _ = _draw(float(mass.take(0, q).sum() / mass.sum()), rng)
+            bits.append(bit)
+            sel[q] = slice(bit, bit + 1)
+        block = self.mat.reshape((2,) * (2 * n))[tuple(sel + sel)]
+        dim = 2 ** (n - len(qs))
+        return _dense((block / diag[tuple(sel)].sum()).reshape(dim, dim)), bits
 
     def reduced_density(self, qubits: list[int]) -> "DensityMatrix":
         """Reduced state on `qubits`, in the order given."""

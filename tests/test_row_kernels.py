@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from qhelab import gf2, permkey, qec, states
 from qhelab.paulis import CLIFFORD_GATES, PauliString, random_clifford
 from qhelab.states import (BackendError, DensityMatrix, StabilizerState,
-                           trace_distance)
+                           ZeroProbabilityError, trace_distance)
 
 
 def _random_state(backend, n, rng):
@@ -117,6 +117,75 @@ class TestMeasureDiscard:
         state, bits = StabilizerState.product("1*0").measure_discard(
             [2, 1, 0], np.random.default_rng(5))
         assert state.n_qubits == 0 and bits[0] == 0 and bits[2] == 1
+
+
+def _random_dense(n, rng):
+    """A random pure or full-rank mixed state on n qubits, with no dyadic
+    structure, so every kernel rounds."""
+    if rng.integers(2):
+        return DensityMatrix.random_pure(n, rng)
+    a = rng.normal(size=(2 ** n, 2 ** n)) + 1j * rng.normal(size=(2 ** n, 2 ** n))
+    rho = a @ a.conj().T
+    return DensityMatrix(rho / np.trace(rho))
+
+
+class _StubRng:
+    """Draws 0.0 forever: outcome 0 whenever p0 > 0."""
+
+    def random(self):
+        return 0.0
+
+
+class TestDenseMeasureDiscard:
+    """The dense diagonal-block selection against one `measure_pauli` per
+    qubit then a discard, on states whose entries are not dyadic."""
+
+    @staticmethod
+    def _assert_matches(state, qs, draw_seed):
+        ref_rng, rng = (np.random.default_rng(draw_seed) for _ in range(2))
+        want, want_bits = _sequential(state, qs, ref_rng)
+        got, bits = state.measure_discard(qs, rng)
+        assert bits == want_bits
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert got.mat.shape == want.mat.shape
+        assert np.max(np.abs(got.mat - want.mat)) < 1e-13
+
+    @given(st.integers(0, 10 ** 9))
+    @settings(max_examples=200, deadline=None)
+    def test_non_dyadic_matches_sequential(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 7))
+        k = int(rng.integers(0, n + 1))
+        qs = [int(q) for q in rng.permutation(n)[:k]]
+        self._assert_matches(_random_dense(n, rng), qs, int(rng.integers(2 ** 32)))
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_empty_list(self, n):
+        state = _random_dense(n, np.random.default_rng(n))
+        self._assert_matches(state, [], 0)
+        got, bits = state.measure_discard([], np.random.default_rng(0))
+        assert bits == [] and got.n_qubits == n
+
+    @pytest.mark.parametrize("n", [1, 4, 6])
+    def test_whole_register(self, n):
+        rng = np.random.default_rng(10 + n)
+        state = _random_dense(n, rng)
+        qs = [int(q) for q in rng.permutation(n)]
+        self._assert_matches(state, qs, 3)
+        got, bits = state.measure_discard(qs, np.random.default_rng(3))
+        assert got.n_qubits == 0 and len(bits) == n
+        assert got.mat == pytest.approx(np.ones((1, 1)), abs=1e-15)
+
+    def test_zero_probability_guard(self):
+        """A stub draw of 0.0 picks qubit 0's outcome 0, of mass 1/2, then
+        qubit 1's outcome 0, of conditional probability 2e-13; both
+        kernels refuse it."""
+        rho = np.diag([1e-13, 0.5 - 1e-13, 0.25, 0.25]).astype(complex)
+        state = DensityMatrix(rho)
+        with pytest.raises(ZeroProbabilityError):
+            _sequential(state, [0, 1], _StubRng())
+        with pytest.raises(ZeroProbabilityError):
+            state.measure_discard([0, 1], _StubRng())
 
 
 class TestQubitChecks:
@@ -255,6 +324,22 @@ class TestRowKernelCounts:
             assert engine.take() == 0
             # X_3 flips exactly the generators with Z on row 3
             assert client.parity(bits) == int(stab.restricted_letter(3) == "Z")
+
+    def test_dense_measure_discard_selects_one_block(self, monkeypatch):
+        """The dense kernel neither measures qubit by qubit nor traces
+        out: it reads the diagonal and selects one block."""
+        measures = _Counter(monkeypatch, DensityMatrix, "measure_pauli")
+        traces = _Counter(monkeypatch, DensityMatrix, "partial_trace")
+        state = _random_dense(4, np.random.default_rng(2))
+        got, bits = state.measure_discard([2, 0], np.random.default_rng(5))
+        assert (measures.take(), traces.take()) == (0, 0)
+        assert got.n_qubits == 2 and len(bits) == 2
+        reg = permkey.SpreadRegister(1)
+        data = reg.add_data_row("+")
+        magic = reg.add_ancilla_row("magic")
+        reg.transversal_pair("CNOT", data, magic)
+        reg.measure_row(magic, np.random.default_rng(0))
+        assert (measures.take(), traces.take()) == (0, 0)
 
 
 # sha256 of the concatenated QEC cycle's outputs and measured row bits

@@ -1,4 +1,6 @@
 """The state protocol: both backends, driven by the same calls, agree."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -110,30 +112,24 @@ class TestMixedTensor:
 
 class TestRegisterMergeCap:
     @pytest.mark.parametrize("first", ["magic", "plus"])
-    def test_merge_past_cap_raises_before_allocating(self, first, monkeypatch):
-        """Three 2-qubit rows fit the dense cap; the fourth does not."""
+    def test_merge_past_cap_raises_before_allocating(self, first):
+        """Three 2-qubit rows fit the dense cap; the fourth does not.  The
+        refused merge allocates less than one matrix of its 8 qubits."""
         reg = SpreadRegister(1)
         data = reg.add_data_row("+")
         rows = [reg.add_ancilla_row(first), reg.add_ancilla_row("plus"),
                 reg.add_ancilla_row("magic")]
         reg.transversal_pair("CNOT", data, rows[0])
         reg.transversal_pair("CNOT", data, rows[1])
-        dims = []
-        real_kron, real_eye = np.kron, np.eye
-
-        def kron(a, b):
-            dims.append(np.shape(a)[0] * np.shape(b)[0])
-            return real_kron(a, b)
-
-        def eye(n, *args, **kwargs):
-            dims.append(n)
-            return real_eye(n, *args, **kwargs)
-
-        monkeypatch.setattr(np, "kron", kron)
-        monkeypatch.setattr(np, "eye", eye)
-        with pytest.raises(ValueError):
-            reg.transversal_pair("CNOT", data, rows[2])
-        assert max(dims, default=0) <= 2 ** DENSE_QUBIT_CAP
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError):
+                reg.transversal_pair("CNOT", data, rows[2])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        dim = 2 ** (DENSE_QUBIT_CAP + 2)
+        assert peak < dim * dim * np.dtype(complex).itemsize
 
 
 class TestDenseOracleBuildsNoFullOperator:

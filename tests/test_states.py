@@ -542,3 +542,51 @@ class TestDensePauliPaths:
                 want = want @ (np.eye(2 ** n) + g.to_matrix()) / 2
             want /= 2 ** (n - len(st.generators))
             assert np.max(np.abs(st.to_density().mat - want)) < 1e-15, spec
+
+
+class TestDenseZMeasurement:
+    """A Z-type Pauli is diagonal, so the dense kernel keeps the rows and
+    columns of the outcome's sign; checked against the projector built
+    from `PauliString.to_matrix`."""
+
+    @staticmethod
+    def _reference(rho, k, outcome):
+        proj = (np.eye(len(rho)) + (-1) ** outcome * k.to_matrix()) / 2
+        prob = float(np.real(np.trace(proj @ rho)))
+        return proj @ rho @ proj / prob, prob
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_random_z_strings_with_signs(self, n):
+        rng = np.random.default_rng(60 + n)
+        for trial in range(12):
+            rho = (_random_density(n, rng) if trial % 2
+                   else DensityMatrix.random_pure(n, rng).mat)
+            z = rng.integers(0, 2, n).astype(np.uint8)
+            z[rng.integers(n)] = 1              # single- and multi-qubit Z
+            k = PauliString(np.zeros(n, np.uint8), z, 2 * int(rng.integers(2)))
+            state = DensityMatrix(rho)
+            for force in (0, 1):
+                want, prob = self._reference(rho, k, force)
+                post, rec = state.measure_pauli(k, rng, label="z", force=force)
+                assert (rec.label, rec.outcome) == ("z", force)
+                assert rec.probability == pytest.approx(prob, abs=1e-13)
+                assert np.max(np.abs(post.mat - want)) < 1e-13, (k, force)
+            draw_seed = int(rng.integers(2 ** 32))
+            post, rec = state.measure_pauli(k, np.random.default_rng(draw_seed))
+            p0 = self._reference(rho, k, 0)[1]
+            drawn = np.random.default_rng(draw_seed).random()
+            assert rec.outcome == (0 if drawn < p0 else 1)
+            want, _ = self._reference(rho, k, rec.outcome)
+            assert np.max(np.abs(post.mat - want)) < 1e-13
+
+    @pytest.mark.parametrize("spec, label, impossible", [
+        ("0", "Z", 1), ("0", "-Z", 0), ("01", "ZZ", 0), ("01", "-ZZ", 1),
+        ("011", "IZZ", 1), ("110", "-ZIZ", 1)])
+    def test_impossible_outcome_raises(self, spec, label, impossible):
+        state = DensityMatrix.product(spec)
+        with pytest.raises(ZeroProbabilityError):
+            state.measure_pauli(P(label), np.random.default_rng(0),
+                                force=impossible)
+        post, rec = state.measure_pauli(P(label), np.random.default_rng(0))
+        assert (rec.outcome, rec.probability) == (1 - impossible, 1.0)
+        assert np.array_equal(post.mat, state.mat)
