@@ -2,7 +2,8 @@
 
 Subcommands: roundtrip, security, qec-demo, t-gate, cv-check, resources,
 audit.  Every randomized subcommand takes a mandatory seed (flag or the
-QHELAB_SEED environment variable) and is byte-deterministic under it.
+QHELAB_SEED environment variable) and is byte-deterministic under it;
+`security` and `resources` draw nothing and need no seed.
 Exit codes: 0 success, 1 assertion/acceptance failure, 2 usage or parse
 errors.
 """
@@ -97,9 +98,8 @@ def _scheme_inputs(args):
 
 
 def cmd_security(args) -> int:
-    rng = _rng(args)
     scheme, states = _scheme_inputs(args)
-    report = security_delta(scheme, states, rng=rng)
+    report = security_delta(scheme, states)
     blob = json.loads(report.to_json())
     if args.scheme == "perm":
         blob["security_bound"] = security_bound(args.r, args.m)
@@ -319,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_roundtrip)
 
-    p = sub.add_parser("security", help="exact or sampled Delta sweep")
+    p = sub.add_parser("security", help="exact Delta sweep over every key")
     p.add_argument("scheme", choices=["pauli", "perm", "zkey"])
     p.add_argument("--inputs", required=True,
                    help="comma-separated plaintexts, e.g. 0,1 or 00,++")

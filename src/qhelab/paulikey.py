@@ -78,11 +78,6 @@ def encrypt(key: PauliKey, state):
     return state.apply_pauli(key.pauli)
 
 
-def decrypt(key: PauliKey, state):
-    # Pauli channels are involutions
-    return encrypt(key, state)
-
-
 def transport_key(key: PauliKey, c: CliffordOp) -> tuple[PauliKey, int]:
     """Forward key transport: c . K_key = K_out . c as channels.
 
@@ -124,7 +119,6 @@ def pauli_scheme(n: int) -> SchemeDescriptor:
         sample_key=lambda rng: PauliKey.random(n, rng),
         encrypt_word=_word_on(n),
         transport=lambda k, c: transport_key(k, c)[0],
-        lift=lambda c: c,
         allows=lambda c: isinstance(c, CliffordOp) and c.n_qubits == n,
         key_from_pauli=lambda p: PauliKey(p.positive()),
         key_factors=lambda: _single_qubit_factors(n, "IXYZ"),
@@ -146,7 +140,6 @@ def trivial_scheme(n: int) -> SchemeDescriptor:
         sample_key=lambda rng: PauliKey.identity(n),
         encrypt_word=_word_on(n),
         transport=lambda k, c: PauliKey.identity(n),
-        lift=lambda c: c,
         allows=lambda c: c.is_identity_channel(),
         key_from_pauli=from_pauli,
     )
@@ -177,7 +170,6 @@ def zkey_scheme(n: int) -> SchemeDescriptor:
             np.zeros(n, np.uint8), rng.integers(0, 2, n, dtype=np.uint8), 0)),
         encrypt_word=_word_on(n),
         transport=lambda k, c: transport_key(k, c)[0],
-        lift=lambda c: c,
         allows=allows,
         key_from_pauli=from_pauli,
         key_factors=lambda: _single_qubit_factors(n, "IZ"),
@@ -291,8 +283,7 @@ def compactness_budget(n_data: int) -> int:
 
 
 def inject_t_gate(state, target: int, magic: MagicStateResource,
-                  tracker: EvalTracker, rng: np.random.Generator,
-                  force_raw: int | None = None):
+                  tracker: EvalTracker, rng: np.random.Generator):
     """Teleport a T gate onto `target` by consuming one magic ancilla.
 
     Server side: CNOT(target -> ancilla), Z measurement of the ancilla,
@@ -323,8 +314,7 @@ def inject_t_gate(state, target: int, magic: MagicStateResource,
     tracker.absorb("CNOT", (target, anc))
 
     za = PauliString.single(n, anc, "Z")
-    state, rec = state.measure_pauli(za, rng, label=f"t{tracker.t_injected}",
-                                     force=force_raw)
+    state, rec = state.measure_pauli(za, rng, label=f"t{tracker.t_injected}")
     o_raw = rec.outcome
     o_true = o_raw ^ int(tracker.key.pauli.x[anc])
 
@@ -343,8 +333,7 @@ def inject_t_gate(state, target: int, magic: MagicStateResource,
 
 def encrypted_stabilizer_measurement(state, stabilizer: PauliString,
                                      ancilla_key: PauliKey,
-                                     rng: np.random.Generator,
-                                     force: int | None = None):
+                                     rng: np.random.Generator):
     """Measure a stabilizer on ciphertext via an encrypted |+> ancilla.
 
     The controlled-stabilizer decomposes into one controlled Pauli per
@@ -374,7 +363,7 @@ def encrypted_stabilizer_measurement(state, stabilizer: PauliString,
             gates += [("Z", (q,)), ("S", (q,)), ("CNOT", (anc, q)), ("S", (q,))]
     full = full.apply_gates(gates)
     xa = PauliString.single(n + 1, anc, "X")
-    full, rec = full.measure_pauli(xa, rng, label="stab", force=force)
+    full, rec = full.measure_pauli(xa, rng, label="stab")
     raw = rec.outcome
     corrected = raw ^ int(ancilla_key.pauli.z[0])
     return full, raw, corrected
@@ -480,6 +469,5 @@ def compose_with_stabilizer_code(code) -> SchemeDescriptor:
         sample_key=lambda rng: PauliKey.random(k, rng),
         encrypt_word=lambda key: key_word(key) + list(enc.gates),
         transport=transport,
-        lift=lambda c: c,
         allows=allows,
     )

@@ -158,16 +158,6 @@ class PauliString:
                            np.concatenate([self.z, other.z]),
                            self.phase + other.phase)
 
-    def embed(self, n: int, positions: Iterable[int]) -> "PauliString":
-        pos = list(positions)
-        if len(pos) != self.n_qubits or len(set(pos)) != len(pos):
-            raise PauliAlgebraError("embed needs one distinct slot per qubit")
-        x = np.zeros(n, np.uint8)
-        z = np.zeros(n, np.uint8)
-        x[pos] = self.x
-        z[pos] = self.z
-        return PauliString(x, z, self.phase)
-
     def restricted_letter(self, qubit: int) -> str:
         xi, zi = int(self.x[qubit]), int(self.z[qubit])
         return "IXZY"[xi + 2 * zi]
@@ -527,11 +517,6 @@ class CliffordOp:
         n = self.n_qubits + other.n_qubits
         gates = [(name, qs) for name, qs in self.gates]
         gates += [(name, tuple(q + self.n_qubits for q in qs)) for name, qs in other.gates]
-        return CliffordOp.from_gates(n, gates)
-
-    def embed(self, n: int, positions: Iterable[int]) -> "CliffordOp":
-        pos = list(positions)
-        gates = [(name, tuple(pos[q] for q in qs)) for name, qs in self.gates]
         return CliffordOp.from_gates(n, gates)
 
     def to_matrix(self) -> np.ndarray:

@@ -103,12 +103,9 @@ class PermKey:
                 swaps.append((a0, other))
         return swaps
 
-    def word(self, rows: int = 1) -> list[tuple[str, tuple[int, ...]]]:
-        """The column swaps applied to each of `rows` register rows, as
-        one SWAP word."""
-        n_cols = 2 * self.m
-        return [("SWAP", (r * n_cols + a, r * n_cols + b))
-                for r in range(rows) for a, b in self.column_swaps()]
+    def word(self) -> list[tuple[str, tuple[int, ...]]]:
+        """The column swaps on one register row, as one SWAP word."""
+        return [("SWAP", swap) for swap in self.column_swaps()]
 
     def data_columns(self) -> list[int]:
         """Where the m data-bearing columns sit after encryption."""
@@ -455,8 +452,8 @@ def _transposition_chain(m: int) -> list[list[PermKey]]:
     return factors
 
 
-def perm_scheme(m: int, rows: int = 1) -> SchemeDescriptor:
-    """Permutation-key scheme descriptor on a rows x 2m register.
+def perm_scheme(m: int) -> SchemeDescriptor:
+    """Permutation-key scheme descriptor on one row of 2m columns.
 
     Key enumeration is (2m)!, so exact sweeps stop at m = 3 (720 keys
     on the 6-qubit dense oracle); the key average runs as a chain of
@@ -465,8 +462,8 @@ def perm_scheme(m: int, rows: int = 1) -> SchemeDescriptor:
     column permutations, which is why decryption never depends on the
     delegated circuit.
     """
-    n = rows * 2 * m
-    count = math.factorial(2 * m)
+    n = 2 * m
+    count = math.factorial(n)
 
     def allows(comp: CliffordOp) -> bool:
         if comp.n_qubits != n:
@@ -474,7 +471,7 @@ def perm_scheme(m: int, rows: int = 1) -> SchemeDescriptor:
         for c in range(2 * m - 1):
             swap = PermKey(m, tuple(
                 [*range(c), c + 1, c, *range(c + 2, 2 * m)]))
-            op = CliffordOp.from_gates(n, swap.word(rows))
+            op = CliffordOp.from_gates(n, swap.word())
             if comp.compose(op) != op.compose(comp):
                 return False
         return True
@@ -482,7 +479,7 @@ def perm_scheme(m: int, rows: int = 1) -> SchemeDescriptor:
     def encrypt_word(key: PermKey) -> list[tuple[str, tuple[int, ...]]]:
         if key.m != m:
             raise SchemeError("key/register size mismatch")
-        return key.word(rows)
+        return key.word()
 
     return SchemeDescriptor(
         name=f"perm-m{m}",
@@ -492,17 +489,14 @@ def perm_scheme(m: int, rows: int = 1) -> SchemeDescriptor:
         sample_key=lambda rng: PermKey.sample(m, rng),
         encrypt_word=encrypt_word,
         transport=lambda k, c: k,
-        lift=lambda c: c,
         allows=allows,
         key_factors=lambda: _transposition_chain(m),
     )
 
 
-def spread_basis_input(m: int, bit: int, rows: int = 1) -> DensityMatrix:
+def spread_basis_input(m: int, bit: int) -> DensityMatrix:
     """Dense spread register state for a computational-basis data qubit
     (valid at any m, used by the exact security sweeps)."""
-    if rows != 1:
-        raise RegisterError("dense sweep inputs are single-row")
     if 2 * m > DENSE_QUBIT_CAP:
         raise RegisterError("dense cap exceeded")
     reg = SpreadRegister(m)

@@ -182,8 +182,8 @@ def audit_transcript(session_factory, plaintexts: list[str], n_runs: int,
     """Empirical per-slot leakage: total-variation distance between the
     classical-message distributions across plaintexts.
 
-    session_factory(plaintext, rng) must return a Transcript (or a tuple
-    whose last element is one).  Requires >= 1000 runs per plaintext.
+    session_factory(plaintext, rng) must return a Transcript.  Requires
+    >= 1000 runs per plaintext.
     """
     if n_runs < 1000:
         raise ProtocolViolation("insufficient samples: need >= 1000 runs")
@@ -195,8 +195,7 @@ def audit_transcript(session_factory, plaintexts: list[str], n_runs: int,
         for i in range(n_runs):
             # disjoint seed streams per plaintext
             rng = np.random.default_rng(base_seed + 1_000_003 * p_idx + i)
-            result = session_factory(plain, rng)
-            transcript = result[-1] if isinstance(result, tuple) else result
+            transcript = session_factory(plain, rng)
             for slot, msg in enumerate(transcript.messages):
                 if msg.kind != "classical-bits":
                     continue

@@ -1,21 +1,24 @@
 """Abstract scheme algebra: scheme tuples, the security metric, decryption
 derivation, scheme composition, and the encode/encrypt commutation check.
 
-A scheme is the tuple (state space, keys, allowed computations, lift map,
-encryption family).  Encryption here is always a Clifford channel, given
-per key as one elementary gate word: `encrypt` replays the word on a
-state and `decrypt` its inverse (so `Decr_k` is the adjoint of `Encr_k`),
-and the tableau `encrypt_op` is built only where channels are compared.
-Key transport is the executable form of the commutation f: moving an
-encryption through a computation yields the same computation followed by
+A scheme is the tuple (state space, keys, allowed computations,
+homomorphism phi, encryption family).  Every scheme here delegates the
+computation verbatim, so phi is the identity and is not stored.
+Encryption is always a Clifford channel, given per key as one elementary
+gate word: `encrypt` replays the word on a state and `decrypt` its
+inverse (so `Decr_k` is the adjoint of `Encr_k`), and the tableau
+`encrypt_op` is built only where channels are compared.  Key transport
+is the executable form of the commutation f: moving an encryption
+through a computation yields the same computation followed by
 encryption under the transported key.
 
-Key averages are exact sums over every key ("exact-sweep").  A scheme
-whose keys form a group may declare `key_factors`: lists of keys such
-that every key is exactly one product of one key per list (the first
-list's key applied first), each list starting with the identity key.
-The average then runs as a chain of small twirls, one per list, so the
-720 keys of a 6-column permutation scheme cost 2 + 3 + 4 + 5 + 6
+Key averages are exact sums over every key ("exact-sweep"); they need a
+dense state of at most 6 qubits, so no scheme here has over 4^6 keys.  A
+scheme whose keys form a group may declare `key_factors`: lists of keys
+such that every key is exactly one product of one key per list (the
+first list's key applied first), each list starting with the identity
+key.  The average then runs as a chain of small twirls, one per list, so
+the 720 keys of a 6-column permutation scheme cost 2 + 3 + 4 + 5 + 6
 encryptions and the 4^n Pauli keys 4n.
 """
 from __future__ import annotations
@@ -42,7 +45,8 @@ class KeySpaceError(SchemeError):
 
 @dataclass(frozen=True)
 class SchemeDescriptor:
-    """Concrete QHE scheme: callables over an opaque key type.
+    """Concrete QHE scheme: callables over an opaque key type.  phi is the
+    identity, so `transport` moves keys through the computation itself.
 
     `key_from_pauli`, set by schemes whose keys are Pauli strings (a key k
     is then the channel of k.pauli), maps a +1-signed Pauli back to its
@@ -57,7 +61,6 @@ class SchemeDescriptor:
     sample_key: Callable[[np.random.Generator], object]
     encrypt_word: Callable[[object], list[tuple[str, tuple[int, ...]]]]
     transport: Callable[[object, CliffordOp], object]   # forward transport
-    lift: Callable[[CliffordOp], CliffordOp]            # homomorphism phi
     allows: Callable[[CliffordOp], bool]
     key_from_pauli: Callable[[PauliString], object] | None = None
     key_factors: Callable[[], list[list]] | None = None
@@ -78,14 +81,14 @@ class SchemeDescriptor:
         return self._replay(_inverse_word(self.encrypt_word(key)), state)
 
     def transport_back(self, key, comp: CliffordOp):
-        """Reverse transport: the f with Encr_k . C = phi(C) . Encr_f."""
+        """Reverse transport: the f with Encr_k . C = C . Encr_f."""
         return self.transport(key, comp.inverse())
 
 
 @dataclass(frozen=True)
 class SecurityReport:
     delta: float
-    method: str                 # "exact-sweep" | "sampled"
+    method: str                 # always "exact-sweep"
     key_count: int
     witness_pair: tuple[int, int]
 
@@ -144,44 +147,26 @@ def ciphertext_average(scheme: SchemeDescriptor, rho: DensityMatrix) -> DensityM
     return _key_average(scheme, factors, rho, scheme.key_count)
 
 
-def security_delta(scheme: SchemeDescriptor, inputs,
-                   rng: np.random.Generator | None = None,
-                   exact_limit: int = 10 ** 6,
-                   sample_count: int = 4096) -> SecurityReport:
+def security_delta(scheme: SchemeDescriptor, inputs) -> SecurityReport:
     """Max pairwise trace distance between key-averaged ciphertexts."""
     inputs = list(inputs)
     if not inputs:
         raise SchemeError("empty input set")
     if len(inputs) < 2:
         raise SchemeError("security delta compares at least two inputs")
-    if scheme.key_count is None:
-        raise KeySpaceError(f"{scheme.name} has no enumerable key space")
-    if scheme.key_count <= exact_limit:
-        method = "exact-sweep"
-        averaged = [ciphertext_average(scheme, rho) for rho in inputs]
-        swept = scheme.key_count
-    else:
-        if rng is None:
-            raise SchemeError("sampled sweep needs an rng")
-        method = "sampled"
-        keys = [scheme.sample_key(rng) for _ in range(sample_count)]
-        averaged = [_key_average(scheme, [keys], rho, sample_count)
-                    for rho in inputs]
-        swept = sample_count
-    best = 0.0
-    pair = (0, 0)
-    for i in range(len(averaged)):
-        for j in range(i + 1, len(averaged)):
-            d = trace_distance(averaged[i], averaged[j])
-            if d > best:
-                best, pair = d, (i, j)
-    return SecurityReport(delta=best, method=method, key_count=swept,
-                          witness_pair=pair)
+    averaged = [ciphertext_average(scheme, rho) for rho in inputs]
+    best, pair = 0.0, (0, 0)
+    for i, j in itertools.combinations(range(len(averaged)), 2):
+        d = trace_distance(averaged[i], averaged[j])
+        if d > best:
+            best, pair = d, (i, j)
+    return SecurityReport(delta=best, method="exact-sweep",
+                          key_count=scheme.key_count, witness_pair=pair)
 
 
 def derive_decryption(scheme: SchemeDescriptor, key, comp) -> Decryption:
     """Decr_{k,C}: adjoint of the encryption under the transported key, so
-    that Decr . phi(C) . Encr_k == C on every state."""
+    that Decr . C . Encr_k == C on every state."""
     comp = _as_clifford(comp)
     if not scheme.allows(comp):
         raise SchemeError(f"computation not in the allowed set of {scheme.name}")
@@ -276,10 +261,6 @@ def compose_schemes(schemes) -> SchemeDescriptor:
         return [[lifted(base, idx, key) for key in factor]
                 for idx, factors in enumerate(per_scheme) for factor in factors]
 
-    def lift(comp: CliffordOp) -> CliffordOp:
-        # all shipped schemes delegate the computation verbatim
-        return comp
-
     return SchemeDescriptor(
         name="*".join(s.name for s in schemes),
         n_qubits=n,
@@ -288,7 +269,6 @@ def compose_schemes(schemes) -> SchemeDescriptor:
         sample_key=sample_key,
         encrypt_word=encrypt_word,
         transport=transport,
-        lift=lift,
         allows=allows,
         key_factors=(key_factors if all(s.key_factors is not None
                                         for s in schemes) else None),

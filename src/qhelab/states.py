@@ -733,7 +733,8 @@ class DensityMatrix:
     def apply_pauli(self, p: PauliString) -> "DensityMatrix":
         _check_pauli(self.n_qubits, p)
         idx, s = _signed_permutation(p.x, p.z, p.phase)
-        return _dense(np.outer(s, s.conj()) * self.mat[np.ix_(idx, idx)])
+        out = self.mat.take(idx, 0).take(idx, 1)
+        return _dense(out * (s[:, None] * s.conj()))
 
     def measure_pauli(self, k: PauliString, rng: np.random.Generator,
                       label: str = "m", force: int | None = None,
@@ -873,13 +874,14 @@ def trace_distance(a, b) -> float:
 
 
 def evaluate_circuit(state, circuit: Circuit, rng: np.random.Generator,
-                     forced: dict[str, int] | None = None,
-                     allow_t: bool = False):
-    """Run a circuit on any backend.
+                     forced: dict[str, int] | None = None):
+    """Run a Clifford circuit with Z measurements and classically
+    controlled Paulis on any backend; `forced` fixes the outcomes of the
+    named bits.
 
-    Returns (state, records dict).  T markers need allow_t=True and a
-    backend that can hold them (plain-evaluation references on the dense
-    oracle); encrypted T handling lives in the scheme modules.
+    Returns (state, records dict).  A T gate raises BackendError: plain
+    T references apply their gates to a dense state directly, and
+    encrypted T handling lives in the scheme modules.
     """
     forced = forced or {}
     records: dict[str, MeasurementRecord] = {}
@@ -895,7 +897,7 @@ def evaluate_circuit(state, circuit: Circuit, rng: np.random.Generator,
             if records[g.bit].outcome:
                 p = PauliString.single(circuit.n_qubits, g.qubits[0], g.pauli)
                 state = state.apply_pauli(p)
-        elif g.name == "T" and not allow_t:
+        elif g.name == "T":
             raise BackendError("T gate requires the dense reference path")
         else:
             state = state.apply_gate(g.name, g.qubits)

@@ -1,4 +1,5 @@
 """CLI contract: exit codes, determinism, formats."""
+import hashlib
 import json
 import os
 import subprocess
@@ -106,6 +107,37 @@ class TestSecurity:
         code, _ = run_cli(["security", "pauli", "--inputs",
                            "0000000000,1111111111", "--seed", "2"])
         assert code == 2
+
+
+SECURITY_RUNS = [
+    *(["perm", "-m", m, "--inputs", inputs]
+      for m in ("1", "2", "3") for inputs in ("0,1", "1,0")),
+    ["pauli", "--inputs", "0+,1-"],
+    ["pauli", "--inputs", "000,+1T"],
+    ["zkey", "--inputs", "++,-+"],
+]
+# sha256 over the stdout and exit code of each SECURITY_RUNS entry at --seed 3
+SECURITY_SHA256 = "fc48098c9de2cad238f1177a7845b25ed259ffa310216af1206cdcb8d10288af"
+
+
+def security_digest() -> str:
+    digest = hashlib.sha256()
+    for argv in SECURITY_RUNS:
+        code, out = run_cli(["security", *argv, "--seed", "3"])
+        digest.update(f"{' '.join(argv)}\n{code}\n{out}".encode())
+    return digest.hexdigest()
+
+
+class TestSecurityGolden:
+    def test_outputs_pinned(self):
+        assert security_digest() == SECURITY_SHA256
+
+    def test_no_seed_needed(self, monkeypatch):
+        argv = ["security", "perm", "-m", "1", "--inputs", "0,1"]
+        monkeypatch.delenv("QHELAB_SEED", raising=False)
+        code, out = run_cli(argv)
+        assert code == 0
+        assert out == run_cli(argv + ["--seed", "3"])[1]
 
 
 class TestQecDemo:

@@ -3,8 +3,9 @@
 S, X, Y, Z, CNOT and CZ have one nonzero per row, so u rho u^dag only moves
 and re-phases entries of rho.  These tests hold the gather to the
 superoperator contraction it replaced, show that only H and T still
-contract, and hold the outer-product builds of product vectors and
-tensors to np.kron."""
+contract, hold a Pauli's signed gather to the np.ix_ form it replaced,
+and hold the outer-product builds of product vectors and tensors to
+np.kron."""
 import functools
 import itertools
 
@@ -13,6 +14,7 @@ import pytest
 
 from qhelab import states
 from qhelab.paulikey import PauliKey, encrypt, prepare_magic_register
+from qhelab.paulis import PauliString, _signed_permutation
 from qhelab.states import (_GATE_MATS, _GATE_SUPEROPS, DensityMatrix,
                            StabilizerState, _apply_on_bits, _dense,
                            statevector)
@@ -94,6 +96,23 @@ def test_only_h_and_t_contract(monkeypatch):
     assert sorted(contracted) == ["H", "H", "T", "T"]
     assert len(ops) == 4
     assert sorted(_GATE_SUPEROPS) == ["H", "T"]
+
+
+class TestPauliGather:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_fancy_index_bitwise(self, n):
+        """apply_pauli's two `take` gathers and phase product equal the
+        np.ix_ gather times np.outer(s, s.conj()) byte for byte, on random
+        pure states and Paulis of every phase."""
+        rng = np.random.default_rng(100 + n)
+        for _ in range(200):
+            rho = DensityMatrix.random_pure(n, rng)
+            p = PauliString(rng.integers(0, 2, n, dtype=np.uint8),
+                            rng.integers(0, 2, n, dtype=np.uint8),
+                            int(rng.integers(4)))
+            idx, s = _signed_permutation(p.x, p.z, p.phase)
+            want = np.outer(s, s.conj()) * rho.mat[np.ix_(idx, idx)]
+            assert rho.apply_pauli(p).mat.tobytes() == want.tobytes()
 
 
 class TestOuterProductsMatchKron:

@@ -111,6 +111,15 @@ class TestAverageMatchesPerKeySum:
         assert (rep.method, rep.key_count) == ("exact-sweep", 720)
         assert rep.delta == 0.12499999999999997
 
+    def test_largest_dense_key_group_is_swept(self):
+        """The 6-qubit dense cap bounds every key group: pauli_scheme(6)'s
+        4^6 keys are the most any scheme here has, and they are averaged
+        exactly."""
+        rep = security_delta(pauli_scheme(6), [DensityMatrix.product("000000"),
+                                               DensityMatrix.product("1+0-i1")])
+        assert (rep.method, rep.key_count) == ("exact-sweep", 4096)
+        assert rep.delta < 1e-15
+
     def test_one_encryption_per_factor_key(self, monkeypatch):
         calls = []
         encrypt = SchemeDescriptor.encrypt
