@@ -10,6 +10,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -18,11 +19,11 @@ import sys
 import numpy as np
 
 from . import cv, qec, resources
-from .paulis import Circuit, PauliAlgebraError, parse_circuit
+from .paulis import Circuit, Gate, PauliAlgebraError, parse_circuit
 from .paulikey import PauliKey, pauli_scheme, zkey_scheme
 from .permkey import (PermKey, perm_scheme, security_bound,
                       spread_basis_input, build_t_register,
-                      t_gate_deterministic, t_gate_probabilistic)
+                      t_gate_probabilistic)
 from .protocol import (ProtocolViolation, audit_transcript, canary_session,
                        run_session)
 from .schemes import SchemeError, security_delta
@@ -168,7 +169,6 @@ def cmd_t_gate(args) -> int:
         sys.stderr.write("error: t-gate needs --trials >= 1\n")
         return USAGE_ERROR
     rng = _rng(args)
-    transcripts = []
     if args.mode == "prob":
         succ = 0
         for _ in range(args.trials):
@@ -182,17 +182,14 @@ def cmd_t_gate(args) -> int:
         _emit(args, json.dumps({"mode": "prob", "trials": args.trials,
                                 "success_rate": rate}))
         return 0 if 0.4 <= rate <= 0.6 else CHECK_FAILED
-    worst = 0.0
-    ref = DensityMatrix.product(args.plaintext).apply_gate("T", (0,))
-    for _ in range(args.trials):
-        key = PermKey.sample(args.m, rng)
-        reg, client, budget = build_t_register(args.plaintext, args.m, 1,
-                                               key, rng)
-        transcripts.append(t_gate_deterministic(reg, 0, budget, client, rng))
-        reg.decrypt(key)
-        worst = max(worst, trace_distance(reg.data_qubit_density(0), ref))
+    t_circuit = Circuit(1, (Gate("T", (0,)),))
+    runs = [run_session("perm", args.plaintext, t_circuit, rng, m=args.m)
+            for _ in range(args.trials)]
+    worst = max(trace_distance(out, ref) for out, ref, _ in runs)
+    sample = [dataclasses.asdict(msg) for msg in runs[0][2].messages
+              if msg.kind == "classical-bits"]
     blob = {"mode": "det", "trials": args.trials, "worst_distance": worst,
-            "transcript_sample": transcripts[0] if transcripts else []}
+            "transcript_sample": sample}
     _emit(args, json.dumps(blob, indent=2))
     return 0 if worst < 1e-10 else CHECK_FAILED
 

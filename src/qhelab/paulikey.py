@@ -116,7 +116,6 @@ def pauli_scheme(n: int) -> SchemeDescriptor:
         n_qubits=n,
         key_count=4 ** n,
         iter_keys=lambda: all_keys(n),
-        sample_key=lambda rng: PauliKey.random(n, rng),
         encrypt_word=_word_on(n),
         transport=lambda k, c: transport_key(k, c)[0],
         allows=lambda c: isinstance(c, CliffordOp) and c.n_qubits == n,
@@ -137,7 +136,6 @@ def trivial_scheme(n: int) -> SchemeDescriptor:
         n_qubits=n,
         key_count=1,
         iter_keys=lambda: iter([PauliKey.identity(n)]),
-        sample_key=lambda rng: PauliKey.identity(n),
         encrypt_word=_word_on(n),
         transport=lambda k, c: PauliKey.identity(n),
         allows=lambda c: c.is_identity_channel(),
@@ -166,8 +164,6 @@ def zkey_scheme(n: int) -> SchemeDescriptor:
         n_qubits=n,
         key_count=2 ** n,
         iter_keys=keys,
-        sample_key=lambda rng: PauliKey(PauliString(
-            np.zeros(n, np.uint8), rng.integers(0, 2, n, dtype=np.uint8), 0)),
         encrypt_word=_word_on(n),
         transport=lambda k, c: transport_key(k, c)[0],
         allows=allows,
@@ -466,7 +462,6 @@ def compose_with_stabilizer_code(code) -> SchemeDescriptor:
         n_qubits=n,
         key_count=4 ** k,
         iter_keys=lambda: all_keys(k),
-        sample_key=lambda rng: PauliKey.random(k, rng),
         encrypt_word=lambda key: key_word(key) + list(enc.gates),
         transport=transport,
         allows=allows,

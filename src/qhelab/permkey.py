@@ -486,7 +486,6 @@ def perm_scheme(m: int) -> SchemeDescriptor:
         n_qubits=n,
         key_count=count,
         iter_keys=lambda: _all_perms(m),
-        sample_key=lambda rng: PermKey.sample(m, rng),
         encrypt_word=encrypt_word,
         transport=lambda k, c: k,
         allows=allows,
@@ -572,6 +571,18 @@ def build_t_register(plaintext: str, m: int, n_t: int, key: PermKey,
     return reg, client, TGateBudget(bundles=bundles)
 
 
+def _teleport(reg: SpreadRegister, data_row: int, row: int,
+              client: PermClient, rng: np.random.Generator):
+    """Transversal CNOT from the data row into `row`, then read `row` out.
+
+    Returns the server's message carrying the 2m bits, and the logical
+    outcome that only the client can read from them."""
+    reg.transversal_pair("CNOT", data_row, row)
+    bits = reg.measure_row(row, rng)
+    message = {"sender": "server", "kind": "classical-bits", "payload": bits}
+    return message, client.parity(bits)
+
+
 def t_gate_probabilistic(reg: SpreadRegister, data_row: int, magic_row: int,
                          client: PermClient, rng: np.random.Generator):
     """Gate teleportation without the correction round: succeeds (plain T)
@@ -581,11 +592,8 @@ def t_gate_probabilistic(reg: SpreadRegister, data_row: int, magic_row: int,
     """
     if reg.roles[magic_row] != "magic":
         raise SchemeError("missing magic row")
-    reg.transversal_pair("CNOT", data_row, magic_row)
-    bits = reg.measure_row(magic_row, rng)
-    outcome = client.parity(bits)
-    messages = [{"sender": "server", "kind": "classical-bits", "payload": bits}]
-    return outcome == 0, bits, messages
+    message, outcome = _teleport(reg, data_row, magic_row, client, rng)
+    return outcome == 0, message["payload"], [message]
 
 
 def t_gate_deterministic(reg: SpreadRegister, data_row: int,
@@ -605,33 +613,22 @@ def t_gate_deterministic(reg: SpreadRegister, data_row: int,
     """
     bundle = budget.take()
     tag = bundle["tag"]
-    messages = []
 
-    reg.transversal_pair("CNOT", data_row, bundle["magic"])
-    bits1 = reg.measure_row(bundle["magic"], rng)
-    messages.append({"sender": "server", "kind": "classical-bits",
-                     "payload": bits1})
-    o1 = client.parity(bits1)
-
+    sent1, o1 = _teleport(reg, data_row, bundle["magic"], client, rng)
     row_a = client.row_for(f"{tag}a", "plusi" if o1 else "plus")
-    messages.append({"sender": "client", "kind": "classical-bits",
-                     "payload": [bundle["slots_a"].index(row_a)]})
-    reg.transversal_pair("CNOT", data_row, row_a)
-    bits2 = reg.measure_row(row_a, rng)
-    messages.append({"sender": "server", "kind": "classical-bits",
-                     "payload": bits2})
-    o2 = client.parity(bits2)
-    c = o1 & o2
-
-    row_b = client.row_for(f"{tag}b", "one" if c else "zero")
-    messages.append({"sender": "client", "kind": "classical-bits",
-                     "payload": [bundle["slots_b"].index(row_b)]})
+    sent2, o2 = _teleport(reg, data_row, row_a, client, rng)
+    row_b = client.row_for(f"{tag}b", "one" if o1 & o2 else "zero")
     reg.controlled_z(row_b, data_row)
     # burn the consumed pair rows
     for row in (*bundle["slots_a"], *bundle["slots_b"]):
         if reg.alive[row]:
             reg.discard_row(row)
-    return messages
+    return [sent1,
+            {"sender": "client", "kind": "classical-bits",
+             "payload": [bundle["slots_a"].index(row_a)]},
+            sent2,
+            {"sender": "client", "kind": "classical-bits",
+             "payload": [bundle["slots_b"].index(row_b)]}]
 
 
 # ---------------------------------------------------------------------------
@@ -698,14 +695,8 @@ def encrypted_syndrome_protocol(reg: SpreadRegister, stabilizer: PauliString,
         raise SchemeError("no fresh encrypted ancilla rows remain")
     for i, row in enumerate(rows):
         letter = stabilizer.restricted_letter(i)
-        if letter == "I":
-            continue
-        if letter == "X":
-            reg.transversal_pair("CNOT", ancilla_row, row)
-        elif letter == "Z":
-            reg.controlled_z(ancilla_row, row)
-        else:
-            raise SchemeError("Y-type inner stabilizers are not supported")
+        if letter != "I":
+            apply_conditional_logical(reg, letter, row, ancilla_row)
     bits = reg.measure_row(ancilla_row, rng, basis="X")
     messages = [{"sender": "server", "kind": "classical-bits", "payload": bits}]
     parity = client.parity(bits)
@@ -714,10 +705,11 @@ def encrypted_syndrome_protocol(reg: SpreadRegister, stabilizer: PauliString,
 
 def apply_conditional_logical(reg: SpreadRegister, letter: str, row: int,
                               control_row: int) -> None:
-    """Controlled logical Pauli on `row` from an encrypted |0>/|1> row."""
+    """Controlled logical Pauli on `row` from an encrypted control row
+    (a |0>/|1> correction row, or a |+> syndrome ancilla)."""
     if letter == "X":
         reg.transversal_pair("CNOT", control_row, row)
     elif letter == "Z":
         reg.controlled_z(control_row, row)
     else:
-        raise SchemeError("only X/Z conditional corrections are supported")
+        raise SchemeError("only X/Z controlled logical Paulis are supported")

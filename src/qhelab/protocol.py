@@ -5,16 +5,27 @@ classical messages are plain bits and are the only thing the audit looks
 at.  The server never holds a key: session code is structured so key
 material lives exclusively in client-side objects, and the audit includes
 a deliberately broken canary scheme to prove the test has teeth.
+
+`run_session` is the one session loop.  A private per-scheme session
+object encrypts when it is built and makes every client draw there: the
+key, then the Pauli scheme's magic-wire keys or the permutation scheme's
+pair orders.  The runner logs both quantum handoffs, sends each gate
+through the session's `step(gate, rng)` (a Clifford runs verbatim; a T
+runs the scheme's gadget, which draws its measurements from rng and
+returns the classical messages the runner logs), has the session decrypt,
+and builds the plain reference.  `canary_session` stays outside: it puts
+its key on the wire, the very boundary the runner's sessions keep.
 """
 from __future__ import annotations
 
 import json
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
-from .paulis import Circuit
+from .paulis import Circuit, PauliString
 from .paulikey import PauliKey, inject_t_gate, prepare_magic_register
 from .permkey import PermKey, build_t_register, t_gate_deterministic
 from .states import DensityMatrix
@@ -53,84 +64,93 @@ class Transcript:
         return "\n".join(json.dumps(m.to_json()) for m in self.messages) + "\n"
 
 
+class _PauliSession:
+    """Pauli keys on a dense [data | magic] register; T through
+    `inject_t_gate`.  Draws the data key, then the magic-wire keys."""
+
+    def __init__(self, plaintext: str, circuit: Circuit,
+                 rng: np.random.Generator, m: int):
+        self.n_data = circuit.n_qubits
+        if len(plaintext) != self.n_data:
+            raise ProtocolViolation("plaintext length must match the register")
+        key = PauliKey.random(self.n_data, rng)
+        self.state, self.tracker, self.magic = prepare_magic_register(
+            DensityMatrix.product(plaintext), key, circuit.t_count(), rng)
+
+    def qubits(self) -> int:
+        return self.state.n_qubits
+
+    def step(self, gate, rng: np.random.Generator):
+        if gate.name == "T":
+            self.state, msgs = inject_t_gate(self.state, gate.qubits[0],
+                                             self.magic, self.tracker, rng)
+            return msgs
+        if gate.name == "M":
+            raise ProtocolViolation("mid-circuit measurement sessions are "
+                                    "driven through the QEC layer")
+        self.state = self.state.apply_gate(gate.name, gate.qubits)
+        self.tracker.absorb(gate.name, gate.qubits)
+        return ()
+
+    def decrypt(self):
+        return self.tracker.decrypt(self.state).partial_trace(
+            list(range(self.n_data)))
+
+
+class _PermSession:
+    """Permutation key on one spread data row; Cliffords transversal, T
+    through `t_gate_deterministic`.  Draws the key, then the client's
+    pair orders."""
+
+    def __init__(self, plaintext: str, circuit: Circuit,
+                 rng: np.random.Generator, m: int):
+        if circuit.n_qubits != 1:
+            raise ProtocolViolation("permutation sessions hold one data row")
+        self.key = PermKey.sample(m, rng)
+        self.reg, self.client, self.budget = build_t_register(
+            plaintext, m, circuit.t_count(), self.key, rng)
+
+    def qubits(self) -> int:
+        return sum(self.reg.alive) * self.reg.n_cols
+
+    def step(self, gate, rng: np.random.Generator):
+        if gate.name == "T":
+            return t_gate_deterministic(self.reg, 0, self.budget, self.client,
+                                        rng)
+        if gate.name not in ("H", "S", "X", "Y", "Z"):
+            raise ProtocolViolation(f"{gate.name} is not a single-row gate")
+        self.reg.transversal_single(0, gate.name)
+        return ()
+
+    def decrypt(self):
+        self.reg.decrypt(self.key)
+        return self.reg.data_qubit_density(0)
+
+
+_SESSIONS = {"pauli": _PauliSession, "perm": _PermSession}
+
+
 def run_session(scheme: str, plaintext: str, circuit: Circuit,
                 rng: np.random.Generator, m: int = 1):
     """Full encrypt -> hand off -> evaluate -> return -> decrypt flow.
 
-    scheme: "pauli" or "perm".  Returns (decrypted output, reference
+    scheme: "pauli" or "perm"; m spreads each perm row over 2m columns
+    and the Pauli scheme ignores it.  Returns (decrypted output, reference
     plain evaluation, Transcript).
     """
-    if scheme == "pauli":
-        return _run_pauli_session(plaintext, circuit, rng)
-    if scheme == "perm":
-        return _run_perm_session(plaintext, circuit, rng, m)
-    raise ProtocolViolation(f"unknown scheme {scheme!r}")
-
-
-def _run_pauli_session(plaintext: str, circuit: Circuit,
-                       rng: np.random.Generator):
-    n = circuit.n_qubits
-    if len(plaintext) != n:
-        raise ProtocolViolation("plaintext length must match the register")
+    if scheme not in _SESSIONS:
+        raise ProtocolViolation(f"unknown scheme {scheme!r}")
+    session = _SESSIONS[scheme](plaintext, circuit, rng, m)
     transcript = Transcript()
-    n_t = circuit.t_count()
-
-    # client: prepare, encrypt, hand off
-    rho = DensityMatrix.product(plaintext)
-    key = PauliKey.random(n, rng)
-    cipher, tracker, magic = prepare_magic_register(rho, key, n_t, rng)
-    transcript.log("client", "quantum-handoff", [cipher.n_qubits])
-
-    # server: verbatim Cliffords; T markers through the injection gadget
-    state = cipher
+    transcript.log("client", "quantum-handoff", [session.qubits()])
     for g in circuit.gates:
-        if g.name == "T":
-            state, msgs = inject_t_gate(state, g.qubits[0], magic, tracker, rng)
-            for msg in msgs:
-                transcript.log(msg["sender"], msg["kind"], msg["payload"])
-        elif g.name == "M":
-            raise ProtocolViolation("mid-circuit measurement sessions are "
-                                    "driven through the QEC layer")
-        else:
-            state = state.apply_gate(g.name, g.qubits)
-            tracker.absorb(g.name, g.qubits)
-
-    # server returns the register; client decrypts
-    transcript.log("server", "quantum-handoff", [state.n_qubits])
-    output = tracker.decrypt(state)
-
-    # plain-evaluation reference on the data wires
+        for msg in session.step(g, rng):
+            transcript.log(msg["sender"], msg["kind"], msg["payload"])
+    transcript.log("server", "quantum-handoff", [session.qubits()])
+    output = session.decrypt()
     ref = DensityMatrix.product(plaintext).apply_gates(
         (g.name, g.qubits) for g in circuit.gates)
-    out_data = output.partial_trace(list(range(n)))
-    return out_data, ref, transcript
-
-
-def _run_perm_session(plaintext: str, circuit: Circuit,
-                      rng: np.random.Generator, m: int):
-    if circuit.n_qubits != 1:
-        raise ProtocolViolation("permutation sessions hold one data row")
-    transcript = Transcript()
-    n_t = circuit.t_count()
-    key = PermKey.sample(m, rng)
-    reg, client, budget = build_t_register(plaintext, m, n_t, key, rng)
-    transcript.log("client", "quantum-handoff",
-                   [sum(reg.alive) * reg.n_cols])
-    for g in circuit.gates:
-        if g.name == "T":
-            msgs = t_gate_deterministic(reg, 0, budget, client, rng)
-            for msg in msgs:
-                transcript.log(msg["sender"], msg["kind"], msg["payload"])
-        elif g.name in ("H", "S", "X", "Y", "Z"):
-            reg.transversal_single(0, g.name)
-        else:
-            raise ProtocolViolation(f"{g.name} is not a single-row gate")
-    transcript.log("server", "quantum-handoff",
-                   [sum(reg.alive) * reg.n_cols])
-    reg.decrypt(key)
-    ref = DensityMatrix.product(plaintext).apply_gates(
-        (g.name, g.qubits) for g in circuit.gates)
-    return reg.data_qubit_density(0), ref, transcript
+    return output, ref, transcript
 
 
 def canary_session(plaintext: str, circuit: Circuit,
@@ -143,7 +163,6 @@ def canary_session(plaintext: str, circuit: Circuit,
     key = PauliKey.random(n, rng)
     cipher = rho.apply_pauli(key.pauli)
     transcript.log("client", "quantum-handoff", [n])
-    from .paulis import PauliString
     state, rec = cipher.measure_pauli(PauliString.single(n, 0, "Z"), rng,
                                       label="leak")
     # raw outcome + the key bits that decrypt it: plaintext in the clear
@@ -180,7 +199,8 @@ def load_session_config(path: str) -> dict:
 def audit_transcript(session_factory, plaintexts: list[str], n_runs: int,
                      base_seed: int = 0) -> dict:
     """Empirical per-slot leakage: total-variation distance between the
-    classical-message distributions across plaintexts.
+    classical-message distributions across plaintexts, taken from the
+    integer counts as sum_k |a_k - b_k| / (2 n_runs), so it is at most 1.
 
     session_factory(plaintext, rng) must return a Transcript.  Requires
     >= 1000 runs per plaintext.
@@ -206,13 +226,11 @@ def audit_transcript(session_factory, plaintexts: list[str], n_runs: int,
               "slots": {}, "max_tv": 0.0}
     for slot in slot_ids:
         worst = 0.0
-        for i in range(len(plaintexts)):
-            for j in range(i + 1, len(plaintexts)):
-                a = per_plain[plaintexts[i]].get(slot, Counter())
-                b = per_plain[plaintexts[j]].get(slot, Counter())
-                keys = set(a) | set(b)
-                tv = 0.5 * sum(abs(a[k] / n_runs - b[k] / n_runs) for k in keys)
-                worst = max(worst, tv)
+        for pa, pb in combinations(plaintexts, 2):
+            a = per_plain[pa].get(slot, Counter())
+            b = per_plain[pb].get(slot, Counter())
+            diff = sum(abs(a[k] - b[k]) for k in set(a) | set(b))
+            worst = max(worst, diff / (2 * n_runs))
         report["slots"][slot] = worst
         report["max_tv"] = max(report["max_tv"], worst)
     return report

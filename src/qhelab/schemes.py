@@ -58,7 +58,6 @@ class SchemeDescriptor:
     n_qubits: int
     key_count: int | None                      # None: not enumerable
     iter_keys: Callable[[], Iterator]
-    sample_key: Callable[[np.random.Generator], object]
     encrypt_word: Callable[[object], list[tuple[str, tuple[int, ...]]]]
     transport: Callable[[object, CliffordOp], object]   # forward transport
     allows: Callable[[CliffordOp], bool]
@@ -200,9 +199,6 @@ def compose_schemes(schemes) -> SchemeDescriptor:
     def iter_keys():
         return itertools.product(*[s.iter_keys() for s in schemes])
 
-    def sample_key(rng):
-        return tuple(s.sample_key(rng) for s in schemes)
-
     def encrypt_word(keys):
         return [(name, tuple(q + off for q in qs))
                 for s, k, off in zip(schemes, keys, offsets)
@@ -266,7 +262,6 @@ def compose_schemes(schemes) -> SchemeDescriptor:
         n_qubits=n,
         key_count=key_count,
         iter_keys=iter_keys,
-        sample_key=sample_key,
         encrypt_word=encrypt_word,
         transport=transport,
         allows=allows,

@@ -59,7 +59,7 @@ class TestAcceptance:
             rng = np.random.default_rng(seed)
             n = int(rng.integers(1, 4))
             sch = pauli_scheme(n)
-            key = sch.sample_key(rng)
+            key = PauliKey.random(n, rng)
             circuit = random_clifford_circuit(n, int(rng.integers(1, 21)), rng)
             comp = CliffordOp.from_circuit(circuit)
             rho = DensityMatrix.random_pure(n, rng)

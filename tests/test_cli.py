@@ -140,6 +140,36 @@ class TestSecurityGolden:
         assert out == run_cli(argv + ["--seed", "3"])[1]
 
 
+TGATE_RUNS = [
+    *(["--seed", seed, "--plaintext", plain, "-m", "1"]
+      for seed in ("0", "4", "99") for plain in ("+", "0", "i")),
+    # the merged magic and data rows exceed the dense cap: exit 2
+    ["--seed", "0", "--plaintext", "+", "-m", "3"],
+]
+# sha256 over the stdout and exit code of `t-gate --mode det --trials 5`
+# at each TGATE_RUNS entry
+TGATE_SHA256 = "389352af33916619630828df143b12e2c57bb24c3c46e13d3992783b7571adee"
+
+
+def tgate_digest() -> str:
+    digest = hashlib.sha256()
+    for argv in TGATE_RUNS:
+        code, out = run_cli(["t-gate", "--mode", "det", "--trials", "5", *argv])
+        digest.update(f"{' '.join(argv)}\n{code}\n{out}".encode())
+    return digest.hexdigest()
+
+
+class TestTGateGolden:
+    def test_outputs_pinned(self):
+        assert tgate_digest() == TGATE_SHA256
+
+    def test_dense_cap_exits_2(self, capsys):
+        code, out = run_cli(["t-gate", "--mode", "det", "--trials", "5",
+                             *TGATE_RUNS[-1]])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestQecDemo:
     @pytest.mark.parametrize("codename,err", [("repetition3", "X1"),
                                               ("steane713", "Z4"),

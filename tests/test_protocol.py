@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from qhelab.cli import main
 from qhelab.paulikey import all_keys, prepare_magic_register
 from qhelab.paulis import Circuit, Gate, parse_circuit
 from qhelab.permkey import RegisterError
@@ -57,6 +58,26 @@ class TestRunSession:
         circuit = Circuit(1, (Gate("T", (0,)),))
         with pytest.raises(RegisterError, match="one character"):
             run_session("perm", plain, circuit, np.random.default_rng(1))
+
+    @pytest.mark.parametrize("scheme, plain, text, reason", [
+        ("perm", "0", "CNOT 0 1\n", "one data row"),
+        ("perm", "0", "H 0\nM 0 -> b\n", "M is not a single-row gate"),
+        ("perm", "0", "CPAULI b X 0\n", "CPAULI is not a single-row gate"),
+        ("pauli", "01", "H 0\n", "plaintext length"),
+        ("pauli", "0", "H 0\nM 0 -> b\n", "mid-circuit measurement"),
+    ])
+    def test_session_rejections(self, scheme, plain, text, reason):
+        with pytest.raises(ProtocolViolation, match=reason):
+            run_session(scheme, plain, parse_circuit(text),
+                        np.random.default_rng(0))
+
+    def test_roundtrip_rejection_exits_2(self, tmp_path, capsys):
+        circ = tmp_path / "cnot.qc"
+        circ.write_text("CNOT 0 1\n")
+        code = main(["roundtrip", "perm", "-c", str(circ), "-i", "0",
+                     "--seed", "1"])
+        assert code == 2
+        assert "one data row" in capsys.readouterr().err
 
     def test_transcript_determinism(self):
         circuit = Circuit(1, (Gate("T", (0,)), Gate("H", (0,))))
@@ -150,3 +171,11 @@ class TestAudit:
         factory = lambda p, rng: canary_session(p, Circuit(1, ()), rng)[2]
         rep = audit_transcript(factory, ["0", "1"], 1000)
         assert rep["max_tv"] > 0.9
+
+    def test_tv_from_exact_counts(self):
+        """The canary's payloads never coincide across plaintexts, so its
+        TV is exactly 1; float per-run frequencies read above 1."""
+        factory = lambda p, rng: canary_session(p, Circuit(1, ()), rng)[2]
+        rep = audit_transcript(factory, ["0", "1"], 1000, base_seed=3)
+        assert rep["max_tv"] == 1.0
+        assert all(tv <= 1.0 for tv in rep["slots"].values())

@@ -105,7 +105,7 @@ class TestDeriveDecryption:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 4))
         sch = pauli_scheme(n)
-        key = sch.sample_key(rng)
+        key = PauliKey.random(n, rng)
         comp = CliffordOp.from_circuit(random_clifford_circuit(n, 20, rng))
         rho = DensityMatrix.random_pure(n, rng)
         served = sch.encrypt(key, rho).apply_clifford(comp)
@@ -287,8 +287,8 @@ class TestQecCommutation:
         from qhelab.schemes import SchemeDescriptor
         cv_like = SchemeDescriptor(
             name="cv", n_qubits=1, key_count=None, iter_keys=lambda: iter([]),
-            sample_key=lambda rng: None, encrypt_word=lambda k: [],
-            transport=lambda k, c: k, allows=lambda c: True)
+            encrypt_word=lambda k: [], transport=lambda k, c: k,
+            allows=lambda c: True)
         with pytest.raises(KeySpaceError):
             ciphertext_average(cv_like, DensityMatrix.product("0"))
 
