@@ -3,7 +3,7 @@
 Subcommands: roundtrip, security, qec-demo, t-gate, cv-check, resources,
 audit.  Every randomized subcommand takes a mandatory seed (flag or the
 QHELAB_SEED environment variable) and is byte-deterministic under it;
-`security` and `resources` draw nothing and need no seed.
+`security` and `resources` draw nothing and take no seed.
 Exit codes: 0 success, 1 assertion/acceptance failure, 2 usage or parse
 errors.
 """
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import re
 import sys
@@ -164,6 +165,18 @@ def cmd_qec_demo(args) -> int:
 
 # -- t-gate --------------------------------------------------------------------
 
+# the probabilistic gadget fails when its success count is this unlikely
+# under the binomial distribution of a fair coin
+_T_GATE_ALPHA = 1e-3
+
+
+def _binomial_p_value(k: int, n: int) -> float:
+    """Exact two-sided p-value of k successes in n fair trials: the mass
+    of every count at least as far from n/2, capped at 1."""
+    tail = sum(math.comb(n, i) for i in range(min(k, n - k) + 1))
+    return min(1.0, 2 * tail / 2 ** n)
+
+
 def cmd_t_gate(args) -> int:
     if args.trials < 1:
         sys.stderr.write("error: t-gate needs --trials >= 1\n")
@@ -178,10 +191,11 @@ def cmd_t_gate(args) -> int:
             ok, bits, msgs = t_gate_probabilistic(
                 reg, 0, budget.bundles[0]["magic"], client, rng)
             succ += int(ok)
-        rate = succ / args.trials
+        p_value = _binomial_p_value(succ, args.trials)
         _emit(args, json.dumps({"mode": "prob", "trials": args.trials,
-                                "success_rate": rate}))
-        return 0 if 0.4 <= rate <= 0.6 else CHECK_FAILED
+                                "success_rate": succ / args.trials,
+                                "p_value": p_value}))
+        return 0 if p_value >= _T_GATE_ALPHA else CHECK_FAILED
     t_circuit = Circuit(1, (Gate("T", (0,)),))
     runs = [run_session("perm", args.plaintext, t_circuit, rng, m=args.m)
             for _ in range(args.trials)]
@@ -301,9 +315,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "sweeps, QEC demos, resource tables")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=None,
-                       help="rng seed (or set QHELAB_SEED)")
+    def common(p, seeded=True):
+        if seeded:
+            p.add_argument("--seed", type=int, default=None,
+                           help="rng seed (or set QHELAB_SEED)")
         p.add_argument("--output", help="write the report to this path")
 
     p = sub.add_parser("roundtrip", help="encrypt/evaluate/decrypt and compare")
@@ -323,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-m", type=int, default=1)
     p.add_argument("-r", type=int, default=0,
                    help="consumed-ancilla count for the reported bound")
-    common(p)
+    common(p, seeded=False)
     p.set_defaults(func=cmd_security)
 
     p = sub.add_parser("qec-demo", help="error-injection walkthrough")
@@ -359,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fixed r for the budget m-rule (when no --k)")
     p.add_argument("--ntot", required=True, help="comma list, e.g. 1e6,1e8")
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    common(p)
+    common(p, seeded=False)
     p.set_defaults(func=cmd_resources)
 
     p = sub.add_parser("audit", help="transcript leakage audit")

@@ -290,23 +290,16 @@ class SpreadRegister:
         if len(owners) == 1:
             return owners.pop()
         touched = sorted(owners, key=lambda f: f.rows[0])
-        order = [r for f in touched for r in f.rows]
         # a dense factor makes the merge dense; past the oracle cap the
-        # tensor product raises before any matrix is built
+        # tensor product raises before any matrix is built.  The rows stay
+        # in concatenation order: `_Factor.loc` finds a row in any order
         state = touched[0].state
         for f in touched[1:]:
             state = state.tensor(f.state)
-        all_rows = sorted(order)
-        if order != all_rows:
-            # reorder qubits so factor rows are sorted: the block of the row
-            # at position i of the concatenation moves to that row's rank
-            rank = np.argsort(np.argsort(order))
-            perm = rank[:, None] * self.n_cols + np.arange(self.n_cols)
-            state = state.permute_qubits(perm.ravel())
-        merged = _Factor(all_rows, state)
+        merged = _Factor([r for f in touched for r in f.rows], state)
         self.factors = [f for f in self.factors if f not in owners]
         self.factors.append(merged)
-        self._owner.update(dict.fromkeys(all_rows, merged))
+        self._owner.update(dict.fromkeys(merged.rows, merged))
         return merged
 
     # -- register operations ------------------------------------------------

@@ -93,8 +93,8 @@ class _PauliSession:
         return ()
 
     def decrypt(self):
-        return self.tracker.decrypt(self.state).partial_trace(
-            list(range(self.n_data)))
+        state = self.tracker.decrypt(self.state)
+        return state.discard_qubits(list(range(self.n_data, state.n_qubits)))
 
 
 class _PermSession:

@@ -9,34 +9,33 @@ needed.
 
 `DensityMatrix` is the exact dense oracle, capped at n = 6 so exhaustive
 key sweeps stay fast.  It never forms a 2^n x 2^n operator per gate, and
-has three gate kernels:
+has two gate kernels:
 
-- relabel: a SWAP is a qubit relabelling, and each run of consecutive
-  SWAPs in a gate word becomes one transpose of rho's (2,)*2n tensor
-  (`_relabel`, shared with `permute_qubits`), so a permutation key
-  encrypts without arithmetic;
-- row-map gather: S, X, Y, Z, CNOT and CZ have one nonzero per row, so
+- gather: S, X, Y, Z, CNOT, CZ and SWAP have one nonzero per row, so
   u rho u^dag gathers rho's rows and columns by a cached index vector and
-  re-phases them (`_row_map`);
+  re-phases them (`_row_map`); a qubit permutation is the same gather by
+  its basis index vector, so a permutation key encrypts without
+  arithmetic.  `_gather` is the one kernel that moves entries;
 - contraction: H and T multiply their 4^k x 4^k superoperator
   u (x) conj(u) into their k row and k column axes (`_apply_on_bits`).
 
 A Pauli acts as a signed permutation of rows and columns
-(P rho = s[:, None] * rho[idx]).  Z measurements are diagonal, so they
-select blocks instead: a Z-type `measure_pauli` keeps the rows and
-columns of the outcome's sign, and `measure_discard` draws its bits from
-rho's diagonal and returns the block at those bits (`_draw` is the one
-outcome rule).
+(P rho = s[:, None] * rho[idx]), a gather too.  Z measurements are
+diagonal, so they select blocks instead: a Z-type `measure_pauli` keeps
+the rows and columns of the outcome's sign, and `measure_discard` draws
+its bits from rho's diagonal and returns the block at those bits
+(`_draw` is the one outcome rule).
 The two backends are cross-checked against each other in the test suite.
 
 Both implement the same state protocol, so scheme code never asks which
-backend it holds: `apply_gates` (the gate entry point; `apply_gate` and
-`apply_clifford` replay through it), `apply_transversal` (one gate on
-each column of equal-length, disjoint qubit ranges), `apply_pauli`,
-`measure_pauli`, `measure_discard` (Z on a list of qubits in order, then
-trace them out), `permute_qubits`, `discard_qubits`, `reduced_density`
-(a state), `expectation`, `to_density`, `tensor` (a dense operand
-promotes a stabilizer one), and the `product` / `maximally_mixed`
+backend it holds: `apply_gates` (a gate word; `apply_clifford` and the
+tableau's `apply_gate` replay through it, and the dense one is a loop
+over `apply_gate`), `apply_transversal` (one gate on each column of
+equal-length, disjoint qubit ranges), `apply_pauli`, `measure_pauli`,
+`measure_discard` (Z on a list of qubits in order, then trace them
+out), `permute_qubits`, `discard_qubits`, `reduced_density` (a state),
+`expectation`, `to_density`, `tensor` (a dense operand promotes a
+stabilizer one), and the `product` / `maximally_mixed`
 constructors; `trace_distance` takes two states.  On the tableau
 `apply_transversal` is one engine call on column slices, a run of one
 gate on disjoint qubits inside a general word is folded into one call
@@ -80,7 +79,7 @@ _GATE_MATS: dict[str, np.ndarray] = {
 
 # what the contraction kernel multiplies into a gate's row and column axes.
 # Only H and T contract: every other gate has one nonzero per row and is a
-# row-map gather (`_row_map`), and a SWAP relabels its qubits
+# row-map gather (`_row_map`)
 _GATE_SUPEROPS = {name: np.kron(u, u.conj()) for name, u in _GATE_MATS.items()
                   if name in ("H", "T")}
 
@@ -234,13 +233,22 @@ def _apply_on_bits(mat: np.ndarray, op: np.ndarray, bits) -> np.ndarray:
     return t.transpose(undo).reshape(mat.shape)
 
 
+def _gather(mat: np.ndarray, idx: np.ndarray, d: np.ndarray | None) -> np.ndarray:
+    """mat's rows and columns gathered by idx, times d[:, None] * d.conj()
+    unless d is None: the dense oracle's one kernel that moves entries."""
+    out = mat.take(idx, 0).take(idx, 1)
+    if d is not None:
+        out *= d[:, None] * d.conj()
+    return out
+
+
 @functools.lru_cache(maxsize=None)
 def _row_map(n: int, name: str, qs: tuple[int, ...]):
     """A gate with one nonzero per row on n qubits as read-only (idx, d):
     row r of its 2^n x 2^n unitary holds d[r] at column idx[r], so
     u rho u^dag = d[:, None] * d.conj() * rho[idx][:, idx].  d is None when
     every entry is 1.  Read off the gate multiplied into the identity, once
-    per (n, name, qs); the cache holds at most the 224 gates of
+    per (n, name, qs); the cache holds at most the 294 gates of
     n <= 6 qubits, as 2^n-entry vectors."""
     u = _apply_on_bits(np.eye(2 ** n, dtype=complex), _GATE_MATS[name], qs)
     idx = np.argmax(u != 0, axis=1)
@@ -250,6 +258,15 @@ def _row_map(n: int, name: str, qs: tuple[int, ...]):
         return idx, None
     d.setflags(write=False)
     return idx, d
+
+
+@functools.lru_cache(maxsize=None)
+def _basis(n: int) -> np.ndarray:
+    """range(2^n) as a read-only (2,)*n tensor, one axis per qubit: with
+    its axes permuted and flattened it is a qubit relabelling's row map."""
+    basis = np.arange(2 ** n).reshape((2,) * n)
+    basis.setflags(write=False)
+    return basis
 
 
 def statevector(spec: str) -> np.ndarray:
@@ -683,24 +700,11 @@ class DensityMatrix:
     # -- dynamics ---------------------------------------------------------
 
     def apply_gates(self, gates) -> "DensityMatrix":
-        """Apply an elementary gate word (application order), T included.
-
-        Each maximal run of SWAPs is folded into one relabelling, applied
-        before the next other gate: new qubit q carries qubit src[q] of
-        `out`."""
-        n = self.n_qubits
-        out, src = self, None
+        """Apply an elementary gate word (application order), T included."""
+        out = self
         for name, qs in gates:
-            if name == "SWAP":
-                _check_gate(name, qs, n, _GATE_MATS, BackendError)
-                src = src or list(range(n))
-                a, b = qs
-                src[a], src[b] = src[b], src[a]
-                continue
-            if src:
-                out, src = out._relabel(src), None
             out = out.apply_gate(name, qs)
-        return out._relabel(src) if src else out
+        return out
 
     def apply_transversal(self, name: str, slots) -> "DensityMatrix":
         """One gate on each column of its step-1 qubit ranges, replayed as
@@ -710,20 +714,14 @@ class DensityMatrix:
 
     def apply_gate(self, name: str, qs: tuple[int, ...]) -> "DensityMatrix":
         """u rho u^dag: H and T through the gate's superoperator on its row
-        and column axes, any other gate as a gather of rows and columns by
-        its cached row map; a SWAP relabels its qubits instead."""
-        if name == "SWAP":
-            return self.apply_gates([(name, qs)])
+        and column axes, any other gate (SWAP included) as a gather of rows
+        and columns by its cached row map."""
         n = self.n_qubits
         _check_gate(name, qs, n, _GATE_MATS, BackendError)
         if name in _GATE_SUPEROPS:
             bits = list(qs) + [n + q for q in qs]
             return _dense(_apply_on_bits(self.mat, _GATE_SUPEROPS[name], bits))
-        idx, d = _row_map(n, name, tuple(qs))
-        out = self.mat.take(idx, 0).take(idx, 1)
-        if d is not None:
-            out *= d[:, None] * d.conj()
-        return _dense(out)
+        return _dense(_gather(self.mat, *_row_map(n, name, tuple(qs))))
 
     def apply_clifford(self, c: CliffordOp) -> "DensityMatrix":
         if c.n_qubits != self.n_qubits:
@@ -732,9 +730,7 @@ class DensityMatrix:
 
     def apply_pauli(self, p: PauliString) -> "DensityMatrix":
         _check_pauli(self.n_qubits, p)
-        idx, s = _signed_permutation(p.x, p.z, p.phase)
-        out = self.mat.take(idx, 0).take(idx, 1)
-        return _dense(out * (s[:, None] * s.conj()))
+        return _dense(_gather(self.mat, *_signed_permutation(p.x, p.z, p.phase)))
 
     def measure_pauli(self, k: PauliString, rng: np.random.Generator,
                       label: str = "m", force: int | None = None,
@@ -768,31 +764,23 @@ class DensityMatrix:
         return _dense(post), MeasurementRecord(label, outcome, prob)
 
     def permute_qubits(self, perm) -> "DensityMatrix":
-        """Relabel qubits: new qubit perm[q] carries old qubit q."""
-        return self._relabel(_check_perm(perm, self.n_qubits))
-
-    def _relabel(self, src) -> "DensityMatrix":
-        """New qubit q carries old qubit src[q], on rows and columns alike."""
+        """Relabel qubits: new qubit perm[q] carries old qubit q, so new
+        row b is the old row whose bit q is bit perm[q] of b."""
         n = self.n_qubits
-        t = self.mat.reshape((2,) * (2 * n))
-        t = t.transpose([*src, *(n + a for a in src)])
-        return _dense(t.reshape(2 ** n, 2 ** n))
+        src = _check_perm(perm, n)
+        return _dense(_gather(self.mat, _basis(n).transpose(src).reshape(-1), None))
 
     # -- extraction -------------------------------------------------------
 
-    def partial_trace(self, keep: list[int]) -> "DensityMatrix":
-        n = self.n_qubits
-        if sorted(keep) != list(keep):
-            raise BackendError("partial_trace keeps qubits in register order")
-        drop = [q for q in range(n) if q not in keep]
-        t = self.mat.reshape((2,) * (2 * n))
-        for q in sorted(drop, reverse=True):
-            t = np.trace(t, axis1=q, axis2=q + (t.ndim // 2))
-        return _dense(t.reshape(2 ** len(keep), 2 ** len(keep)))
-
     def discard_qubits(self, qs: list[int]) -> "DensityMatrix":
+        """Trace out the given qubits, one axis pair at a time."""
         qs = _check_qubits(self.n_qubits, qs)
-        return self.partial_trace([q for q in range(self.n_qubits) if q not in qs])
+        n = self.n_qubits
+        t = self.mat.reshape((2,) * (2 * n))
+        for q in sorted(qs, reverse=True):
+            t = np.trace(t, axis1=q, axis2=q + (t.ndim // 2))
+        dim = 2 ** (n - len(qs))
+        return _dense(t.reshape(dim, dim))
 
     def measure_discard(self, qs: list[int], rng: np.random.Generator,
                         ) -> tuple["DensityMatrix", list[int]]:
@@ -824,7 +812,8 @@ class DensityMatrix:
     def reduced_density(self, qubits: list[int]) -> "DensityMatrix":
         """Reduced state on `qubits`, in the order given."""
         order = sorted(qubits)
-        reduced = self.partial_trace(order)
+        reduced = self.discard_qubits(
+            [q for q in range(self.n_qubits) if q not in qubits])
         return reduced.permute_qubits([list(qubits).index(q) for q in order])
 
     def to_density(self) -> "DensityMatrix":

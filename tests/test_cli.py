@@ -91,21 +91,19 @@ class TestRoundtrip:
 
 class TestSecurity:
     def test_pauli_basis_pair_delta_zero(self):
-        code, out = run_cli(["security", "pauli", "--inputs", "0,1",
-                             "--seed", "2"])
+        code, out = run_cli(["security", "pauli", "--inputs", "0,1"])
         assert code == 0
         assert json.loads(out)["delta"] < 1e-12
 
     def test_perm_exact_sweep_vs_bound(self):
-        code, out = run_cli(["security", "perm", "--inputs", "0,1", "-m", "1",
-                             "--seed", "2"])
+        code, out = run_cli(["security", "perm", "--inputs", "0,1", "-m", "1"])
         blob = json.loads(out)
         assert code == 0
         assert blob["delta"] <= blob["security_bound"]
 
     def test_oversize_dense_request_errors(self):
         code, _ = run_cli(["security", "pauli", "--inputs",
-                           "0000000000,1111111111", "--seed", "2"])
+                           "0000000000,1111111111"])
         assert code == 2
 
 
@@ -116,14 +114,15 @@ SECURITY_RUNS = [
     ["pauli", "--inputs", "000,+1T"],
     ["zkey", "--inputs", "++,-+"],
 ]
-# sha256 over the stdout and exit code of each SECURITY_RUNS entry at --seed 3
+# sha256 over the stdout and exit code of each SECURITY_RUNS entry, recorded
+# when `security` still accepted --seed (at --seed 3), which it never read
 SECURITY_SHA256 = "fc48098c9de2cad238f1177a7845b25ed259ffa310216af1206cdcb8d10288af"
 
 
 def security_digest() -> str:
     digest = hashlib.sha256()
     for argv in SECURITY_RUNS:
-        code, out = run_cli(["security", *argv, "--seed", "3"])
+        code, out = run_cli(["security", *argv])
         digest.update(f"{' '.join(argv)}\n{code}\n{out}".encode())
     return digest.hexdigest()
 
@@ -132,12 +131,18 @@ class TestSecurityGolden:
     def test_outputs_pinned(self):
         assert security_digest() == SECURITY_SHA256
 
-    def test_no_seed_needed(self, monkeypatch):
-        argv = ["security", "perm", "-m", "1", "--inputs", "0,1"]
+    def test_no_seed_needed(self, monkeypatch, capsys):
+        """`security` and `resources` draw nothing: they run without a seed
+        and reject --seed as a usage error."""
         monkeypatch.delenv("QHELAB_SEED", raising=False)
-        code, out = run_cli(argv)
-        assert code == 0
-        assert out == run_cli(argv + ["--seed", "3"])[1]
+        for argv in (["security", "perm", "-m", "1", "--inputs", "0,1"],
+                     ["resources", "--fig5", "--k", "100", "--ntot", "1e6"]):
+            code, out = run_cli(argv)
+            assert code == 0 and out
+            with pytest.raises(SystemExit) as exc:
+                run_cli(argv + ["--seed", "3"])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
 
 TGATE_RUNS = [
@@ -217,7 +222,7 @@ class TestUsageErrors:
         ["zkey", "--inputs", ""],
     ])
     def test_security_needs_two_inputs(self, argv, capsys):
-        code, out = run_cli(["security"] + argv + ["--seed", "1"])
+        code, out = run_cli(["security"] + argv)
         assert code == 2 and out == ""
         assert capsys.readouterr().err.startswith("error: --inputs needs")
 
@@ -292,6 +297,38 @@ class TestDeterminism:
         assert code == 2
         err = capsys.readouterr().err
         assert "one character" in err and "bijection" not in err
+
+    def test_tgate_prob_passes_small_trial_counts(self):
+        """At 5 trials no success count is unlikely enough to fail a fair
+        gadget, whatever the seed."""
+        for seed in range(40):
+            code, out = run_cli(["t-gate", "--mode", "prob", "--trials", "5",
+                                 "--seed", str(seed)])
+            blob = json.loads(out)
+            assert code == 0, (seed, blob)
+            assert blob["p_value"] >= 0.0625
+
+    def test_tgate_prob_flags_a_biased_gadget(self, monkeypatch):
+        """A gadget that always succeeds fails the binomial test at 100
+        trials: p = 2 / 2^100."""
+        import qhelab.cli
+
+        monkeypatch.setattr(qhelab.cli, "t_gate_probabilistic",
+                            lambda *args: (True, [], []))
+        code, out = run_cli(["t-gate", "--mode", "prob", "--trials", "100",
+                             "--seed", "0"])
+        blob = json.loads(out)
+        assert code == 1
+        assert blob["success_rate"] == 1.0 and blob["p_value"] == 2.0 ** -99
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 10, 37, 100])
+    def test_binomial_p_value_matches_scipy(self, n):
+        from scipy.stats import binomtest
+
+        from qhelab.cli import _binomial_p_value
+        for k in range(n + 1):
+            want = binomtest(k, n, 0.5).pvalue
+            assert abs(_binomial_p_value(k, n) - want) < 1e-12, (k, n)
 
     def test_tgate_det_demo(self):
         code, out = run_cli(["t-gate", "--mode", "det", "--trials", "10",

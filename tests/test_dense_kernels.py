@@ -1,11 +1,12 @@
-"""The dense oracle's gate kernels: monomial gates as row-map gathers.
+"""The dense oracle's gate kernels: monomial gates and qubit permutations
+as row-map gathers.
 
-S, X, Y, Z, CNOT and CZ have one nonzero per row, so u rho u^dag only moves
-and re-phases entries of rho.  These tests hold the gather to the
+S, X, Y, Z, CNOT, CZ and SWAP have one nonzero per row, so u rho u^dag only
+moves and re-phases entries of rho.  These tests hold the gather to the
 superoperator contraction it replaced, show that only H and T still
-contract, hold a Pauli's signed gather to the np.ix_ form it replaced,
-and hold the outer-product builds of product vectors and tensors to
-np.kron."""
+contract, hold a Pauli's signed gather to the np.ix_ form it replaced, hold
+a qubit permutation's gather to the tensor transpose it replaced, and hold
+the outer-product builds of product vectors and tensors to np.kron."""
 import functools
 import itertools
 
@@ -19,7 +20,7 @@ from qhelab.states import (_GATE_MATS, _GATE_SUPEROPS, DensityMatrix,
                            StabilizerState, _apply_on_bits, _dense,
                            statevector)
 
-MONOMIAL = ["S", "X", "Y", "Z", "CNOT", "CZ"]
+MONOMIAL = ["S", "X", "Y", "Z", "CNOT", "CZ", "SWAP"]
 
 
 def _contraction(rho, name, qs):
@@ -68,7 +69,7 @@ class TestGatherMatchesContraction:
                 idx, d = states._row_map(3, name, qs)
                 assert sorted(idx) == list(range(8))
                 assert not idx.flags.writeable
-                if name in ("X", "CNOT"):
+                if name in ("X", "CNOT", "SWAP"):
                     assert d is None
                 else:
                     assert not d.flags.writeable
@@ -96,6 +97,57 @@ def test_only_h_and_t_contract(monkeypatch):
     assert sorted(contracted) == ["H", "H", "T", "T"]
     assert len(ops) == 4
     assert sorted(_GATE_SUPEROPS) == ["H", "T"]
+    # SWAP words and qubit permutations never contract
+    rho.apply_gates([("SWAP", (0, 3)), ("SWAP", (1, 2)), ("SWAP", (3, 1))])
+    for perm in itertools.permutations(range(4)):
+        rho.permute_qubits(perm)
+    DensityMatrix.random_pure(6, rng).permute_qubits([5, 3, 1, 0, 2, 4])
+    assert len(ops) == 4
+
+
+def _relabel(rho, src):
+    """The tensor transpose that permuted qubits before the gather: new
+    qubit q carries old qubit src[q], on rows and columns alike."""
+    n = rho.n_qubits
+    t = rho.mat.reshape((2,) * (2 * n))
+    t = t.transpose([*src, *(n + a for a in src)])
+    return t.reshape(2 ** n, 2 ** n)
+
+
+class TestPermuteGather:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_transpose_bitwise(self, n):
+        """Every permutation at n <= 4 and 30 random ones at n = 5, 6, on
+        random pure states and on 0/1/+/-/T products."""
+        rng = np.random.default_rng(110 + n)
+        perms = (list(itertools.permutations(range(n))) if n <= 4 else
+                 [rng.permutation(n).tolist() for _ in range(30)])
+        inputs = [DensityMatrix.random_pure(n, rng),
+                  DensityMatrix.random_pure(n, rng),
+                  DensityMatrix.product("".join(rng.choice(list("01+-T"), n))),
+                  DensityMatrix.product("".join(rng.choice(list("01+-T"), n)))]
+        for perm in perms:
+            src = np.argsort(perm)
+            for rho in inputs:
+                want = _relabel(rho, src)
+                assert rho.permute_qubits(perm).mat.tobytes() == want.tobytes()
+                got = rho.permute_qubits(np.array(perm)).mat
+                assert got.tobytes() == want.tobytes(), perm
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_reduced_density_in_any_order(self, n):
+        """reduced_density on unsorted qubit lists: the sorted reduction,
+        then the transpose that puts its qubits in the order given."""
+        rng = np.random.default_rng(120 + n)
+        for rho in (DensityMatrix.random_pure(n, rng),
+                    DensityMatrix.product("".join(rng.choice(list("01+-T"), n)))):
+            for _ in range(20):
+                k = int(rng.integers(1, n + 1))
+                qubits = rng.choice(n, k, replace=False).tolist()
+                kept = rho.discard_qubits([q for q in range(n) if q not in qubits])
+                want = _relabel(kept, [sorted(qubits).index(q) for q in qubits])
+                got = rho.reduced_density(qubits).mat
+                assert got.tobytes() == want.tobytes(), qubits
 
 
 class TestPauliGather:

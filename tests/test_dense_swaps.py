@@ -1,9 +1,10 @@
-"""SWAPs on the dense oracle are qubit relabellings, not gate contractions.
+"""SWAPs on the dense oracle move entries, they are not gate contractions.
 
-`DensityMatrix.apply_gates` folds each run of SWAPs into one transpose.
-These tests pin the permutation scheme's ciphertexts bit for bit, compare
-mixed gate words with a gate-by-gate contraction reference, and check that
-no SWAP reaches the contraction kernel."""
+`DensityMatrix.apply_gate` gathers a SWAP's rows and columns by its row
+map, as it does for every gate with one nonzero per row.  These tests pin
+the permutation scheme's ciphertexts bit for bit, compare mixed gate words
+with a gate-by-gate contraction reference, and check that no SWAP reaches
+the contraction kernel."""
 import hashlib
 
 import numpy as np

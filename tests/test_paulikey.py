@@ -120,7 +120,7 @@ class TestInjectT:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             cipher, msgs = inject_t_gate(cipher, 0, magic, tracker, rng)
-        out = tracker.decrypt(cipher).partial_trace([0])
+        out = tracker.decrypt(cipher).reduced_density([0])
         return out, msgs
 
     def test_t_on_zero_is_fixed_point(self):
@@ -175,7 +175,7 @@ class TestInjectT:
                 cipher, ref = both(cipher, ref, "CZ", (0, 1))
                 cipher, msgs = inject_t_gate(cipher, 0, magic, tracker, rng)
                 ref = ref.apply_gate("T", (0,))
-            out = tracker.decrypt(cipher).partial_trace([0, 1])
+            out = tracker.decrypt(cipher).reduced_density([0, 1])
             assert trace_distance(out, ref) < 1e-10
 
     @pytest.mark.parametrize("seed", range(50))
@@ -216,7 +216,7 @@ class TestInjectT:
                     cipher = cipher.apply_gate(name, full_qs)
                     tracker.absorb(name, full_qs)
                     ref = ref.apply_gate(name, qs)
-        out = tracker.decrypt(cipher).partial_trace(list(range(n)))
+        out = tracker.decrypt(cipher).reduced_density(list(range(n)))
         assert trace_distance(out, ref) < 1e-10
 
     def test_blocked_injection_point_raises(self):

@@ -329,7 +329,7 @@ class TestRowKernelCounts:
         """The dense kernel neither measures qubit by qubit nor traces
         out: it reads the diagonal and selects one block."""
         measures = _Counter(monkeypatch, DensityMatrix, "measure_pauli")
-        traces = _Counter(monkeypatch, DensityMatrix, "partial_trace")
+        traces = _Counter(monkeypatch, DensityMatrix, "discard_qubits")
         state = _random_dense(4, np.random.default_rng(2))
         got, bits = state.measure_discard([2, 0], np.random.default_rng(5))
         assert (measures.take(), traces.take()) == (0, 0)

@@ -83,6 +83,17 @@ class TestSameProgramBothBackends:
         rho = DensityMatrix.product("+")
         assert rho.to_density() is rho
 
+    def test_dense_methods_exist_on_the_tableau(self):
+        """Every public non-constructor method of the dense oracle is part
+        of the protocol, so the tableau has it too."""
+        names = [name for name, attr in vars(DensityMatrix).items()
+                 if not name.startswith("_") and callable(attr)
+                 and not isinstance(attr, classmethod)]
+        assert "discard_qubits" in names and "permute_qubits" in names
+        missing = [name for name in names
+                   if not callable(getattr(StabilizerState, name, None))]
+        assert missing == []
+
 
 class TestMixedTensor:
     @pytest.mark.parametrize("order", ["stab-dense", "dense-stab"])

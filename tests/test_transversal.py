@@ -249,22 +249,12 @@ class _Calls:
         self.mp.setattr(owner, name, counted)
 
 
-def _interleaves(reg: SpreadRegister, rows) -> bool:
-    """Do the factors that hold `rows` leave rows out of place when they
-    are concatenated in order of their first row?"""
-    owners = sorted({id(f): f for f in (reg._owner[r] for r in rows)}.values(),
-                    key=lambda f: f.rows[0])
-    order = [r for f in owners for r in f.rows]
-    return order != sorted(order)
-
-
 class TestCycleCalls:
     def test_transversal_gates_skip_the_word_path(self, monkeypatch):
         """Over one encrypted Steane x spread QEC cycle at m = 5: the word
         check and the run folding serve only the encoder, each transversal
         gate is one engine call, and the only qubit permutations are one
-        per factor at encrypt and decrypt plus one per merge whose rows
-        interleave."""
+        per factor at encrypt and decrypt."""
         calls = _Calls(monkeypatch)
         calls.count(paulis, "_check_word", "check_word")
         calls.count(states, "_check_word", "check_word")
@@ -275,18 +265,12 @@ class TestCycleCalls:
         for backend in (StabilizerState, DensityMatrix):
             calls.count(backend, "permute_qubits", "permute")
         permute_columns = SpreadRegister.permute_columns
-        merge = SpreadRegister._merge
 
         def counted_permute_columns(reg, key):
             calls.book("expected_permute", len(reg.factors))
             return permute_columns(reg, key)
-
-        def counted_merge(reg, rows):
-            calls.book("expected_permute", int(_interleaves(reg, rows)))
-            return merge(reg, rows)
         monkeypatch.setattr(SpreadRegister, "permute_columns",
                             counted_permute_columns)
-        monkeypatch.setattr(SpreadRegister, "_merge", counted_merge)
 
         plain, value, bits = _qec_cycle(101, 1)
         assert value == (-1 if plain == "1" else 1)
@@ -301,9 +285,10 @@ class TestCycleCalls:
 
     @pytest.mark.parametrize("middle", ["+", "magic"])
     def test_interleaved_merge_matches_dense_oracle(self, monkeypatch, middle):
-        """Rows 0 and 2 merge in order; row 1 then lands between them, and
-        that merge alone permutes qubits.  The factor equals the dense
-        product of the rows under the same gate word."""
+        """Rows 0 and 2 merge, then row 1 joins them: the factor keeps the
+        concatenation order, rows 0, 2, 1, and no merge permutes qubits.
+        The factor equals the dense product of the rows in that order
+        under the matching gate word."""
         reg = SpreadRegister(1)
         reg.add_data_row("0")
         if middle == "magic":
@@ -311,18 +296,17 @@ class TestCycleCalls:
         else:
             reg.add_data_row(middle)
         reg.add_data_row("1")
-        rho = reg.factors[0].state.to_density()
-        for f in reg.factors[1:]:
-            rho = rho.tensor(f.state)
+        row_states = [f.state for f in reg.factors]
         calls = _Calls(monkeypatch)
         for backend in (StabilizerState, DensityMatrix):
             calls.count(backend, "permute_qubits", "permute")
         reg.transversal_pair("CNOT", 0, 2)
-        assert calls.outside["permute"] == 0
         reg.transversal_pair("CZ", 1, 0)
-        assert calls.outside["permute"] == 1
+        assert calls.outside["permute"] == 0
         (f,) = reg.factors
-        assert f.rows == [0, 1, 2]
-        want = rho.apply_gates([("CNOT", (0, 4)), ("CNOT", (1, 5)),
-                                ("CZ", (2, 0)), ("CZ", (3, 1))])
+        assert f.rows == [0, 2, 1]
+        rho = row_states[0].to_density().tensor(row_states[2]).tensor(
+            row_states[1])
+        want = rho.apply_gates([("CNOT", (0, 2)), ("CNOT", (1, 3)),
+                                ("CZ", (4, 0)), ("CZ", (5, 1))])
         assert np.abs(f.state.to_density().mat - want.mat).max() < 1e-12
