@@ -6,7 +6,8 @@ inserted into a greedy basis left to right: a column outside the span of
 those before it is a pivot.  ``rank`` counts the basis; ``solve`` reduces
 ``rhs`` against it and reads x off the tag bits, which gives the pivot-only
 particular solution (every free variable 0); ``relations`` keeps the tag
-bits of the columns that reduce to zero, a basis of the left null space.
+bits of the columns that reduce to zero, a basis of the left null space,
+as lists of indices.
 """
 from __future__ import annotations
 
@@ -46,12 +47,6 @@ def _echelon(cols: list[int], n_rows: int,
     return basis
 
 
-def _unpack(tags: int, n: int) -> np.ndarray:
-    """Bits 0..n-1 of an int as a 0/1 vector."""
-    packed = np.frombuffer(tags.to_bytes(n // 8 + 1, "little"), np.uint8)
-    return np.unpackbits(packed, count=n, bitorder="little")
-
-
 def solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
     """Solve mat @ x = rhs over GF(2); None if inconsistent."""
     m, n = mat.shape
@@ -60,7 +55,9 @@ def solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
     v = _reduce(target, _echelon(cols, m), mask)
     if v & mask:
         return None
-    return _unpack(v >> m, n)
+    # the tag bits, x_0 .. x_(n-1), as a 0/1 vector
+    packed = np.frombuffer((v >> m).to_bytes(n // 8 + 1, "little"), np.uint8)
+    return np.unpackbits(packed, count=n, bitorder="little")
 
 
 def rank(mat: np.ndarray) -> int:
@@ -69,10 +66,11 @@ def rank(mat: np.ndarray) -> int:
     return len(_echelon(_bitsets(vecs), vecs.shape[1]))
 
 
-def relations(vecs: np.ndarray) -> list[np.ndarray]:
-    """Each row of `vecs` that is a sum of rows before it, as the 0/1
-    vector of the rows (itself the last) that sum to zero: a basis of the
-    left null space, one vector per dependent row."""
+def relations(vecs: np.ndarray) -> list[list[int]]:
+    """Each row of `vecs` that is a sum of rows before it, as the
+    ascending indices of the rows (itself the last) that sum to zero: a
+    basis of the left null space, one relation per dependent row."""
     found: list[int] = []
     _echelon(_bitsets(vecs), vecs.shape[1], found)
-    return [_unpack(tags, len(vecs)) for tags in found]
+    return [[i for i in range(tags.bit_length()) if tags >> i & 1]
+            for tags in found]

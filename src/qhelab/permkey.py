@@ -3,9 +3,11 @@
 A data qubit (1/2) sum_j a_j s_j is spread across m columns into
 (1/2^m) sum_j a_j s_j^(x)m using 2m-2 CNOTs and m-1 maximally mixed
 ancillas, padded with m more mixed columns, and encrypted by secretly
-permuting the 2m columns.  Identical gates applied to every column act as
-logical gates on the hidden data, so the server evaluates transversally
-without knowing which columns matter.
+permuting the 2m columns.  The CNOTs map X to X^m and Z to Z^m and never
+change a packed phase, so on a tableau spreading is one broadcast of each
+generator's bits into the first m columns of its row.  Identical gates
+applied to every column act as logical gates on the hidden data, so the
+server evaluates transversally without knowing which columns matter.
 
 Registers are stored as a list of tensor factors over whole rows; factors
 hold either a stabilizer tableau (anything Clifford) or a small dense
@@ -15,6 +17,7 @@ factor shrinks, so dense blocks never exceed the oracle cap.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -58,10 +61,8 @@ class PermKey:
         return cls(m, tuple(arr))
 
     def inverse(self) -> "PermKey":
-        inv = [0] * (2 * self.m)
-        for c, dest in enumerate(self.perm):
-            inv[dest] = c
-        return PermKey(self.m, tuple(inv))
+        # the columns sorted by where they go
+        return PermKey(self.m, tuple(sorted(range(2 * self.m), key=self.perm.__getitem__)))
 
     def cycles(self) -> list[list[int]]:
         seen = set()
@@ -161,46 +162,49 @@ def spread_qubit(state, m: int):
     return state.tensor(mixed).apply_gates(spread_gate_list(m))
 
 
-_ROW_GENERATOR = {"zero": ("Z", 0), "one": ("Z", 2),
-                  "plus": ("X", 0), "minus": ("X", 2),
-                  "plusi": ("Y", 0), "minusi": ("Y", 2)}
+def _spread_rows(state: StabilizerState, m: int) -> StabilizerState:
+    """Spread every qubit of a stabilizer state into a row of 2m columns,
+    as `spread_qubit` plus m mixed columns on each: each generator's bits
+    are copied into the first m columns of their row, phase unchanged,
+    since the spreading CNOTs map X to X^m and Z to Z^m and never change
+    a packed phase."""
+    k, n = state.x.shape
+    x, z = np.zeros((2, k, n, 2 * m), np.uint8)
+    x[:, :, :m], z[:, :, :m] = state.x[:, :, None], state.z[:, :, None]
+    return _tableau(2 * m * n, x.reshape(k, 2 * m * n), z.reshape(k, 2 * m * n),
+                    state.phase)
 
 
-def _column_power(letter: str, m: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """x bits, z bits and canonical phase (one i per Y) of letter^(x)m on
-    the first m of 2m columns."""
-    x = np.zeros(2 * m, np.uint8)
-    z = np.zeros(2 * m, np.uint8)
-    x[:m], z[:m] = letter in "XY", letter in "YZ"
-    return x, z, m if letter == "Y" else 0
+# the plaintext character of each stabilizer row role
+_ROW_CHAR = {"zero": "0", "one": "1", "plus": "+", "minus": "-",
+             "plusi": "i", "minusi": "m"}
 
 
+@functools.lru_cache(maxsize=None)
 def _spread_row_stabilizer(role: str, m: int) -> StabilizerState:
     """Direct construction of a spread basis/axis row on 2m qubits."""
-    letter, sign = _ROW_GENERATOR[role]
-    if letter in ("X", "Y") and m % 2 == 0:
+    ch = _ROW_CHAR[role]
+    if ch not in "01" and m % 2 == 0:
         raise RegisterError("X/Y-axis rows need odd m")
-    if letter == "Y" and m % 4 != 1:
-        # s_2^(x)m picks up a sign unless m = 1 mod 4
-        sign ^= 2
-    x, z, phase = _column_power(letter, m)
-    return _tableau(2 * m, x[None], z[None],
-                    np.array([(phase + sign) & 3], np.uint8))
+    return _spread_rows(StabilizerState.product(ch), m)
 
 
+@functools.lru_cache(maxsize=None)
 def _spread_magic_dense(m: int) -> DensityMatrix:
-    """Spread |T> row: (1/2^m)(I + (X^m + Y^m)/sqrt2) plus mixed columns."""
+    """Spread |T> row: (1/2^m)(I + (X' + Y')/sqrt2) plus mixed columns,
+    where X' = X^m and Y' = iX^mZ^m are the spread X and Y."""
     if m % 2 == 0:
         raise RegisterError("magic rows need odd m")
     if 2 * m > DENSE_QUBIT_CAP:
         raise RegisterError("magic rows exceed the dense cap at this m")
-    sy = 1.0 if m % 4 == 1 else -1.0
     dim = 2 ** (2 * m)
-    # X^m and Y^m move the same bits, so both sit at (r, idx[r])
-    idx, sx = _signed_permutation(*_column_power("X", m))
-    _, s_y = _signed_permutation(*_column_power("Y", m))
+    # the spread X and Y are the generators of the spread + and i rows;
+    # they move the same bits, so both sit at (r, idx[r])
+    (idx, sx), (_, sy) = (
+        _signed_permutation(row.x[0], row.z[0], row.phase[0])
+        for row in (_spread_row_stabilizer(r, m) for r in ("plus", "plusi")))
     rho = np.eye(dim, dtype=complex)
-    rho[np.arange(dim), idx] += (sx + sy * s_y) / np.sqrt(2.0)
+    rho[np.arange(dim), idx] += (sx + sy) / np.sqrt(2.0)
     return _dense(rho / dim)
 
 
@@ -257,11 +261,10 @@ class SpreadRegister:
         if isinstance(plaintext, str):
             if len(plaintext) != 1:
                 raise RegisterError(f"a data row takes one character, not {plaintext!r}")
-            direct = {"0": "zero", "1": "one", "+": "plus", "-": "minus",
-                      "i": "plusi", "m": "minusi"}
-            if plaintext in direct and (m % 2 == 1 or plaintext in "01"):
+            role = {ch: role for role, ch in _ROW_CHAR.items()}.get(plaintext)
+            if role and (m % 2 == 1 or plaintext in "01"):
                 return self._add_factor_row(
-                    "data", _spread_row_stabilizer(direct[plaintext], m))
+                    "data", _spread_row_stabilizer(role, m))
             plaintext = DensityMatrix.product(plaintext)
         elif plaintext.n_qubits != 1:
             raise RegisterError(f"a data row spreads one qubit, not "
@@ -307,14 +310,14 @@ class SpreadRegister:
     def permute_columns(self, key: PermKey) -> None:
         if key.m != self.m:
             raise SchemeError("column count mismatch")
-        # one qubit permutation per factor size: key.perm within each row
-        perms: dict[int, np.ndarray] = {}
+        # one inverse per factor size; a key is a bijection, so no checks
+        inv = np.asarray(key.inverse().perm)
+        invs: dict[int, np.ndarray] = {}
         for f in self.factors:
             k = len(f.rows)
-            if k not in perms:
-                perms[k] = (np.arange(k)[:, None] * self.n_cols
-                            + np.asarray(key.perm)).ravel()
-            f.state = f.state.permute_qubits(perms[k])
+            if k not in invs:
+                invs[k] = (np.arange(k)[:, None] * self.n_cols + inv).ravel()
+            f.state = f.state._permute(invs[k])
 
     def encrypt(self, key: PermKey) -> None:
         self.permute_columns(key)
@@ -363,8 +366,8 @@ class SpreadRegister:
         """Transversally measure a row; the row is consumed (traced out).
 
         One `measure_discard` on the row's columns: on a tableau factor,
-        two column eliminations over the row plus at most one GF(2)
-        reduction the size of one `contains`."""
+        two GF(2) echelons, of the generators with x on the row and of
+        the kept parts of the rest."""
         if basis == "X":
             self.transversal_single(row, "H")
         f = self._factor_of(row)
@@ -646,22 +649,10 @@ class ConcatenatedSpreadCode:
         """One data qubit -> n rows x 2m columns."""
         from .qec import encode as qec_encode
         inner_state = qec_encode(self.inner, StabilizerState.product(plaintext))
+        if self.m % 2 == 0:
+            raise RegisterError("spreading circuit requires odd m")
         reg = SpreadRegister(self.m)
-        n, m = self.inner.n, self.m
-        # build the joint stabilizer state over n rows directly
-        mixed_per_row = 2 * m - 1
-        full = inner_state.tensor(
-            StabilizerState.maximally_mixed(n * mixed_per_row))
-        perm = [0] * (2 * m * n)
-        for r in range(n):
-            perm[r] = r * 2 * m          # data qubit to column 0
-            for j in range(mixed_per_row):
-                perm[n + r * mixed_per_row + j] = r * 2 * m + 1 + j
-        # each spread gate on every row at once, one transversal gate
-        full = full.permute_qubits(perm).apply_gates(
-            (name, tuple(r * 2 * m + q for q in qs))
-            for name, qs in spread_gate_list(m) for r in range(n))
-        reg._add_factor(["data"] * n, full)
+        reg._add_factor(["data"] * self.inner.n, _spread_rows(inner_state, self.m))
         return reg
 
 

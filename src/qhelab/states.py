@@ -5,7 +5,10 @@ plus Z4 phases, updated through the batch gate engine of `paulis`.  A
 state on n qubits may carry k < n generators, which encodes a mixed state
 (uniform over the coset fixed by the group) -- that is exactly what
 maximally mixed ancillas look like, so no purification bookkeeping is
-needed.
+needed.  Tracing out or measuring qubits reduces only the generators
+with support on them: one GF(2) echelon of their restriction there finds
+the products that cancel, each kept in its relation's last slot
+(`_drop_support`); the rest is one column restriction.
 
 `DensityMatrix` is the exact dense oracle, capped at n = 6 so exhaustive
 key sweeps stay fast.  It never forms a 2^n x 2^n operator per gate, and
@@ -37,14 +40,13 @@ out), `permute_qubits`, `discard_qubits`, `reduced_density` (a state),
 `expectation`, `to_density`, `tensor` (a dense operand promotes a
 stabilizer one), and the `product` / `maximally_mixed`
 constructors; `trace_distance` takes two states.  On the tableau
-`apply_transversal` is one engine call on column slices, a run of one
-gate on disjoint qubits inside a general word is folded into one call
-too, and `measure_discard` is one elimination over the row; the dense
-oracle replays a transversal gate gate by gate, and its
-`measure_discard` is one diagonal-block selection.
-`StabilizerState(n, generators)` and `DensityMatrix(mat)` check outside
-data, and `DensityMatrix(mat)` keeps a copy; `_tableau` (packed rows)
-and `_dense` (an exactly built matrix) are the only internal
+`apply_transversal` is one engine call on column slices, and a run of
+one gate on disjoint qubits inside a general word is folded into one
+call too; the dense oracle replays a transversal gate gate by gate.
+`StabilizerState(n, generators)`, `DensityMatrix(mat)` and
+`permute_qubits` check outside data (`_permute` is the unchecked
+relabelling), and `DensityMatrix(mat)` keeps a copy; `_tableau` (packed
+rows) and `_dense` (an exactly built matrix) are the only internal
 constructors, and take over their arrays without checks or copies.
 """
 from __future__ import annotations
@@ -379,8 +381,9 @@ class StabilizerState:
         numpy work to pack it, then O(k^2) XORs of (2n + k)-bit ints, and
         an O(kn) phase product over the generators that make up p.  A
         deterministic `measure_pauli` pays this once per call;
-        `measure_discard` settles a whole list of Z outcomes with one
-        reduction of the same size instead."""
+        `measure_discard` settles a whole row of Z outcomes with two
+        echelons over the generators instead, the first only over those
+        with x on the row."""
         pos = p.positive()
         if not len(self.phase):
             return (pos.weight() == 0, 1)
@@ -477,23 +480,22 @@ class StabilizerState:
 
     def permute_qubits(self, perm) -> "StabilizerState":
         """Relabel qubits: new qubit perm[q] carries old qubit q."""
-        inv = _check_perm(perm, self.n_qubits)
+        return self._permute(_check_perm(perm, self.n_qubits))
+
+    def _permute(self, inv: np.ndarray) -> "StabilizerState":
+        """`permute_qubits` by a checked inverse: new q is old inv[q]."""
         return _tableau(self.n_qubits, self.x[:, inv], self.z[:, inv], self.phase)
 
     def discard_qubits(self, qs: list[int]) -> "StabilizerState":
         """Trace out the given qubits (exact stabilizer partial trace).
 
-        Generators are Gaussian-eliminated over the discarded x columns,
-        then over their z columns; pivots (the part of the group with
-        support there) are dropped and the remainder is restricted to the
-        kept qubits.
-        """
-        qs = _check_qubits(self.n_qubits, qs)
+        Only the generators with support on qs are reduced, by one GF(2)
+        echelon of their x|z restriction to qs (`_drop_support`); the rest
+        is one column restriction."""
+        cols = _columns(_check_qubits(self.n_qubits, qs))
         x, z, phase = self._rows()
-        alive = np.ones(len(phase), bool)
-        for bits in (x, z):
-            _eliminate(x, z, phase, bits, qs, alive)
-        return self._restrict(x, z, phase, alive, qs)
+        alive = _drop_support(x, z, phase, np.concatenate((x[:, cols], z[:, cols]), 1))
+        return self._restrict(x, z, phase, alive, cols)
 
     def measure_discard(self, qs: list[int], rng: np.random.Generator,
                         ) -> tuple["StabilizerState", list[int]]:
@@ -502,30 +504,28 @@ class StabilizerState:
 
         Same bits, ``rng.integers(0, 2)`` draws and group as
         `measure_pauli` on each Z_q in turn, then `discard_qubits(qs)`.
-        After eliminating the x, then the z columns over qs, a GF(2)
-        reduction of the z-pivot rows' kept parts against the other rows
-        finds the group's elements +/-Z^v on qs alone; in echelon form by
-        last position they fix those outcomes, all others are uniform.
-        Z-pivot rows stay with sign (-1)^(v.b), dependent ones are dropped.
+        `_drop_support` on the x restriction leaves the part of the group
+        that commutes with every Z_q; an echelon of its rows' kept parts,
+        those with z on qs last, finds the group's +/-Z^v on qs alone.  In
+        echelon form by last position they fix those outcomes, all others
+        are uniform; the rows with z on qs that stay take sign (-1)^(v.b).
         """
         qs = _check_qubits(self.n_qubits, qs)
+        cols = _columns(qs)
         x, z, phase = self._rows()
-        alive = np.ones(len(phase), bool)
-        _eliminate(x, z, phase, x, qs, alive)
-        zpiv = [p for p in _eliminate(x, z, phase, z, qs, alive) if p >= 0]
+        alive = _drop_support(x, z, phase, x[:, cols])
+        zrows = alive & z[:, cols].any(1)
         # the group's +/-Z^v on qs, as (v, sign) bit masks over positions
         # in qs, in echelon form keyed by each v's last position
         fixed: dict[int, tuple[int, int]] = {}
-        if zpiv:
-            rows = np.concatenate([np.flatnonzero(alive), zpiv])
-            alive[zpiv] = True
-            keep = np.ones(self.n_qubits, bool)
-            keep[qs] = False
-            kept = np.hstack([x[rows][:, keep], z[rows][:, keep]])
-            for rel in gf2.relations(kept):
-                sel = rows[np.flatnonzero(rel)]
+        if zrows.any():
+            rows = np.concatenate([(alive & ~zrows).nonzero()[0],
+                                   zrows.nonzero()[0]])
+            parts = np.concatenate([_without(a[rows], cols) for a in (x, z)], 1)
+            for rel in gf2.relations(parts):
+                sel = rows[rel]
                 _, vz, ph = _row_product(x, z, phase, sel)
-                v = sum(1 << int(j) for j in np.flatnonzero(vz[qs]))
+                v = sum(1 << int(j) for j in np.flatnonzero(vz[cols]))
                 sign = ph >> 1
                 while v and (v.bit_length() - 1) in fixed:
                     fv, fs = fixed[v.bit_length() - 1]
@@ -533,7 +533,7 @@ class StabilizerState:
                 if v:
                     fixed[v.bit_length() - 1] = (v, sign)
                 # the relation's last row depends on the rows before it
-                alive[sel[-1]] = False
+                alive[sel[-1]] = zrows[sel[-1]] = False
         bits: list[int] = []
         done = 0
         for j in range(len(qs)):
@@ -544,21 +544,20 @@ class StabilizerState:
                 bit = int(rng.integers(0, 2))
             bits.append(bit)
             done |= bit << j
-        for p in zpiv:
-            phase[p] = (phase[p] + 2 * int(z[p, qs] @ bits)) & 3
-            z[p, qs] = 0
-        return self._restrict(x, z, phase, alive, qs), bits
+        for p in zrows.nonzero()[0]:
+            phase[p] = (phase[p] + 2 * int(z[p, cols] @ bits)) & 3
+            z[p, cols] = 0
+        return self._restrict(x, z, phase, alive, cols), bits
 
     def _restrict(self, x: np.ndarray, z: np.ndarray, phase: np.ndarray,
-                  alive: np.ndarray, qs: list[int]) -> "StabilizerState":
-        """The alive rows, which must act trivially on qs, restricted to
-        the other qubits."""
-        x, z, phase = x[alive], z[alive], phase[alive]
-        if x[:, qs].any() or z[:, qs].any():
-            raise BackendError("discard elimination left support behind")
-        keep = np.ones(self.n_qubits, bool)
-        keep[qs] = False
-        return _tableau(self.n_qubits - len(qs), x[:, keep], z[:, keep], phase)
+                  alive: np.ndarray, cols) -> "StabilizerState":
+        """The alive rows, which must act trivially on the qubits `cols`,
+        restricted to the other qubits."""
+        x, z = x[alive], z[alive]
+        if x[:, cols].any() or z[:, cols].any():
+            raise BackendError("discard reduction left support behind")
+        x = _without(x, cols)
+        return _tableau(x.shape[1], x, _without(z, cols), phase[alive])
 
     # -- extraction -------------------------------------------------------
 
@@ -617,24 +616,34 @@ def _block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _eliminate(x: np.ndarray, z: np.ndarray, phase: np.ndarray,
-               bits: np.ndarray, cols: list[int], alive: np.ndarray,
-               ) -> list[int]:
-    """Gaussian elimination of `bits` (x or z) over `cols` in the order
-    given, among the rows marked in `alive`, in place: the first alive row
-    with a 1 in a column is its pivot, every other alive row with a 1 is
-    multiplied by it, and the pivot leaves `alive`.  Returns each column's
-    pivot row, or -1."""
-    pivots = []
-    for q in cols:
-        hits = (bits[:, q] & alive).nonzero()[0]
-        if len(hits):
-            _multiply_rows(x, z, phase, hits[1:], hits[0])
-            alive[hits[0]] = False
-            pivots.append(int(hits[0]))
-        else:
-            pivots.append(-1)
-    return pivots
+def _columns(qs: list[int]):
+    """Distinct qubits as a column index: a basic slice when they run up
+    in steps of one (every register row), else the list itself."""
+    start = qs[0] if qs else 0
+    return slice(start, start + len(qs)) if qs == list(range(start, start + len(qs))) else qs
+
+
+def _without(a: np.ndarray, cols) -> np.ndarray:
+    """A copy of a's columns other than `cols` (as `_columns` gives them)."""
+    if isinstance(cols, slice):
+        return np.concatenate((a[:, :cols.start], a[:, cols.stop:]), 1)
+    return np.delete(a, cols, 1)
+
+
+def _drop_support(x: np.ndarray, z: np.ndarray, phase: np.ndarray,
+                  parts: np.ndarray) -> np.ndarray:
+    """Keep, of the rows with support in `parts` (a row per generator),
+    only the products whose parts cancel, in place: each relation's
+    product takes its last row's slot, which no other relation reads (the
+    others use independent rows).  Returns the mask of the rows kept."""
+    rows = parts.any(1).nonzero()[0]
+    alive = np.ones(len(phase), bool)
+    alive[rows] = False
+    for rel in gf2.relations(parts[rows]):
+        last = rows[rel[-1]]
+        x[last], z[last], phase[last] = _row_product(x, z, phase, rows[rel])
+        alive[last] = True
+    return alive
 
 
 def _multiply_rows(x: np.ndarray, z: np.ndarray, phase: np.ndarray,
@@ -766,9 +775,11 @@ class DensityMatrix:
     def permute_qubits(self, perm) -> "DensityMatrix":
         """Relabel qubits: new qubit perm[q] carries old qubit q, so new
         row b is the old row whose bit q is bit perm[q] of b."""
-        n = self.n_qubits
-        src = _check_perm(perm, n)
-        return _dense(_gather(self.mat, _basis(n).transpose(src).reshape(-1), None))
+        return self._permute(_check_perm(perm, self.n_qubits))
+
+    def _permute(self, inv: np.ndarray) -> "DensityMatrix":
+        """`permute_qubits` by a checked inverse: new q is old inv[q]."""
+        return _dense(_gather(self.mat, _basis(self.n_qubits).transpose(inv).ravel(), None))
 
     # -- extraction -------------------------------------------------------
 

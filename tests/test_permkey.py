@@ -1,10 +1,14 @@
 """Permutation-key scheme: spreading, security, transversal evaluation,
 T gates, and the concatenated inner-code construction."""
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qhelab import permkey, qec
 from qhelab.paulis import CliffordOp, PauliString
 from qhelab.permkey import (PermClient, PermKey,
                             RegisterError, SpreadRegister,
@@ -108,6 +112,87 @@ class TestSpread:
             dense = spread_qubit(DensityMatrix.product(spec), 3)
             stab = spread_qubit(StabilizerState.product(spec), 3)
             assert trace_distance(stab.to_density(), dense) < 1e-12
+
+
+def _gate_path_encode(inner, m: int, plaintext: str) -> StabilizerState:
+    """The reference spread of an inner encoding: tensor n(2m - 1) mixed
+    qubits, move each data qubit to column 0 of its row, then run the
+    spreading word on every row."""
+    state = qec.encode(inner, StabilizerState.product(plaintext))
+    n, mixed = inner.n, 2 * m - 1
+    full = state.tensor(StabilizerState.maximally_mixed(n * mixed))
+    perm = [0] * (2 * m * n)
+    for r in range(n):
+        perm[r] = r * 2 * m
+        for j in range(mixed):
+            perm[n + r * mixed + j] = r * 2 * m + 1 + j
+    return full.permute_qubits(perm).apply_gates(
+        (name, tuple(r * 2 * m + q for q in qs))
+        for name, qs in spread_gate_list(m) for r in range(n))
+
+
+def _same_rows(a: StabilizerState, b: StabilizerState) -> bool:
+    return all(np.array_equal(u, v) and u.dtype == v.dtype
+               for u, v in ((a.x, b.x), (a.z, b.z), (a.phase, b.phase)))
+
+
+class TestSpreadBroadcast:
+    """Spreading on the tableau copies each generator's bits into the
+    first m columns of its row, phase unchanged: the same x, z and phase
+    as the spreading gate word."""
+
+    @pytest.mark.parametrize("code", ["steane", "repetition", "phase_flip"])
+    @pytest.mark.parametrize("m", [1, 3, 5, 7])
+    def test_encode_equals_gate_path(self, code, m):
+        inner = getattr(qec, f"{code}_code")()
+        cat = build_concatenated_code(inner, m)
+        for plain in "01+-im":
+            (f,) = cat.encode(plain).factors
+            assert f.rows == list(range(inner.n))
+            assert _same_rows(f.state, _gate_path_encode(inner, m, plain))
+
+    @pytest.mark.parametrize("m", [1, 3, 5, 7, 9])
+    @pytest.mark.parametrize("role", sorted(permkey._ROW_CHAR))
+    def test_row_equals_spread_qubit(self, role, m):
+        ch = permkey._ROW_CHAR[role]
+        want = spread_qubit(StabilizerState.product(ch), m).tensor(
+            StabilizerState.maximally_mixed(m))
+        assert _same_rows(permkey._spread_row_stabilizer(role, m), want)
+
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_even_m(self, m):
+        for role in ("plus", "minus", "plusi", "minusi"):
+            with pytest.raises(RegisterError, match="odd m"):
+                SpreadRegister(m).add_ancilla_row(role)
+        for role, phase in (("zero", 0), ("one", 2)):
+            row = permkey._spread_row_stabilizer(role, m)
+            assert row.x.tolist() == [[0] * (2 * m)]
+            assert row.z.tolist() == [[1] * m + [0] * m]
+            assert row.phase.tolist() == [phase]
+        with pytest.raises(RegisterError, match="odd m"):
+            SpreadRegister(m).add_data_row("+")
+        with pytest.raises(RegisterError, match="odd m"):
+            SpreadRegister(m).add_ancilla_row("magic")
+        with pytest.raises(RegisterError, match="spreading circuit requires odd m"):
+            build_concatenated_code(repetition_code(), m).encode("0")
+
+    def test_fresh_rows_are_cached_read_only_states(self):
+        for make, args in ((permkey._spread_row_stabilizer, ("plusi", 5)),
+                           (permkey._spread_magic_dense, (1,))):
+            row = make(*args)
+            assert make(*args) is row
+            for arr in (getattr(row, a) for a in ("x", "z", "phase", "mat")
+                        if hasattr(row, a)):
+                assert not arr.flags.writeable
+
+    def test_caches_fill_on_first_call(self):
+        """Importing the package builds no row."""
+        code = ("import qhelab.permkey as p; print("
+                "p._spread_row_stabilizer.cache_info().currsize, "
+                "p._spread_magic_dense.cache_info().currsize)")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True)
+        assert out.stdout.split() == ["0", "0"]
 
 
 class TestEncrypt:

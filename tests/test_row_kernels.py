@@ -22,14 +22,15 @@ def _random_state(backend, n, rng):
     return stab if backend is StabilizerState else stab.to_density()
 
 
-def _sequential(state, qs, rng):
-    """The reference: one Z measurement per qubit, then one discard."""
+def _sequential(state, qs, rng, discard=None):
+    """The reference: one Z measurement per qubit, then one discard (the
+    state's own `discard_qubits` unless `discard` is given)."""
     bits = []
     for q in qs:
         zq = PauliString.single(state.n_qubits, q, "Z")
         state, rec = state.measure_pauli(zq, rng)
         bits.append(rec.outcome)
-    return state.discard_qubits(qs), bits
+    return (discard or type(state).discard_qubits)(state, qs), bits
 
 
 def _same_group(a: StabilizerState, b: StabilizerState) -> bool:
@@ -117,6 +118,138 @@ class TestMeasureDiscard:
         state, bits = StabilizerState.product("1*0").measure_discard(
             [2, 1, 0], np.random.default_rng(5))
         assert state.n_qubits == 0 and bits[0] == 0 and bits[2] == 1
+
+
+def _eliminate_discard(state: StabilizerState, qs) -> StabilizerState:
+    """The reference partial trace: every generator Gaussian-eliminated
+    over the discarded x columns, then their z columns, one column at a
+    time; pivots leave and the rest is restricted to the kept qubits."""
+    x, z, phase = state.x.copy(), state.z.copy(), state.phase.copy()
+    alive = np.ones(len(phase), bool)
+    for bits in (x, z):
+        for q in qs:
+            hits = (bits[:, q] & alive).nonzero()[0]
+            if len(hits):
+                states._multiply_rows(x, z, phase, hits[1:], hits[0])
+                alive[hits[0]] = False
+    x, z, phase = x[alive], z[alive], phase[alive]
+    assert not x[:, qs].any() and not z[:, qs].any()
+    keep = np.ones(state.n_qubits, bool)
+    keep[list(qs)] = False
+    return states._tableau(int(keep.sum()), x[:, keep], z[:, keep], phase)
+
+
+QS_SHAPES = ["contiguous", "scattered", "unsorted", "empty", "whole"]
+
+
+def _qubits(shape: str, n: int, rng) -> list[int]:
+    """Qubits to measure or discard on n qubits, of the named shape."""
+    if shape == "contiguous":
+        k = int(rng.integers(1, n + 1))
+        start = int(rng.integers(0, n - k + 1))
+        return list(range(start, start + k))
+    if shape == "empty":
+        return []
+    if shape == "whole":
+        return list(range(n))
+    qs = [int(q) for q in rng.permutation(n)[:int(rng.integers(1, n + 1))]]
+    return sorted(qs) if shape == "scattered" else qs
+
+
+def _register_factor(seed: int):
+    """A m = 5 spread register merged into one tableau factor by random
+    transversal gates, encrypted under a random key: (state, row ranges)."""
+    rng = np.random.default_rng(seed)
+    reg = permkey.SpreadRegister(5)
+    for ch in rng.choice(list("01+-im"), 2):
+        reg.add_data_row(str(ch))
+    for role in rng.choice(["plus", "zero", "one", "plusi"], 3):
+        reg.add_ancilla_row(str(role))
+    rows = list(range(5))
+    for _ in range(8):
+        if rng.integers(3):
+            a, b = (int(r) for r in rng.choice(rows, 2, replace=False))
+            reg.transversal_pair(str(rng.choice(["CNOT", "CZ"])), a, b)
+        else:
+            reg.transversal_single(int(rng.choice(rows)),
+                                   str(rng.choice(["H", "S", "X", "Z"])))
+    for a, b in zip(rows, rows[1:]):
+        reg.transversal_pair("CNOT", a, b)
+    reg.encrypt(permkey.PermKey.sample(5, rng))
+    (f,) = reg.factors
+    return f.state, [f.columns(row, reg.n_cols) for row in f.rows]
+
+
+class TestRowReduction:
+    """`discard_qubits` and `measure_discard` reduce only the generators
+    with support on the qubits: the same group as the column-by-column
+    elimination, and for measurements the same bits and draws as one
+    `measure_pauli` per qubit."""
+
+    @staticmethod
+    def _assert_discard(state, qs):
+        got = state.discard_qubits(qs)
+        assert _same_group(got, _eliminate_discard(state, qs))
+        assert got._validate() is None
+
+    @staticmethod
+    def _assert_measure(state, qs, draw_seed):
+        ref_rng, rng = (np.random.default_rng(draw_seed) for _ in range(2))
+        want, want_bits = _sequential(state, qs, ref_rng, _eliminate_discard)
+        got, bits = state.measure_discard(qs, rng)
+        assert bits == want_bits
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert _same_group(got, want)
+        assert got._validate() is None
+
+    @given(st.integers(0, 10 ** 9), st.sampled_from(QS_SHAPES))
+    @settings(max_examples=150, deadline=None)
+    def test_random_states(self, seed, shape):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 13))
+        state = _random_state(StabilizerState, n, rng)
+        qs = _qubits(shape, n, rng)
+        self._assert_discard(state, qs)
+        self._assert_measure(state, qs, int(rng.integers(2 ** 32)))
+
+    @given(st.integers(0, 10 ** 9))
+    @settings(max_examples=25, deadline=None)
+    def test_register_rows(self, seed):
+        state, rows = _register_factor(seed)
+        rng = np.random.default_rng(seed)
+        for row in rows:
+            self._assert_discard(state, row)
+            self._assert_measure(state, list(row), int(rng.integers(2 ** 32)))
+        for shape in QS_SHAPES:
+            qs = _qubits(shape, state.n_qubits, rng)
+            self._assert_discard(state, qs)
+            self._assert_measure(state, qs, int(rng.integers(2 ** 32)))
+
+    def test_one_row_product_per_touched_generator(self, monkeypatch):
+        """Over one encrypted Steane x spread cycle at m = 5, each row
+        discard or measurement forms at most one relation product per
+        generator with support on the row.  (On other qubit lists a
+        measurement can form more: on X0, X0Z1Z3, X0Z2Z4, Z3, Z4 measuring
+        qubits 0-2 forms four, two per reduction step.)"""
+        products = _Counter(monkeypatch, states, "_row_product")
+        seen = []
+        for name in ("discard_qubits", "measure_discard"):
+            inner = getattr(StabilizerState, name)
+
+            def counted(state, qs, *rest, inner=inner):
+                cols = list(qs)
+                touched = int((state.x[:, cols].any(1)
+                               | state.z[:, cols].any(1)).sum())
+                products.take()
+                out = inner(state, qs, *rest)
+                seen.append((products.take(), touched))
+                return out
+            monkeypatch.setattr(StabilizerState, name, counted)
+        plain, value, _ = _qec_cycle(101, 1)
+        assert value == (-1 if plain == "1" else 1)
+        assert len(seen) == 6 + 14
+        assert sum(calls for calls, _ in seen) > 0
+        assert all(calls <= touched for calls, touched in seen)
 
 
 def _random_dense(n, rng):

@@ -254,7 +254,8 @@ class TestCycleCalls:
         """Over one encrypted Steane x spread QEC cycle at m = 5: the word
         check and the run folding serve only the encoder, each transversal
         gate is one engine call, and the only qubit permutations are one
-        per factor at encrypt and decrypt."""
+        per factor at encrypt and decrypt (`_permute`, the kernel behind
+        `permute_qubits`, which the register calls without the check)."""
         calls = _Calls(monkeypatch)
         calls.count(paulis, "_check_word", "check_word")
         calls.count(states, "_check_word", "check_word")
@@ -263,7 +264,7 @@ class TestCycleCalls:
         for name in ("transversal_single", "transversal_pair"):
             calls.count(SpreadRegister, name, "transversal")
         for backend in (StabilizerState, DensityMatrix):
-            calls.count(backend, "permute_qubits", "permute")
+            calls.count(backend, "_permute", "permute")
         permute_columns = SpreadRegister.permute_columns
 
         def counted_permute_columns(reg, key):
@@ -299,7 +300,7 @@ class TestCycleCalls:
         row_states = [f.state for f in reg.factors]
         calls = _Calls(monkeypatch)
         for backend in (StabilizerState, DensityMatrix):
-            calls.count(backend, "permute_qubits", "permute")
+            calls.count(backend, "_permute", "permute")
         reg.transversal_pair("CNOT", 0, 2)
         reg.transversal_pair("CZ", 1, 0)
         assert calls.outside["permute"] == 0
