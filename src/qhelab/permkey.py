@@ -13,7 +13,9 @@ Registers are stored as a list of tensor factors over whole rows; factors
 hold either a stabilizer tableau (anything Clifford) or a small dense
 block (rows touched by magic states).  Transversal measurement of a row
 collapses it to a product, after which the row is traced out and the
-factor shrinks, so dense blocks never exceed the oracle cap.
+factor shrinks, so dense blocks never exceed the oracle cap.  A discarded
+row leaves its factor's state at the factor's next read, in one partial
+trace with every row discarded since the last.
 """
 from __future__ import annotations
 
@@ -212,10 +214,27 @@ def _spread_magic_dense(m: int) -> DensityMatrix:
 # Registers
 # ---------------------------------------------------------------------------
 
-@dataclass(eq=False)
 class _Factor:
-    rows: list[int]
-    state: object  # StabilizerState | DensityMatrix
+    """Live rows and their joint state.  The held state keeps the columns
+    of rows discarded since its last read; reading `state` traces them all
+    out in one `discard_qubits`, so every reader sees the live rows alone."""
+
+    def __init__(self, rows: list[int], state):
+        self.rows = rows
+        self.state = state  # StabilizerState | DensityMatrix
+
+    @property
+    def state(self):
+        if len(self._held) > len(self.rows):
+            n_cols = self._state.n_qubits // len(self._held)
+            self.state = self._state.discard_qubits(
+                [i * n_cols + c for i, row in enumerate(self._held)
+                 if row not in self.rows for c in range(n_cols)])
+        return self._state
+
+    @state.setter
+    def state(self, state) -> None:
+        self._state, self._held = state, list(self.rows)
 
     def loc(self, row: int, col: int, n_cols: int) -> int:
         return self.rows.index(row) * n_cols + col
@@ -371,18 +390,18 @@ class SpreadRegister:
         if basis == "X":
             self.transversal_single(row, "H")
         f = self._factor_of(row)
-        f.state, bits = f.state.measure_discard(f.columns(row, self.n_cols), rng)
+        state, bits = f.state.measure_discard(f.columns(row, self.n_cols), rng)
         self._remove_row(f, row)
+        f.state = state
         return bits
 
     def discard_row(self, row: int) -> None:
-        f = self._factor_of(row)
-        if len(f.rows) > 1:
-            f.state = f.state.discard_qubits(f.columns(row, self.n_cols))
-        self._remove_row(f, row)
+        """Retire a row now; its columns leave the factor's state at the
+        factor's next read, with every other row discarded before it."""
+        self._remove_row(self._factor_of(row), row)
 
     def _remove_row(self, f: _Factor, row: int) -> None:
-        """Retire a row whose qubits have left its factor's state."""
+        """Retire a row: it leaves the register's bookkeeping at once."""
         f.rows.remove(row)
         self.alive[row] = False
         del self._owner[row]
@@ -636,6 +655,7 @@ class ConcatenatedSpreadCode:
     """Inner stabilizer code down the rows, spreading across the columns."""
     inner: object          # qec.StabilizerCode
     m: int
+    _encoded: dict = field(default_factory=dict, compare=False, repr=False)
 
     def logical_x_columns(self) -> list[str]:
         return [self.inner.logical_x[0].restricted_letter(i)
@@ -646,13 +666,16 @@ class ConcatenatedSpreadCode:
                 for i in range(self.inner.n)]
 
     def encode(self, plaintext: str) -> SpreadRegister:
-        """One data qubit -> n rows x 2m columns."""
+        """One data qubit -> n rows x 2m columns; each character encoded once."""
         from .qec import encode as qec_encode
-        inner_state = qec_encode(self.inner, StabilizerState.product(plaintext))
         if self.m % 2 == 0:
             raise RegisterError("spreading circuit requires odd m")
+        rows = self._encoded.get(plaintext)
+        if rows is None:
+            inner_state = qec_encode(self.inner, StabilizerState.product(plaintext))
+            rows = self._encoded[plaintext] = _spread_rows(inner_state, self.m)
         reg = SpreadRegister(self.m)
-        reg._add_factor(["data"] * self.inner.n, _spread_rows(inner_state, self.m))
+        reg._add_factor(["data"] * self.inner.n, rows)
         return reg
 
 

@@ -32,17 +32,18 @@ The two backends are cross-checked against each other in the test suite.
 
 Both implement the same state protocol, so scheme code never asks which
 backend it holds: `apply_gates` (a gate word; `apply_clifford` and the
-tableau's `apply_gate` replay through it, and the dense one is a loop
-over `apply_gate`), `apply_transversal` (one gate on each column of
+tableau's `apply_gate` replay through it; the dense one gathers a run of
+X, CNOT and SWAP once, by the composed index, and calls `apply_gate` on
+every other gate), `apply_transversal` (one gate on each column of
 equal-length, disjoint qubit ranges), `apply_pauli`, `measure_pauli`,
 `measure_discard` (Z on a list of qubits in order, then trace them
 out), `permute_qubits`, `discard_qubits`, `reduced_density` (a state),
-`expectation`, `to_density`, `tensor` (a dense operand promotes a
-stabilizer one), and the `product` / `maximally_mixed`
-constructors; `trace_distance` takes two states.  On the tableau
+`expectation`, `to_density` (a tableau's is cached on its rows),
+`tensor` (a dense operand promotes a stabilizer one), and the `product` /
+`maximally_mixed` constructors; `trace_distance` takes two states.  On the tableau
 `apply_transversal` is one engine call on column slices, and a run of
 one gate on disjoint qubits inside a general word is folded into one
-call too; the dense oracle replays a transversal gate gate by gate.
+call too; the dense oracle replays a transversal gate as its word.
 `StabilizerState(n, generators)`, `DensityMatrix(mat)` and
 `permute_qubits` check outside data (`_permute` is the unchecked
 relabelling), and `DensityMatrix(mat)` keeps a copy; `_tableau` (packed
@@ -94,6 +95,8 @@ _1Q_VECTORS = {
     "m": np.array([1, -1j], dtype=complex) * _INV_SQRT2,
     "T": np.array([1, np.exp(1j * np.pi / 4)], dtype=complex) * _INV_SQRT2,
 }
+
+_PHASE_FREE = frozenset({"X", "CNOT", "SWAP"})   # row maps without phases
 
 # stabilizer generator (x bit, z bit, Z4 phase; Y = iXZ) for the
 # stabilizer-representable plaintext characters
@@ -568,12 +571,10 @@ class StabilizerState:
         return kept.to_density().reduced_density([order.index(q) for q in qubits])
 
     def to_density(self) -> "DensityMatrix":
+        """Cached on the packed rows: sessions promote a few tableaus often."""
         _check_dense_cap(self.n_qubits)
-        rho = np.eye(2 ** self.n_qubits, dtype=complex)
-        for row in zip(self.x, self.z, self.phase):
-            idx, s = _signed_permutation(*row)
-            rho = (rho + s[:, None] * rho[idx]) / 2.0      # (I + g) rho / 2
-        return _dense(rho / 2 ** (self.n_qubits - len(self.phase)))
+        return _density_of(self.n_qubits, self.x.tobytes(), self.z.tobytes(),
+                           self.phase.tobytes())
 
     def to_json(self) -> dict:
         return {"backend": self.BACKEND, "n_qubits": self.n_qubits,
@@ -592,6 +593,17 @@ def _tableau(n_qubits: int, x: np.ndarray, z: np.ndarray,
              phase: np.ndarray) -> StabilizerState:
     """State from packed rows, taken over without checks or copies."""
     return object.__new__(StabilizerState)._set(n_qubits, x, z, phase)
+
+
+@functools.lru_cache(maxsize=64)
+def _density_of(n: int, x: bytes, z: bytes, phase: bytes) -> "DensityMatrix":
+    """From the identity, (I + g) rho / 2 per generator g of packed rows."""
+    rho = np.eye(2 ** n, dtype=complex)
+    k = len(phase)
+    for row in zip(*(np.frombuffer(b, np.uint8).reshape(k, n) for b in (x, z)), phase):
+        idx, s = _signed_permutation(*row)
+        rho = (rho + s[:, None] * rho[idx]) / 2.0
+    return _dense(rho / 2 ** (n - k))
 
 
 def _gate_runs(word) -> list[tuple[str, tuple]]:
@@ -709,11 +721,16 @@ class DensityMatrix:
     # -- dynamics ---------------------------------------------------------
 
     def apply_gates(self, gates) -> "DensityMatrix":
-        """Apply an elementary gate word (application order), T included."""
-        out = self
-        for name, qs in gates:
-            out = out.apply_gate(name, qs)
-        return out
+        """Apply an elementary gate word (application order), T included:
+        each maximal run of X, CNOT and SWAP through `_phase_free_run`."""
+        out, run = self, []
+        for gate in gates:
+            if gate[0] in _PHASE_FREE:
+                run.append(gate)
+            else:
+                out = _phase_free_run(out, run).apply_gate(*gate)
+                run = []
+        return _phase_free_run(out, run)
 
     def apply_transversal(self, name: str, slots) -> "DensityMatrix":
         """One gate on each column of its step-1 qubit ranges, replayed as
@@ -861,6 +878,18 @@ def _dense(mat: np.ndarray) -> DensityMatrix:
     """State from an exactly built complex 2^n x 2^n matrix, taken over
     without checks or copies."""
     return object.__new__(DensityMatrix)._set(mat)
+
+
+def _phase_free_run(state: DensityMatrix, run: list) -> DensityMatrix:
+    """A lone gate is one `apply_gate`; a longer run is one gather by the
+    composed index idx_1[idx_2]..., the entries of gate by gate."""
+    if len(run) < 2:
+        return state.apply_gate(*run[0]) if run else state
+    n = state.n_qubits
+    _check_word(run, n, _GATE_MATS, BackendError)
+    idx = functools.reduce(lambda a, b: a[b], (
+        _row_map(n, name, tuple(qs))[0] for name, qs in run))
+    return _dense(_gather(state.mat, idx, None))
 
 
 def trace_distance(a, b) -> float:

@@ -1,20 +1,23 @@
 """SWAPs on the dense oracle move entries, they are not gate contractions.
 
 `DensityMatrix.apply_gate` gathers a SWAP's rows and columns by its row
-map, as it does for every gate with one nonzero per row.  These tests pin
-the permutation scheme's ciphertexts bit for bit, compare mixed gate words
-with a gate-by-gate contraction reference, and check that no SWAP reaches
-the contraction kernel."""
+map, as it does for every gate with one nonzero per row, and
+`apply_gates` gathers a run of phase-free gates (X, CNOT, SWAP) once, by
+their composed index.  These tests pin the permutation scheme's
+ciphertexts bit for bit, compare mixed gate words with a gate-by-gate
+contraction reference and with one `apply_gate` per gate, and check that
+no SWAP reaches the contraction kernel."""
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
 
 from qhelab import states
-from qhelab.permkey import perm_scheme, spread_basis_input
+from qhelab.permkey import PermKey, perm_scheme, spread_basis_input
 from qhelab.schemes import _key_average, ciphertext_average
 from qhelab.states import (_GATE_MATS, BackendError, DensityMatrix,
-                           _apply_on_bits)
+                           _apply_on_bits, _gather)
 
 # every gate's superoperator u (x) conj(u), for a contraction reference
 # that covers the gates the dense oracle relabels or gathers
@@ -125,6 +128,69 @@ class TestSwapRunsMatchContraction:
         assert rho.apply_gates([]).mat.tobytes() == rho.mat.tobytes()
         run = [("SWAP", (0, 2)), ("SWAP", (2, 0))]
         assert rho.apply_gates(run).mat.tobytes() == rho.mat.tobytes()
+
+
+def _gate_by_gate(rho, word):
+    """The word one `apply_gate` at a time: one gather per monomial gate."""
+    for name, qs in word:
+        rho = rho.apply_gate(name, qs)
+    return rho.mat
+
+
+class TestPhaseFreeRunsComposed:
+    """`apply_gates` gathers a run of X, CNOT and SWAP gates once, by the
+    composed index; the entries equal the gate-by-gate gathers."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_every_pinned_key_bitwise(self, m):
+        scheme = perm_scheme(m)
+        for rho in _inputs(m).values():
+            for key in scheme.iter_keys():
+                for word in (key.word(), key.inverse().word()):
+                    got = rho.apply_gates(word).mat
+                    assert got.tobytes() == _gate_by_gate(rho, word).tobytes()
+                assert (scheme.encrypt(key, rho).mat.tobytes()
+                        == _gate_by_gate(rho, key.word()).tobytes())
+
+    def test_every_swap_word_at_four_qubits(self, monkeypatch):
+        rho = DensityMatrix.random_pure(4, np.random.default_rng(24))
+        gathers = []
+
+        def counting(mat, idx, d):
+            gathers.append(d)
+            return _gather(mat, idx, d)
+        monkeypatch.setattr(states, "_gather", counting)
+        keys = list(PermKey(2, p) for p in itertools.permutations(range(4)))
+        assert len(keys) == 24
+        for key in keys:
+            word = key.word()
+            want = _gate_by_gate(rho, word)
+            gathers.clear()
+            assert rho.apply_gates(word).mat.tobytes() == want.tobytes()
+            assert len(gathers) == min(len(word), 1)
+            assert (rho.permute_qubits(key.perm).mat.tobytes()
+                    == want.tobytes())
+
+    def test_random_mixed_words_bitwise(self):
+        rng = np.random.default_rng(42)
+        names = ["X", "CNOT", "SWAP"] * 3 + ["H", "S", "T"]
+        runs = 0
+        for i in range(300):
+            n = 1 + i % 6
+            rho = DensityMatrix.random_pure(n, rng)
+            word = []
+            for _ in range(int(rng.integers(1, 12))):
+                name = names[int(rng.integers(len(names)))]
+                arity = 1 if name in ("X", "H", "S", "T") else 2
+                if arity > n:
+                    name, arity = "X", 1
+                word.append((name, tuple(int(q) for q in
+                                         rng.choice(n, arity, replace=False))))
+            runs += any(a[0] in states._PHASE_FREE and b[0] in states._PHASE_FREE
+                        for a, b in zip(word, word[1:]))
+            got = rho.apply_gates(word).mat
+            assert got.tobytes() == _gate_by_gate(rho, word).tobytes(), word
+        assert runs > 100
 
 
 class TestBadSwapInRun:

@@ -1,7 +1,9 @@
 """Permutation-key scheme: spreading, security, transversal evaluation,
 T gates, and the concatenated inner-code construction."""
+import json
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -151,6 +153,24 @@ class TestSpreadBroadcast:
             assert f.rows == list(range(inner.n))
             assert _same_rows(f.state, _gate_path_encode(inner, m, plain))
 
+    @pytest.mark.parametrize("code", ["steane", "repetition", "phase_flip"])
+    @pytest.mark.parametrize("m", [1, 3, 5, 7])
+    def test_cached_encoding_equals_uncached(self, code, m):
+        """Each character is encoded once; later registers share the
+        read-only state, equal to `qec.encode` then `_spread_rows`."""
+        inner = getattr(qec, f"{code}_code")()
+        cat = build_concatenated_code(inner, m)
+        for plain in "01+-im":
+            first = cat.encode(plain).factors[0].state
+            (f,) = cat.encode(plain).factors
+            assert f.state is first is cat._encoded[plain]
+            want = permkey._spread_rows(
+                qec.encode(inner, StabilizerState.product(plain)), m)
+            assert _same_rows(f.state, want)
+            assert not any(a.flags.writeable for a in (f.state.x, f.state.z,
+                                                       f.state.phase))
+        assert sorted(cat._encoded) == sorted("01+-im")
+
     @pytest.mark.parametrize("m", [1, 3, 5, 7, 9])
     @pytest.mark.parametrize("role", sorted(permkey._ROW_CHAR))
     def test_row_equals_spread_qubit(self, role, m):
@@ -186,13 +206,31 @@ class TestSpreadBroadcast:
                 assert not arr.flags.writeable
 
     def test_caches_fill_on_first_call(self):
-        """Importing the package builds no row."""
-        code = ("import qhelab.permkey as p; print("
-                "p._spread_row_stabilizer.cache_info().currsize, "
-                "p._spread_magic_dense.cache_info().currsize)")
+        """Importing the package builds no row and fills no cache: every
+        cached function of every qhelab module is empty after import,
+        and a fresh concatenated code holds no encoding."""
+        code = textwrap.dedent("""
+            import importlib, json, pkgutil, qhelab
+            from qhelab import permkey, qec
+            rows = [permkey._spread_row_stabilizer.cache_info().currsize,
+                    permkey._spread_magic_dense.cache_info().currsize]
+            caches = {f"{info.name}.{attr}": fn.cache_info().currsize
+                      for info in pkgutil.iter_modules(qhelab.__path__)
+                      for attr, fn in vars(importlib.import_module(
+                          f"qhelab.{info.name}")).items()
+                      if hasattr(fn, "cache_info")}
+            cat = permkey.build_concatenated_code(qec.steane_code(), 5)
+            print(json.dumps([rows, caches, len(cat._encoded)]))
+            """)
         out = subprocess.run([sys.executable, "-c", code], check=True,
                              capture_output=True, text=True)
-        assert out.stdout.split() == ["0", "0"]
+        rows, caches, encoded = json.loads(out.stdout)
+        assert rows == [0, 0]
+        assert {"paulis._signed_permutation_of", "states._row_map",
+                "states._density_of", "permkey._spread_row_stabilizer",
+                "permkey._spread_magic_dense"} <= set(caches)
+        assert {name: size for name, size in caches.items() if size} == {}
+        assert encoded == 0
 
 
 class TestEncrypt:

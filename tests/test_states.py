@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from qhelab import states
 from qhelab.paulis import CliffordOp, PauliString, parse_circuit, random_clifford
-from qhelab.paulis import random_pauli
+from qhelab.paulis import _signed_permutation, random_pauli
 from qhelab.states import (BackendError, DensityMatrix, StabilizerState,
                            ZeroProbabilityError, evaluate_circuit,
                            statevector, trace_distance)
@@ -167,6 +168,27 @@ class TestToDensity:
     def test_cap(self):
         with pytest.raises(BackendError):
             StabilizerState.zero(7).to_density()
+
+    def test_cached_build_matches_fresh_build(self):
+        """Equal packed rows share one read-only dense state, byte-equal to
+        the one built from the identity, one generator at a time."""
+        rng = np.random.default_rng(11)
+        for i in range(40):
+            n = 1 + i % 4
+            spec = "".join(rng.choice(list("01+-im*"), n))
+            st = StabilizerState.product(spec).apply_clifford(
+                random_clifford(n, rng))
+            rho = np.eye(2 ** n, dtype=complex)
+            for row in zip(st.x, st.z, st.phase):
+                idx, s = _signed_permutation(*row)
+                rho = (rho + s[:, None] * rho[idx]) / 2.0
+            want = rho / 2 ** (n - len(st.phase))
+            got = st.to_density()
+            assert got.mat.tobytes() == want.tobytes()
+            assert not got.mat.flags.writeable
+            copy = StabilizerState(n, st.generators)
+            assert copy.to_density() is got
+        assert 0 < states._density_of.cache_info().maxsize <= 64
 
 
 class TestBackendEquivalence:

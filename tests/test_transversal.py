@@ -1,17 +1,21 @@
 """Transversal gates as column ranges: `apply_transversal` on both backends
 against the per-gate word, the logical CZ that replaces H; CNOT; H, the
-operand checks, and the engine, word-check and permutation calls of one
-encrypted QEC cycle."""
+operand checks, the engine, word-check and permutation calls of one
+encrypted QEC cycle, and register programs whose discarded rows leave
+their factor's state at its next read."""
 import collections
+import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qhelab import paulis, permkey, qec, states
 from qhelab.paulis import CLIFFORD_GATES, PauliString, random_clifford
 from qhelab.permkey import PermClient, PermKey, RegisterError, SpreadRegister
 from qhelab.states import BackendError, DensityMatrix, StabilizerState
-from test_row_kernels import _qec_cycle
+from test_row_kernels import _qec_cycle, _same_group
 
 
 def _random_state(backend, n, rng):
@@ -311,3 +315,132 @@ class TestCycleCalls:
         want = rho.apply_gates([("CNOT", (0, 2)), ("CNOT", (1, 3)),
                                 ("CZ", (4, 0)), ("CZ", (5, 1))])
         assert np.abs(f.state.to_density().mat - want.mat).max() < 1e-12
+
+
+def _eager_discard_row(reg: SpreadRegister, row: int) -> None:
+    """The reference discard: the factor's state is read right away and
+    the row's columns leave it at once, by one `discard_qubits` on them,
+    so no discarded row ever waits in the held state."""
+    f = reg._factor_of(row)
+    state = f.state.discard_qubits(f.columns(row, reg.n_cols))
+    reg.discard_row(row)
+    f.state = state
+
+
+_ADDS = [*"01+-imT", *sorted(permkey._ROW_CHAR), "magic"]
+_STEP = st.tuples(st.sampled_from(["add", "single", "pair", "pair", "pair",
+                                   "measure", "discard", "discard", "encrypt",
+                                   "decrypt", "read"]),
+                  st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))
+# a few rows first, so that most programs merge factors before they
+# measure or discard
+_PROGRAM = st.builds(lambda adds, steps: adds + steps,
+                     st.lists(st.tuples(st.just("add"), st.integers(0, 10 ** 6),
+                                        st.just(0)), min_size=2, max_size=5),
+                     st.lists(_STEP, min_size=4, max_size=20))
+
+
+def _step(reg: SpreadRegister, step, rng, discard):
+    """Run one program step; returns what it gives back, or the type and
+    message of what it raised.  Row picks index the live rows."""
+    kind, a, b = step
+    live = [r for r, alive in enumerate(reg.alive) if alive]
+    if kind not in ("add", "encrypt", "decrypt") and not live:
+        return None
+    if kind in ("measure", "discard") and b % 3:
+        # mostly a row that shares its factor, when there is one
+        live = [r for r in live if len(reg._owner[r].rows) > 1] or live
+    try:
+        if kind == "add":
+            what = _ADDS[a % len(_ADDS)]
+            return (reg.add_data_row(what) if len(what) == 1
+                    else reg.add_ancilla_row(what))
+        if kind == "single":
+            return reg.transversal_single(live[a % len(live)],
+                                          "XYZHS"[b % 5])
+        if kind == "pair":
+            # two distinct rows whenever there are two
+            c = live[a % len(live)]
+            t = live[(a + 1 + b % max(len(live) - 1, 1)) % len(live)]
+            return reg.transversal_pair(("CNOT", "CZ", "SWAP")[b % 3], c, t)
+        if kind == "measure":
+            return reg.measure_row(live[a % len(live)], rng, "ZX"[b % 2])
+        if kind == "discard":
+            return discard(reg, live[a % len(live)])
+        if kind in ("encrypt", "decrypt"):
+            key = PermKey.sample(reg.m, np.random.default_rng(a))
+            return getattr(reg, kind)(key)
+        return reg.row_state(live[a % len(live)])
+    except (BackendError, RegisterError) as err:
+        return type(err), str(err)
+
+
+def _assert_same_state(a, b):
+    assert a.BACKEND == b.BACKEND and a.n_qubits == b.n_qubits
+    if a.BACKEND == StabilizerState.BACKEND:
+        assert _same_group(a, b)
+    else:
+        assert np.abs(a.mat - b.mat).max() < 1e-12
+
+
+class TestDeferredDiscards:
+    """`discard_row` retires a row at once and leaves its columns in the
+    factor's held state until the state is next read; every register
+    program gives what the eager reference gives."""
+
+    @given(st.sampled_from([1, 3, 5]), st.integers(0, 2 ** 32 - 1),
+           _PROGRAM)
+    @settings(max_examples=150, deadline=None)
+    def test_programs_match_eager_reference(self, m, seed, program):
+        regs = [SpreadRegister(m), SpreadRegister(m)]
+        rngs = [np.random.default_rng(seed), np.random.default_rng(seed)]
+        discards = [_eager_discard_row, SpreadRegister.discard_row]
+        for step in program:
+            ref, lazy = (_step(reg, step, rng, d)
+                         for reg, rng, d in zip(regs, rngs, discards))
+            if step[0] == "read" and ref is not None and not isinstance(ref, tuple):
+                _assert_same_state(ref, lazy)
+            else:
+                assert ref == lazy, step
+            eager, deferred = regs
+            assert eager.alive == deferred.alive
+            assert (eager.consumed_ancilla_rows()
+                    == deferred.consumed_ancilla_rows())
+            assert ([f.rows for f in eager.factors]
+                    == [f.rows for f in deferred.factors])
+            for e, f in zip(eager.factors, deferred.factors):
+                # a copy's read traces the dead rows out of the copy alone
+                state = copy.copy(f).state
+                assert state.n_qubits == len(f.rows) * 2 * m
+                _assert_same_state(e.state, state)
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_one_reduction_at_the_next_read(self, monkeypatch, m):
+        """Two discards from one factor wait for its next read, which
+        traces both rows out in one call; a measured row leaves at once."""
+        reg = SpreadRegister(m)
+        rows = [reg.add_data_row(ch) for ch in "0+1"]
+        rows.append(reg.add_ancilla_row("plus"))
+        for r in rows[1:]:
+            reg.transversal_pair("CNOT", rows[0], r)
+        (f,) = reg.factors
+        calls = []
+        for backend in (StabilizerState, DensityMatrix):
+            inner = backend.discard_qubits
+
+            def counted(state, qs, inner=inner):
+                calls.append(list(qs))
+                return inner(state, qs)
+            monkeypatch.setattr(backend, "discard_qubits", counted)
+        reg.measure_row(rows[1], np.random.default_rng(0))
+        reg.discard_row(rows[3])
+        reg.discard_row(rows[2])
+        assert f.rows == [rows[0]] and calls == []
+        assert reg.consumed_ancilla_rows() == 1
+        n_cols = 2 * m
+        assert f.state.n_qubits == n_cols
+        # held rows 0, 2, 3 after the measurement: 2 and 3 leave together
+        assert calls == [list(range(n_cols, 3 * n_cols))]
+        f.state
+        assert len(calls) == 1
