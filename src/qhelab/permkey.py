@@ -670,12 +670,12 @@ class ConcatenatedSpreadCode:
         from .qec import encode as qec_encode
         if self.m % 2 == 0:
             raise RegisterError("spreading circuit requires odd m")
-        rows = self._encoded.get(plaintext)
-        if rows is None:
+        spread = self._encoded.get(plaintext)
+        if spread is None:
             inner_state = qec_encode(self.inner, StabilizerState.product(plaintext))
-            rows = self._encoded[plaintext] = _spread_rows(inner_state, self.m)
+            spread = self._encoded[plaintext] = _spread_rows(inner_state, self.m)
         reg = SpreadRegister(self.m)
-        reg._add_factor(["data"] * self.inner.n, rows)
+        reg._add_factor(["data"] * self.inner.n, spread)
         return reg
 
 

@@ -39,11 +39,12 @@ equal-length, disjoint qubit ranges), `apply_pauli`, `measure_pauli`,
 `measure_discard` (Z on a list of qubits in order, then trace them
 out), `permute_qubits`, `discard_qubits`, `reduced_density` (a state),
 `expectation`, `to_density` (a tableau's is cached on its rows),
-`tensor` (a dense operand promotes a stabilizer one), and the `product` /
-`maximally_mixed` constructors; `trace_distance` takes two states.  On the tableau
-`apply_transversal` is one engine call on column slices, and a run of
-one gate on disjoint qubits inside a general word is folded into one
-call too; the dense oracle replays a transversal gate as its word.
+`tensor` (a dense operand promotes a stabilizer one), and the
+`product` / `maximally_mixed` constructors; `trace_distance` takes two
+states.  On the tableau `apply_transversal` is one engine call on column
+slices, and a run of one gate on disjoint qubits inside a general word
+is folded into one call too; the dense oracle replays a transversal
+gate as its word.
 `StabilizerState(n, generators)`, `DensityMatrix(mat)` and
 `permute_qubits` check outside data (`_permute` is the unchecked
 relabelling), and `DensityMatrix(mat)` keeps a copy; `_tableau` (packed
