@@ -215,10 +215,10 @@ def _apply_gate_rows(x: np.ndarray, z: np.ndarray, ph: np.ndarray,
                      name: str, qs: tuple) -> None:
     """Conjugate every row Pauli by the elementary gate, in place.
 
-    Each slot of `qs` is a qubit, or an index array or a slice that
-    applies the gate to several pairwise-disjoint qubits (slot i of the
-    gate on qs[i][j] for every j) as one column-sliced update; phase terms
-    are then summed over the slice."""
+    Each slot of `qs` is a qubit, or a slice that applies the gate to
+    several pairwise-disjoint qubits (slot i of the gate on qs[i][j] for
+    every j) as one column-sliced update; phase terms are then summed over
+    the slice."""
     if name == "H":
         q = qs[0]
         ph += 2 * _per_row(x[:, q] & z[:, q])
@@ -391,6 +391,9 @@ def parse_circuit(text: str, n_qubits: int | None = None) -> Circuit:
                                   pauli=toks[2].upper()))
             elif name in _GATE_ARITY:
                 qs = tuple(int(t) for t in toks[1:])
+                if len(qs) != _GATE_ARITY[name]:
+                    raise PauliAlgebraError(
+                        f"{name} takes {_GATE_ARITY[name]} qubit(s), not {len(qs)}")
                 gates.append(Gate(name, qs))
             else:
                 raise PauliAlgebraError(f"unknown gate {name!r}")

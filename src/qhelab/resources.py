@@ -9,6 +9,7 @@ A(n,t) = 2tn[t(t+2)+n] C(t,2).
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -34,7 +35,6 @@ class ResourceParams:
     depth: int = 0          # delegated circuit depth
     n_total: int = 0        # physical qubit budget
     k: int | None = None    # security exponent: delta_bar <= 2^-k
-    s: int = 1              # input size (data rows)
 
     def __post_init__(self):
         for name in ("p0", "p_threshold", "p_target"):
@@ -43,8 +43,8 @@ class ResourceParams:
                 raise ResourceError(f"{name} must be in (0, 1)")
         if self.a_coeff <= 0:
             raise ResourceError("a_coeff must be positive")
-        if self.depth < 0 or self.n_total < 0 or self.s < 1:
-            raise ResourceError("counts must be nonnegative (s >= 1)")
+        if self.depth < 0 or self.n_total < 0:
+            raise ResourceError("counts must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -159,11 +159,7 @@ def tradeoff_sweep(params: ResourceParams, n_tot_grid: list[int],
         row = {"n_tot": int(big_n), "k": params.k, "t": t, "n": n, "a_nt": a}
         try:
             if params.k is not None:
-                plan = max_power(ResourceParams(
-                    p0=params.p0, p_threshold=params.p_threshold,
-                    a_coeff=params.a_coeff, p_target=params.p_target,
-                    depth=params.depth, n_total=int(big_n), k=params.k,
-                    s=params.s))
+                plan = max_power(dataclasses.replace(params, n_total=int(big_n)))
                 row.update(m=plan.m, r_bound=plan.r_bound,
                            r_approx=plan.r_approx,
                            delta_bar_log2=plan.delta_bar_log2,

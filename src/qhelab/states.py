@@ -28,7 +28,9 @@ diagonal, so they select blocks instead: a Z-type `measure_pauli` keeps
 the rows and columns of the outcome's sign, and `measure_discard` draws
 its bits from rho's diagonal and returns the block at those bits
 (`_draw` is the one outcome rule).
-The two backends are cross-checked against each other in the test suite.
+The two backends are cross-checked against each other by `BackendPair`
+(tests/test_state_protocol.py), a stateful machine that drives every
+protocol method on both and compares them after each step.
 
 Both implement the same state protocol, so scheme code never asks which
 backend it holds: `apply_gates` (a gate word; `apply_clifford` and the
@@ -42,9 +44,8 @@ out), `permute_qubits`, `discard_qubits`, `reduced_density` (a state),
 `tensor` (a dense operand promotes a stabilizer one), and the
 `product` / `maximally_mixed` constructors; `trace_distance` takes two
 states.  On the tableau `apply_transversal` is one engine call on column
-slices, and a run of one gate on disjoint qubits inside a general word
-is folded into one call too; the dense oracle replays a transversal
-gate as its word.
+slices, and a general word is one engine call per gate; the dense oracle
+replays a transversal gate as its word.
 `StabilizerState(n, generators)`, `DensityMatrix(mat)` and
 `permute_qubits` check outside data (`_permute` is the unchecked
 relabelling), and `DensityMatrix(mat)` keeps a copy; `_tableau` (packed
@@ -414,15 +415,12 @@ class StabilizerState:
 
     def apply_gates(self, gates) -> "StabilizerState":
         """Conjugate every generator by an elementary Clifford gate word
-        (application order).
-
-        Each maximal run of one gate on pairwise-disjoint qubits (a
-        transversal gate) is one column-sliced call of the gate engine."""
+        (application order), one call of the gate engine per gate."""
         word = [(name, tuple(qs)) for name, qs in gates]
         _check_word(word, self.n_qubits, CLIFFORD_GATES, BackendError)
         x, z, phase = self._rows()
-        for name, slots in _gate_runs(word):
-            _apply_gate_rows(x, z, phase, name, slots)
+        for name, qs in word:
+            _apply_gate_rows(x, z, phase, name, qs)
         return _tableau(self.n_qubits, x, z, phase)
 
     def apply_transversal(self, name: str, slots) -> "StabilizerState":
@@ -605,21 +603,6 @@ def _density_of(n: int, x: bytes, z: bytes, phase: bytes) -> "DensityMatrix":
         idx, s = _signed_permutation(*row)
         rho = (rho + s[:, None] * rho[idx]) / 2.0
     return _dense(rho / 2 ** (n - k))
-
-
-def _gate_runs(word) -> list[tuple[str, tuple]]:
-    """(name, slots) per maximal run of one gate on pairwise-disjoint
-    qubits: a lone gate keeps its qubit tuple, a longer run gives one
-    index array per gate slot."""
-    runs = []
-    for name, qs in word:
-        if runs and runs[-1][0] == name and runs[-1][2].isdisjoint(qs):
-            runs[-1][1].append(qs)
-            runs[-1][2].update(qs)
-        else:
-            runs.append((name, [qs], set(qs)))
-    return [(name, run[0] if len(run) == 1 else tuple(map(np.array, zip(*run))))
-            for name, run, _ in runs]
 
 
 def _block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -48,6 +48,19 @@ class TestRoundtrip:
                            "--seed", "1"])
         assert code == 2
 
+    @pytest.mark.parametrize("line", ["H", "CNOT 0", "SWAP 0 1 2"])
+    def test_gate_arity_exits_2(self, tmp_path, line, capsys):
+        """A gate line with too few or too many qubits is a parse error:
+        exit 2 and one line on stderr, with no traceback."""
+        bad = tmp_path / "arity.qc"
+        bad.write_text(f"H 0\n{line}\n")
+        code, out = run_cli(["roundtrip", "pauli", "-c", str(bad), "-i", "0",
+                             "--seed", "1"])
+        err = capsys.readouterr().err
+        assert (code, out) == (2, "")
+        assert err.startswith("error: line 2: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_missing_file_exits_2(self):
         code, _ = run_cli(["roundtrip", "pauli", "-c", "/nope.qc", "-i", "0",
                            "--seed", "1"])

@@ -13,22 +13,14 @@ import itertools
 import numpy as np
 import pytest
 
+from oracles import Calls, contraction
 from qhelab import states
 from qhelab.paulikey import PauliKey, encrypt, prepare_magic_register
 from qhelab.paulis import PauliString, _signed_permutation
 from qhelab.states import (_GATE_MATS, _GATE_SUPEROPS, DensityMatrix,
-                           StabilizerState, _apply_on_bits, _dense,
-                           statevector)
+                           StabilizerState, _dense, statevector)
 
 MONOMIAL = ["S", "X", "Y", "Z", "CNOT", "CZ", "SWAP"]
-
-
-def _contraction(rho, name, qs):
-    """u rho u^dag through the gate's 4^k x 4^k superoperator."""
-    n = rho.n_qubits
-    u = _GATE_MATS[name]
-    bits = list(qs) + [n + q for q in qs]
-    return _apply_on_bits(rho.mat, np.kron(u, u.conj()), bits)
 
 
 def _every_placement(name, n):
@@ -48,7 +40,7 @@ class TestGatherMatchesContraction:
         for name in MONOMIAL:
             for qs in _every_placement(name, n):
                 got = rho.apply_gate(name, qs).mat
-                assert got.tobytes() == _contraction(rho, name, qs).tobytes(), \
+                assert got.tobytes() == contraction(rho, [(name, qs)]).tobytes(), \
                     (name, qs)
 
     @pytest.mark.parametrize("n", range(1, 7))
@@ -60,7 +52,7 @@ class TestGatherMatchesContraction:
             for name in MONOMIAL:
                 for qs in _every_placement(name, n):
                     got = rho.apply_gate(name, qs).mat
-                    assert np.array_equal(got, _contraction(rho, name, qs)), \
+                    assert np.array_equal(got, contraction(rho, [(name, qs)])), \
                         (name, qs)
 
     def test_row_maps_are_read_only_and_unit(self):
@@ -83,13 +75,9 @@ def test_only_h_and_t_contract(monkeypatch):
             ("X", (2,)), ("Y", (3,)), ("Z", (0,)), ("CZ", (1, 3)),
             ("SWAP", (0, 3)), ("T", (1,)), ("CNOT", (3, 1)), ("H", (2,))]
     want = rho.apply_gates(word)     # builds every row map the word needs
-    ops = []
-
-    def counting(mat, op, bits):
-        ops.append(op)
-        return _apply_on_bits(mat, op, bits)
-
-    monkeypatch.setattr(states, "_apply_on_bits", counting)
+    calls = Calls(monkeypatch)
+    calls.count(states, "_apply_on_bits", note=lambda mat, op, bits: op)
+    ops = calls.log["_apply_on_bits"]
     got = rho.apply_gates(word)
     assert got.mat.tobytes() == want.mat.tobytes()
     contracted = [name for name, u in _GATE_SUPEROPS.items()

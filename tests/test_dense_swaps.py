@@ -13,26 +13,11 @@ import itertools
 import numpy as np
 import pytest
 
+from oracles import Calls, contraction, per_gate
 from qhelab import states
 from qhelab.permkey import PermKey, perm_scheme, spread_basis_input
 from qhelab.schemes import _key_average, ciphertext_average
-from qhelab.states import (_GATE_MATS, BackendError, DensityMatrix,
-                           _apply_on_bits, _gather)
-
-# every gate's superoperator u (x) conj(u), for a contraction reference
-# that covers the gates the dense oracle relabels or gathers
-_SUPEROPS = {name: np.kron(u, u.conj()) for name, u in _GATE_MATS.items()}
-
-
-def _reference(rho, word):
-    """Apply a word one gate at a time through the contraction kernel,
-    a SWAP included."""
-    n = rho.n_qubits
-    mat = rho.mat
-    for name, qs in word:
-        mat = _apply_on_bits(mat, _SUPEROPS[name], list(qs) + [n + q for q in qs])
-    return mat
-
+from qhelab.states import BackendError, DensityMatrix
 
 def _random_word(n, rng):
     """Runs of 0-5 SWAPs (n >= 2) between single H/S/CNOT/CZ/T/X/Y/Z gates."""
@@ -109,7 +94,7 @@ class TestSwapRunsMatchContraction:
             word = _random_word(n, rng)
             swaps += sum(name == "SWAP" for name, _ in word)
             got = rho.apply_gates(word).mat
-            want = _reference(rho, word)
+            want = contraction(rho, word)
             assert got.tobytes() == want.tobytes(), (n, word)
         assert swaps > 200
 
@@ -120,7 +105,7 @@ class TestSwapRunsMatchContraction:
             for b in range(n):
                 if a != b:
                     got = rho.apply_gate("SWAP", (a, b)).mat
-                    want = _reference(rho, [("SWAP", (a, b))])
+                    want = contraction(rho, [("SWAP", (a, b))])
                     assert got.tobytes() == want.tobytes(), (a, b)
 
     def test_empty_word_and_cancelling_run(self):
@@ -128,13 +113,6 @@ class TestSwapRunsMatchContraction:
         assert rho.apply_gates([]).mat.tobytes() == rho.mat.tobytes()
         run = [("SWAP", (0, 2)), ("SWAP", (2, 0))]
         assert rho.apply_gates(run).mat.tobytes() == rho.mat.tobytes()
-
-
-def _gate_by_gate(rho, word):
-    """The word one `apply_gate` at a time: one gather per monomial gate."""
-    for name, qs in word:
-        rho = rho.apply_gate(name, qs)
-    return rho.mat
 
 
 class TestPhaseFreeRunsComposed:
@@ -148,26 +126,22 @@ class TestPhaseFreeRunsComposed:
             for key in scheme.iter_keys():
                 for word in (key.word(), key.inverse().word()):
                     got = rho.apply_gates(word).mat
-                    assert got.tobytes() == _gate_by_gate(rho, word).tobytes()
+                    assert got.tobytes() == per_gate(rho, word).mat.tobytes()
                 assert (scheme.encrypt(key, rho).mat.tobytes()
-                        == _gate_by_gate(rho, key.word()).tobytes())
+                        == per_gate(rho, key.word()).mat.tobytes())
 
     def test_every_swap_word_at_four_qubits(self, monkeypatch):
         rho = DensityMatrix.random_pure(4, np.random.default_rng(24))
-        gathers = []
-
-        def counting(mat, idx, d):
-            gathers.append(d)
-            return _gather(mat, idx, d)
-        monkeypatch.setattr(states, "_gather", counting)
+        calls = Calls(monkeypatch)
+        calls.count(states, "_gather")
         keys = list(PermKey(2, p) for p in itertools.permutations(range(4)))
         assert len(keys) == 24
         for key in keys:
             word = key.word()
-            want = _gate_by_gate(rho, word)
-            gathers.clear()
+            want = per_gate(rho, word).mat
+            calls.take("_gather")
             assert rho.apply_gates(word).mat.tobytes() == want.tobytes()
-            assert len(gathers) == min(len(word), 1)
+            assert calls.take("_gather") == min(len(word), 1)
             assert (rho.permute_qubits(key.perm).mat.tobytes()
                     == want.tobytes())
 
@@ -189,7 +163,7 @@ class TestPhaseFreeRunsComposed:
             runs += any(a[0] in states._PHASE_FREE and b[0] in states._PHASE_FREE
                         for a, b in zip(word, word[1:]))
             got = rho.apply_gates(word).mat
-            assert got.tobytes() == _gate_by_gate(rho, word).tobytes(), word
+            assert got.tobytes() == per_gate(rho, word).mat.tobytes(), word
         assert runs > 100
 
 
@@ -210,14 +184,9 @@ class TestBadSwapInRun:
 
 def test_perm_average_runs_no_contraction(monkeypatch):
     rho = spread_basis_input(3, 0)
-    calls = []
-
-    def counting(*args):
-        calls.append(1)
-        return _apply_on_bits(*args)
-
-    monkeypatch.setattr(states, "_apply_on_bits", counting)
+    calls = Calls(monkeypatch)
+    calls.count(states, "_apply_on_bits")
     ciphertext_average(perm_scheme(3), rho)
-    assert len(calls) == 0
+    assert calls.take("_apply_on_bits") == 0
     DensityMatrix.product("0+").apply_gate("H", (0,))
-    assert len(calls) == 1      # the counter does see a contraction
+    assert calls.take("_apply_on_bits") == 1   # the counter does see a contraction

@@ -11,6 +11,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from oracles import Calls
 from qhelab.paulis import CliffordOp
 from qhelab.paulikey import pauli_scheme, trivial_scheme, zkey_scheme
 from qhelab.permkey import perm_scheme, spread_basis_input
@@ -121,19 +122,12 @@ class TestAverageMatchesPerKeySum:
         assert rep.delta < 1e-15
 
     def test_one_encryption_per_factor_key(self, monkeypatch):
-        calls = []
-        encrypt = SchemeDescriptor.encrypt
-
-        def counting(self, key, state):
-            calls.append(1)
-            return encrypt(self, key, state)
-
-        monkeypatch.setattr(SchemeDescriptor, "encrypt", counting)
+        calls = Calls(monkeypatch)
+        calls.count(SchemeDescriptor, "encrypt")
         ciphertext_average(perm_scheme(3), spread_basis_input(3, 0))
-        assert len(calls) == 2 + 3 + 4 + 5 + 6
-        calls.clear()
+        assert calls.take("encrypt") == 2 + 3 + 4 + 5 + 6
         ciphertext_average(pauli_scheme(3), DensityMatrix.product("0+1"))
-        assert len(calls) == 4 * 3
+        assert calls.take("encrypt") == 4 * 3
 
 
 class TestFactorSizesChecked:

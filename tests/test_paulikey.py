@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from oracles import Calls
 from qhelab.paulis import (Circuit, CliffordOp, Gate, PauliAlgebraError,
                            PauliString, random_clifford_circuit)
 from qhelab.paulikey import (EvalTracker, PauliKey, all_keys,
@@ -321,18 +322,13 @@ class TestBitRowLedger:
         rng = np.random.default_rng(5)
         tracker = EvalTracker(PauliKey.random(4, rng))
         tracker.correct_first(CliffordOp.from_gates(4, [("S", (1,))]))
-        built = []
-        original = CliffordOp.__init__
-
-        def counting(self, *args, **kwargs):
-            built.append(1)
-            original(self, *args, **kwargs)
-
-        monkeypatch.setattr(CliffordOp, "__init__", counting)
+        calls = Calls(monkeypatch)
+        calls.count(CliffordOp, "__init__")
         for g in random_clifford_circuit(4, 40, rng).gates:
             tracker.absorb(g.name, g.qubits)
-        assert built == []
-        assert not tracker.pending.is_identity_channel() and built
+        assert calls.take("__init__") == 0
+        assert not tracker.pending.is_identity_channel()
+        assert calls.take("__init__") > 0
 
     def test_bad_gate_rejected(self):
         tracker = EvalTracker(PauliKey.identity(2))

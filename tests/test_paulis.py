@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import Calls
 from qhelab.paulis import (CLIFFORD_GATES, Circuit, CliffordOp, Gate,
                            PauliAlgebraError, PauliString, parse_circuit,
                            random_clifford, random_clifford_circuit,
@@ -399,21 +400,15 @@ class TestPackedTableau:
     def test_core_operations_build_no_pauli_strings(self, monkeypatch):
         rng = np.random.default_rng(4)
         words = [random_clifford(4, rng).gates for _ in range(3)]
-        built = []
-        original = PauliString.__init__
-
-        def counting(self, *args, **kwargs):
-            built.append(1)
-            original(self, *args, **kwargs)
-
-        monkeypatch.setattr(PauliString, "__init__", counting)
+        calls = Calls(monkeypatch)
+        calls.count(PauliString, "__init__")
         a, b, c = (CliffordOp.from_gates(4, w) for w in words)
         d = a.compose(b).compose(c.inverse())
         assert not d.is_identity_channel()
         assert d.compose(d.inverse()).is_identity_channel()
         assert a == CliffordOp.from_gates(4, words[0]) and a != b
         assert hash(a) == hash(CliffordOp.from_gates(4, words[0]))
-        assert built == []
+        assert calls.take("__init__") == 0
 
     def test_from_images_rejects_broken_commutation(self):
         with pytest.raises(PauliAlgebraError, match="commutation"):

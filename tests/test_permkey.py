@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import same_rows
 from qhelab import permkey, qec
 from qhelab.paulis import CliffordOp, PauliString
 from qhelab.permkey import (PermClient, PermKey,
@@ -133,11 +134,6 @@ def _gate_path_encode(inner, m: int, plaintext: str) -> StabilizerState:
         for name, qs in spread_gate_list(m) for r in range(n))
 
 
-def _same_rows(a: StabilizerState, b: StabilizerState) -> bool:
-    return all(np.array_equal(u, v) and u.dtype == v.dtype
-               for u, v in ((a.x, b.x), (a.z, b.z), (a.phase, b.phase)))
-
-
 class TestSpreadBroadcast:
     """Spreading on the tableau copies each generator's bits into the
     first m columns of its row, phase unchanged: the same x, z and phase
@@ -151,7 +147,7 @@ class TestSpreadBroadcast:
         for plain in "01+-im":
             (f,) = cat.encode(plain).factors
             assert f.rows == list(range(inner.n))
-            assert _same_rows(f.state, _gate_path_encode(inner, m, plain))
+            assert same_rows(f.state, _gate_path_encode(inner, m, plain))
 
     @pytest.mark.parametrize("code", ["steane", "repetition", "phase_flip"])
     @pytest.mark.parametrize("m", [1, 3, 5, 7])
@@ -166,7 +162,7 @@ class TestSpreadBroadcast:
             assert f.state is first is cat._encoded[plain]
             want = permkey._spread_rows(
                 qec.encode(inner, StabilizerState.product(plain)), m)
-            assert _same_rows(f.state, want)
+            assert same_rows(f.state, want)
             assert not any(a.flags.writeable for a in (f.state.x, f.state.z,
                                                        f.state.phase))
         assert sorted(cat._encoded) == sorted("01+-im")
@@ -177,7 +173,7 @@ class TestSpreadBroadcast:
         ch = permkey._ROW_CHAR[role]
         want = spread_qubit(StabilizerState.product(ch), m).tensor(
             StabilizerState.maximally_mixed(m))
-        assert _same_rows(permkey._spread_row_stabilizer(role, m), want)
+        assert same_rows(permkey._spread_row_stabilizer(role, m), want)
 
     @pytest.mark.parametrize("m", [2, 4])
     def test_even_m(self, m):

@@ -1,6 +1,8 @@
 """Row-level stabilizer kernels: the fused measure-and-discard of a list of
-qubits, and transversal gates folded into one column-sliced update."""
+qubits, one column-sliced engine call per transversal gate, and the pinned
+encrypted QEC cycle."""
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -8,35 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import (Calls, ScriptedRng, qec_cycle, random_dense,
+                     random_state, same_group, sequential)
 from qhelab import gf2, permkey, qec, states
-from qhelab.paulis import CLIFFORD_GATES, PauliString, random_clifford
 from qhelab.states import (BackendError, DensityMatrix, StabilizerState,
-                           ZeroProbabilityError, trace_distance)
-
-
-def _random_state(backend, n, rng):
-    """A random stabilizer state on n qubits, mixed on about a third of
-    them, as `backend`."""
-    spec = "".join(rng.choice(list("01+-im**"), n))
-    stab = StabilizerState.product(spec).apply_clifford(random_clifford(n, rng))
-    return stab if backend is StabilizerState else stab.to_density()
-
-
-def _sequential(state, qs, rng, discard=None):
-    """The reference: one Z measurement per qubit, then one discard (the
-    state's own `discard_qubits` unless `discard` is given)."""
-    bits = []
-    for q in qs:
-        zq = PauliString.single(state.n_qubits, q, "Z")
-        state, rec = state.measure_pauli(zq, rng)
-        bits.append(rec.outcome)
-    return (discard or type(state).discard_qubits)(state, qs), bits
-
-
-def _same_group(a: StabilizerState, b: StabilizerState) -> bool:
-    return (a.n_qubits == b.n_qubits and len(a.phase) == len(b.phase)
-            and all(b.expectation(g) == 1 for g in a.generators)
-            and all(a.expectation(g) == 1 for g in b.generators))
+                           ZeroProbabilityError)
 
 
 def _case(seed, n_max):
@@ -52,41 +30,26 @@ class TestMeasureDiscard:
     @settings(max_examples=200, deadline=None)
     def test_stabilizer_matches_sequential(self, seed):
         rng, n, qs, draw_seed = _case(seed, 10)
-        state = _random_state(StabilizerState, n, rng)
+        state = random_state(StabilizerState, n, rng)
         ref_rng, rng = (np.random.default_rng(draw_seed) for _ in range(2))
-        want, want_bits = _sequential(state, qs, ref_rng)
+        want, want_bits = sequential(state, qs, ref_rng)
         got, bits = state.measure_discard(qs, rng)
         assert bits == want_bits
         assert rng.bit_generator.state == ref_rng.bit_generator.state
-        assert _same_group(got, want)
+        assert same_group(got, want)
         assert got._validate() is None
 
     @given(st.integers(0, 10 ** 9))
     @settings(max_examples=60, deadline=None)
     def test_dense_matches_sequential(self, seed):
         rng, n, qs, draw_seed = _case(seed, 6)
-        state = _random_state(DensityMatrix, n, rng)
+        state = random_state(DensityMatrix, n, rng)
         ref_rng, rng = (np.random.default_rng(draw_seed) for _ in range(2))
-        want, want_bits = _sequential(state, qs, ref_rng)
+        want, want_bits = sequential(state, qs, ref_rng)
         got, bits = state.measure_discard(qs, rng)
         assert bits == want_bits
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert np.array_equal(got.mat, want.mat)
-
-    @given(st.integers(0, 10 ** 9))
-    @settings(max_examples=60, deadline=None)
-    def test_stabilizer_agrees_with_dense_oracle(self, seed):
-        """The tableau's post-measurement state is the dense projection
-        onto the bits it drew."""
-        rng, n, qs, draw_seed = _case(seed, 6)
-        stab = _random_state(StabilizerState, n, rng)
-        got, bits = stab.measure_discard(qs, np.random.default_rng(draw_seed))
-        dense = stab.to_density()
-        for q, bit in zip(qs, bits):
-            dense, _ = dense.measure_pauli(
-                PauliString.single(n, q, "Z"), rng, force=bit)
-        dense = dense.discard_qubits(qs)
-        assert trace_distance(got.to_density(), dense) < 1e-10
 
     def test_deterministic_outcomes_draw_nothing(self):
         rng = np.random.default_rng(0)
@@ -189,17 +152,17 @@ class TestRowReduction:
     @staticmethod
     def _assert_discard(state, qs):
         got = state.discard_qubits(qs)
-        assert _same_group(got, _eliminate_discard(state, qs))
+        assert same_group(got, _eliminate_discard(state, qs))
         assert got._validate() is None
 
     @staticmethod
     def _assert_measure(state, qs, draw_seed):
         ref_rng, rng = (np.random.default_rng(draw_seed) for _ in range(2))
-        want, want_bits = _sequential(state, qs, ref_rng, _eliminate_discard)
+        want, want_bits = sequential(state, qs, ref_rng, _eliminate_discard)
         got, bits = state.measure_discard(qs, rng)
         assert bits == want_bits
         assert rng.bit_generator.state == ref_rng.bit_generator.state
-        assert _same_group(got, want)
+        assert same_group(got, want)
         assert got._validate() is None
 
     @given(st.integers(0, 10 ** 9), st.sampled_from(QS_SHAPES))
@@ -207,7 +170,7 @@ class TestRowReduction:
     def test_random_states(self, seed, shape):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 13))
-        state = _random_state(StabilizerState, n, rng)
+        state = random_state(StabilizerState, n, rng)
         qs = _qubits(shape, n, rng)
         self._assert_discard(state, qs)
         self._assert_measure(state, qs, int(rng.integers(2 ** 32)))
@@ -232,42 +195,19 @@ class TestRowReduction:
         product per generator with support on its qubits.  (On other qubit lists a
         measurement can form more: on X0, X0Z1Z3, X0Z2Z4, Z3, Z4 measuring
         qubits 0-2 forms four, two per reduction step.)"""
-        products = _Counter(monkeypatch, states, "_row_product")
-        seen = []
+        calls = Calls(monkeypatch)
+        calls.count(states, "_row_product", "product")
         for name in ("discard_qubits", "measure_discard"):
-            inner = getattr(StabilizerState, name)
-
-            def counted(state, qs, *rest, inner=inner):
-                cols = list(qs)
-                touched = int((state.x[:, cols].any(1)
-                               | state.z[:, cols].any(1)).sum())
-                products.take()
-                out = inner(state, qs, *rest)
-                seen.append((products.take(), touched))
-                return out
-            monkeypatch.setattr(StabilizerState, name, counted)
-        plain, value, _ = _qec_cycle(101, 1)
+            calls.count(StabilizerState, name, "reduce", scope=True,
+                        note=lambda state, qs, *_: int(
+                            (state.x[:, list(qs)].any(1)
+                             | state.z[:, list(qs)].any(1)).sum()))
+        plain, value, _ = qec_cycle(101, 1)
         assert value == (-1 if plain == "1" else 1)
+        seen = [(c["product"], touched) for _, touched, c in calls.scopes]
         assert len(seen) == 6 + 1
-        assert sum(calls for calls, _ in seen) > 0
-        assert all(calls <= touched for calls, touched in seen)
-
-
-def _random_dense(n, rng):
-    """A random pure or full-rank mixed state on n qubits, with no dyadic
-    structure, so every kernel rounds."""
-    if rng.integers(2):
-        return DensityMatrix.random_pure(n, rng)
-    a = rng.normal(size=(2 ** n, 2 ** n)) + 1j * rng.normal(size=(2 ** n, 2 ** n))
-    rho = a @ a.conj().T
-    return DensityMatrix(rho / np.trace(rho))
-
-
-class _StubRng:
-    """Draws 0.0 forever: outcome 0 whenever p0 > 0."""
-
-    def random(self):
-        return 0.0
+        assert sum(products for products, _ in seen) > 0
+        assert all(products <= touched for products, touched in seen)
 
 
 class TestDenseMeasureDiscard:
@@ -277,7 +217,7 @@ class TestDenseMeasureDiscard:
     @staticmethod
     def _assert_matches(state, qs, draw_seed):
         ref_rng, rng = (np.random.default_rng(draw_seed) for _ in range(2))
-        want, want_bits = _sequential(state, qs, ref_rng)
+        want, want_bits = sequential(state, qs, ref_rng)
         got, bits = state.measure_discard(qs, rng)
         assert bits == want_bits
         assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -291,11 +231,11 @@ class TestDenseMeasureDiscard:
         n = int(rng.integers(1, 7))
         k = int(rng.integers(0, n + 1))
         qs = [int(q) for q in rng.permutation(n)[:k]]
-        self._assert_matches(_random_dense(n, rng), qs, int(rng.integers(2 ** 32)))
+        self._assert_matches(random_dense(n, rng), qs, int(rng.integers(2 ** 32)))
 
     @pytest.mark.parametrize("n", [1, 3, 6])
     def test_empty_list(self, n):
-        state = _random_dense(n, np.random.default_rng(n))
+        state = random_dense(n, np.random.default_rng(n))
         self._assert_matches(state, [], 0)
         got, bits = state.measure_discard([], np.random.default_rng(0))
         assert bits == [] and got.n_qubits == n
@@ -303,7 +243,7 @@ class TestDenseMeasureDiscard:
     @pytest.mark.parametrize("n", [1, 4, 6])
     def test_whole_register(self, n):
         rng = np.random.default_rng(10 + n)
-        state = _random_dense(n, rng)
+        state = random_dense(n, rng)
         qs = [int(q) for q in rng.permutation(n)]
         self._assert_matches(state, qs, 3)
         got, bits = state.measure_discard(qs, np.random.default_rng(3))
@@ -317,9 +257,9 @@ class TestDenseMeasureDiscard:
         rho = np.diag([1e-13, 0.5 - 1e-13, 0.25, 0.25]).astype(complex)
         state = DensityMatrix(rho)
         with pytest.raises(ZeroProbabilityError):
-            _sequential(state, [0, 1], _StubRng())
+            sequential(state, [0, 1], ScriptedRng(itertools.repeat(0.0)))
         with pytest.raises(ZeroProbabilityError):
-            state.measure_discard([0, 1], _StubRng())
+            state.measure_discard([0, 1], ScriptedRng(itertools.repeat(0.0)))
 
 
 class TestQubitChecks:
@@ -337,93 +277,6 @@ class TestQubitChecks:
             StabilizerState.product("0+").discard_qubits([-1])
 
 
-def _layers(word):
-    return [(name, tuple(qs)) for name, qs in word]
-
-
-LAYERED = {
-    "H": [("H", (0,)), ("H", (2,)), ("H", (4,))],
-    "S": [("S", (1,)), ("S", (3,)), ("S", (0,))],
-    "X": [("X", (0,)), ("X", (1,)), ("X", (5,))],
-    "Y": [("Y", (2,)), ("Y", (3,)), ("Y", (4,))],
-    "Z": [("Z", (5,)), ("Z", (0,)), ("Z", (3,))],
-    "CNOT": [("CNOT", (0, 3)), ("CNOT", (1, 4)), ("CNOT", (5, 2))],
-    "CZ": [("CZ", (0, 1)), ("CZ", (2, 3)), ("CZ", (4, 5))],
-    "SWAP": [("SWAP", (0, 5)), ("SWAP", (1, 4)), ("SWAP", (2, 3))],
-}
-
-# runs that must not fuse: a shared qubit makes the order matter
-UNFUSABLE = [
-    [("CNOT", (0, 1)), ("CNOT", (1, 2))],
-    [("CNOT", (0, 1)), ("CNOT", (2, 0))],
-    [("H", (0,)), ("H", (0,)), ("H", (1,))],
-    [("S", (2,)), ("S", (2,))],
-    [("SWAP", (0, 1)), ("SWAP", (1, 2)), ("SWAP", (3, 4))],
-    [("CZ", (0, 1)), ("CZ", (1, 0))],
-    [("CNOT", (0, 1)), ("CZ", (2, 3)), ("CNOT", (4, 5))],
-]
-
-
-class TestTransversalFold:
-    @pytest.mark.parametrize("name", CLIFFORD_GATES)
-    def test_layer_matches_per_gate(self, name):
-        assert set(LAYERED) == set(CLIFFORD_GATES)
-        rng = np.random.default_rng(sorted(CLIFFORD_GATES).index(name))
-        state = _random_state(StabilizerState, 6, rng)
-        word = LAYERED[name] * 2
-        assert len(list(states._gate_runs(_layers(word)))) == 2
-        self._assert_per_gate(state, word)
-
-    @pytest.mark.parametrize("word", UNFUSABLE)
-    def test_unfusable_runs_stay_apart(self, word):
-        rng = np.random.default_rng(len(word))
-        state = _random_state(StabilizerState, 6, rng)
-        runs = list(states._gate_runs(_layers(word)))
-        assert sum(len(np.atleast_1d(slots[0])) for _, slots in runs) == len(word)
-        # the first gate runs alone: the second one shares a qubit or a name
-        assert len(runs) >= 2 and np.ndim(runs[0][1][0]) == 0
-        self._assert_per_gate(state, word)
-
-    @pytest.mark.parametrize("seed", range(20))
-    def test_random_layered_words(self, seed):
-        """Random words of same-gate layers, some overlapping."""
-        rng = np.random.default_rng(seed)
-        n = 8
-        state = _random_state(StabilizerState, n, rng)
-        word = []
-        for _ in range(6):
-            name = str(rng.choice(CLIFFORD_GATES))
-            arity = 2 if name in ("CNOT", "CZ", "SWAP") else 1
-            for _ in range(int(rng.integers(1, 4))):
-                word.append((name, tuple(int(q) for q in
-                                         rng.choice(n, arity, replace=False))))
-        self._assert_per_gate(state, word)
-
-    @staticmethod
-    def _assert_per_gate(state, word):
-        got = state.apply_gates(word)
-        want = state
-        for gate in word:
-            want = want.apply_gates([gate])
-        for a, b in ((got.x, want.x), (got.z, want.z), (got.phase, want.phase)):
-            assert np.array_equal(a, b)
-
-
-class _Counter:
-    def __init__(self, monkeypatch, module, name):
-        self.calls = 0
-        inner = getattr(module, name)
-
-        def counted(*args, **kwargs):
-            self.calls += 1
-            return inner(*args, **kwargs)
-        monkeypatch.setattr(module, name, counted)
-
-    def take(self) -> int:
-        calls, self.calls = self.calls, 0
-        return calls
-
-
 class TestRowKernelCounts:
     def test_one_update_per_gate_one_solve_per_row(self, monkeypatch):
         """At m = 5 a transversal gate is one engine call and measuring a
@@ -434,10 +287,11 @@ class TestRowKernelCounts:
         client = permkey.PermClient(key=permkey.PermKey.identity(5),
                                     rng=np.random.default_rng(0))
         rng = np.random.default_rng(1)
-        engine = _Counter(monkeypatch, states, "_apply_gate_rows")
-        solves = _Counter(monkeypatch, gf2, "solve")
+        calls = Calls(monkeypatch)
+        calls.count(states, "_apply_gate_rows", "engine")
+        calls.count(gf2, "solve")
         reg.transversal_single(3, "X")
-        assert engine.take() == 1
+        assert calls.take("engine") == 1
         for a, stab in zip(anc, code.generators):
             for i in range(code.n):
                 letter = stab.restricted_letter(i)
@@ -445,35 +299,36 @@ class TestRowKernelCounts:
                     continue
                 if letter == "Z":
                     reg.transversal_single(i, "H")
-                    assert engine.take() == 1
+                    assert calls.take("engine") == 1
                 reg.transversal_pair("CNOT", a, i)
-                assert engine.take() == 1
+                assert calls.take("engine") == 1
                 if letter == "Z":
                     reg.transversal_single(i, "H")
-                    assert engine.take() == 1
+                    assert calls.take("engine") == 1
             reg.transversal_single(a, "H")
-            assert engine.take() == 1
+            assert calls.take("engine") == 1
             bits = reg.measure_row(a, rng)
-            assert solves.take() <= 1
-            assert engine.take() == 0
+            assert calls.take("solve") <= 1
+            assert calls.take("engine") == 0
             # X_3 flips exactly the generators with Z on row 3
             assert client.parity(bits) == int(stab.restricted_letter(3) == "Z")
 
     def test_dense_measure_discard_selects_one_block(self, monkeypatch):
         """The dense kernel neither measures qubit by qubit nor traces
         out: it reads the diagonal and selects one block."""
-        measures = _Counter(monkeypatch, DensityMatrix, "measure_pauli")
-        traces = _Counter(monkeypatch, DensityMatrix, "discard_qubits")
-        state = _random_dense(4, np.random.default_rng(2))
+        calls = Calls(monkeypatch)
+        calls.count(DensityMatrix, "measure_pauli")
+        calls.count(DensityMatrix, "discard_qubits")
+        state = random_dense(4, np.random.default_rng(2))
         got, bits = state.measure_discard([2, 0], np.random.default_rng(5))
-        assert (measures.take(), traces.take()) == (0, 0)
+        assert (calls.take("measure_pauli"), calls.take("discard_qubits")) == (0, 0)
         assert got.n_qubits == 2 and len(bits) == 2
         reg = permkey.SpreadRegister(1)
         data = reg.add_data_row("+")
         magic = reg.add_ancilla_row("magic")
         reg.transversal_pair("CNOT", data, magic)
         reg.measure_row(magic, np.random.default_rng(0))
-        assert (measures.take(), traces.take()) == (0, 0)
+        assert (calls.take("measure_pauli"), calls.take("discard_qubits")) == (0, 0)
 
 
 # sha256 of the concatenated QEC cycle's outputs and measured row bits
@@ -483,56 +338,8 @@ class TestRowKernelCounts:
 CYCLE_SHA256 = "3fc483b88e95f60f8bb82b842c8e3a9f06abca8a0bbfd6babb85c1b4eb648d12"
 
 
-def _qec_cycle(seed: int, i: int):
-    """One encrypted Steane x spread (m = 5) QEC cycle: a seeded logical
-    error, 6 syndrome rounds, lookup decode, conditional corrections,
-    decrypt; returns (plaintext, logical readout, measured row bits)."""
-    m, code = 5, qec.steane_code()
-    n, n_cols = code.n, 2 * m
-    rng = np.random.default_rng([seed, i])
-    plain = "01+"[i % 3]
-    err = ["none", "X", "Z"][int(rng.integers(3))]
-    err_row = int(rng.integers(n))
-    key = permkey.PermKey.sample(m, rng)
-    client = permkey.PermClient(key=key, rng=rng)
-    reg = permkey.build_concatenated_code(code, m).encode(plain)
-    anc = [reg.add_ancilla_row("plus") for _ in code.generators]
-    for r in range(n):
-        for letter in "XZ":
-            roles = client.pair_order("zero", "one")
-            slots = (reg.add_ancilla_row(roles[0]), reg.add_ancilla_row(roles[1]))
-            client.record_pair(f"c{r}{letter}", roles, slots)
-    reg.encrypt(key)
-    if err != "none":
-        reg.transversal_single(err_row, err)
-    parities, bits = [], []
-    for a, stab in zip(anc, code.generators):
-        parity, msgs = permkey.encrypted_syndrome_protocol(
-            reg, stab, list(range(n)), a, client, rng)
-        parities.append(parity)
-        bits.append(msgs[0]["payload"])
-    corr = qec.lookup_decode(qec.Syndrome(tuple(parities)), code)
-    for r in range(n):
-        for letter in "XZ":
-            on = corr.restricted_letter(r) in (letter, "Y")
-            named = client.row_for(f"c{r}{letter}", "one" if on else "zero")
-            permkey.apply_conditional_logical(reg, letter, r, named)
-    reg.decrypt(key)
-    for row, (role, alive) in enumerate(zip(reg.roles, reg.alive)):
-        if alive and role != "data":
-            reg.discard_row(row)
-    (factor,) = reg.factors
-    letter = "X" if plain == "+" else "Z"
-    qubits = [r * n_cols + c for r in range(n) for c in range(m)]
-    x = np.zeros(n * n_cols, np.uint8)
-    z = np.zeros(n * n_cols, np.uint8)
-    (x if letter == "X" else z)[qubits] = 1
-    value = factor.state.expectation(PauliString(x, z))
-    return plain, int(value), [[int(b) for b in row] for row in bits]
-
-
 def test_qec_cycle_outputs_pinned():
-    runs = [_qec_cycle(seed, i) for seed in (101, 7) for i in range(6)]
+    runs = [qec_cycle(seed, i) for seed in (101, 7) for i in range(6)]
     for plain, value, _ in runs:
         assert value == (-1 if plain == "1" else 1)
     blob = json.dumps(runs, separators=(",", ":")).encode()

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from oracles import Calls
 from qhelab.paulis import CliffordOp, random_clifford, random_clifford_circuit
 from qhelab.paulikey import (PauliKey, all_keys, compose_with_stabilizer_code,
                              pauli_scheme, trivial_scheme, zkey_scheme)
@@ -351,14 +352,8 @@ class TestEncryptionWord:
             scheme.encrypt(key, rho)
 
     def test_ciphertext_average_builds_no_tableau(self, monkeypatch):
-        built = []
-        init = CliffordOp.__init__
-
-        def counting_init(self, *args, **kwargs):
-            built.append(1)
-            init(self, *args, **kwargs)
-
         scheme, rho = perm_scheme(2), spread_basis_input(2, 1)
-        monkeypatch.setattr(CliffordOp, "__init__", counting_init)
+        calls = Calls(monkeypatch)
+        calls.count(CliffordOp, "__init__")
         ciphertext_average(scheme, rho)
-        assert built == []
+        assert calls.take("__init__") == 0

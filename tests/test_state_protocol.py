@@ -1,64 +1,226 @@
-"""The state protocol: both backends, driven by the same calls, agree."""
+"""The state protocol: both backends, driven by the same calls, agree.
+
+`BackendPair` is the differential harness: a Hypothesis state machine that
+holds one state on the tableau and on the dense oracle and drives every
+protocol method on both, one rule or invariant per method.  A new backend
+joins it as one more side."""
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant,
+                                 precondition, rule)
 
-from qhelab.paulis import PauliString
-from qhelab.paulis import parse_circuit, random_clifford, random_pauli
+from oracles import ScriptedRng
+from qhelab.paulis import _GATE_ARITY, CLIFFORD_GATES, CliffordOp, PauliString
+from qhelab.paulis import parse_circuit, random_clifford
 from qhelab.permkey import SpreadRegister
 from qhelab.permkey import perm_scheme, spread_basis_input
 from qhelab.protocol import run_session
 from qhelab.schemes import security_delta
 from qhelab.states import (DENSE_QUBIT_CAP, BackendError, DensityMatrix,
-                           StabilizerState, trace_distance)
+                           StabilizerState, ZeroProbabilityError,
+                           trace_distance)
+
+TOL = 1e-12
+
+
+def _qubits(n, size=None):
+    """Distinct qubits of range(n) in any order: `size` of them, or none,
+    some or all."""
+    return st.lists(st.integers(0, n - 1), unique=True,
+                    min_size=size or 0, max_size=n if size is None else size)
+
+
+def _gate(n):
+    """A Clifford gate on distinct qubits of range(n), n >= 1."""
+    names = [g for g in CLIFFORD_GATES if _GATE_ARITY[g] <= n]
+    return st.builds(lambda name, qs: (name, tuple(qs[:_GATE_ARITY[name]])),
+                     st.sampled_from(names), _qubits(n, min(n, 2)))
+
+
+def _pauli(n, hermitian):
+    """An n-qubit Pauli: any phase, or a Hermitian one of either sign."""
+    def build(x, z, extra):
+        x, z = ((v >> np.arange(n) & 1).astype(np.uint8) for v in (x, z))
+        # i^phase X^x Z^z is Hermitian when phase + |x & z| is even
+        phase = int((x & z).sum()) + 2 * extra if hermitian else extra
+        return PauliString(x, z, phase)
+    bits = st.integers(0, 2 ** n - 1)
+    return st.builds(build, bits, bits, st.integers(0, 1 if hermitian else 3))
+
+
+def _bits_rng(bits):
+    """The dense side's draws that reproduce the tableau's bits."""
+    return ScriptedRng(0.75 if b else 0.25 for b in bits)
+
+
+class BackendPair(RuleBasedStateMachine):
+    """One state on both backends, n <= 6, driven by the same calls.
+
+    It starts as a product of '01+-im*' characters, the dense side built by
+    `to_density()`.  After every step the dense forms agree within 1e-12;
+    measurements agree on outcomes exactly and on probabilities within
+    1e-12.  The tableau draws outcomes from a seeded generator, and the
+    dense side replays its bits through `ScriptedRng`: on a stabilizer
+    state every outcome has probability 0, 1/2 or 1."""
+
+    @initialize(spec=st.text("01+-im*", min_size=1, max_size=DENSE_QUBIT_CAP))
+    def start(self, spec):
+        self.stab = StabilizerState.product(spec)
+        self.dense = self.stab.to_density()
+
+    @property
+    def n(self) -> int:
+        return self.stab.n_qubits
+
+    def _step(self, name, *args):
+        self.stab = getattr(self.stab, name)(*args)
+        self.dense = getattr(self.dense, name)(*args)
+
+    @precondition(lambda self: self.n)
+    @rule(data=st.data())
+    def apply_gate(self, data):
+        self._step("apply_gate", *data.draw(_gate(self.n)))
+
+    @precondition(lambda self: self.n)
+    @rule(data=st.data())
+    def apply_gates(self, data):
+        self._step("apply_gates", data.draw(st.lists(_gate(self.n), max_size=8)))
+
+    @precondition(lambda self: self.n)
+    @rule(data=st.data())
+    def apply_clifford(self, data):
+        word = data.draw(st.lists(_gate(self.n), max_size=8))
+        self._step("apply_clifford", CliffordOp.from_gates(self.n, word))
+
+    @precondition(lambda self: self.n)
+    @rule(data=st.data())
+    def apply_transversal(self, data):
+        """Disjoint step-1 ranges of one length, at any offsets, in any
+        order."""
+        name = data.draw(st.sampled_from(
+            [g for g in CLIFFORD_GATES if _GATE_ARITY[g] <= self.n]))
+        arity = _GATE_ARITY[name]
+        length = data.draw(st.integers(0, self.n // arity))
+        cuts = sorted(data.draw(st.lists(st.integers(
+            0, self.n - arity * length), min_size=arity, max_size=arity)))
+        slots = [range(c + i * length, c + (i + 1) * length)
+                 for i, c in enumerate(cuts)]
+        order = data.draw(st.permutations(range(arity)))
+        self._step("apply_transversal", name, [slots[i] for i in order])
+
+    @precondition(lambda self: self.n)
+    @rule(data=st.data())
+    def apply_pauli(self, data):
+        self._step("apply_pauli", data.draw(_pauli(self.n, hermitian=False)))
+
+    @precondition(lambda self: self.n)
+    @rule(data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+    def measure_pauli(self, data, seed):
+        """Forced to an outcome the tableau allows, or drawn by the
+        tableau; a forced impossible outcome raises on both sides."""
+        k = data.draw(_pauli(self.n, hermitian=True))
+        ev = self.stab.expectation(k)
+        if ev:      # the outcome is fixed: forcing the other one raises
+            for state in (self.stab, self.dense):
+                with pytest.raises(ZeroProbabilityError):
+                    state.measure_pauli(k, None, force=int(ev == 1))
+        if data.draw(st.booleans()):
+            force = data.draw(st.integers(0, 1)) if ev == 0 else int(ev == -1)
+            stab, srec = self.stab.measure_pauli(k, None, "k", force)
+            dense, drec = self.dense.measure_pauli(k, None, "k", force)
+            assert srec.outcome == force
+        else:
+            stab, srec = self.stab.measure_pauli(
+                k, np.random.default_rng(seed), "k")
+            dense, drec = self.dense.measure_pauli(
+                k, _bits_rng([srec.outcome]), "k")
+        assert (srec.label, srec.outcome) == (drec.label, drec.outcome)
+        assert abs(srec.probability - drec.probability) <= TOL
+        self.stab, self.dense = stab, dense
+
+    @precondition(lambda self: self.n)
+    @rule(data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+    def measure_discard(self, data, seed):
+        qs = data.draw(_qubits(self.n))
+        stab, bits = self.stab.measure_discard(qs, np.random.default_rng(seed))
+        dense, dense_bits = self.dense.measure_discard(qs, _bits_rng(bits))
+        assert dense_bits == bits
+        self.stab, self.dense = stab, dense
+
+    @precondition(lambda self: self.n)
+    @rule(data=st.data())
+    def permute_qubits(self, data):
+        self._step("permute_qubits", data.draw(st.permutations(range(self.n))))
+
+    @precondition(lambda self: self.n)
+    @rule(data=st.data())
+    def discard_qubits(self, data):
+        self._step("discard_qubits", data.draw(_qubits(self.n)))
+
+    @precondition(lambda self: self.n < DENSE_QUBIT_CAP)
+    @rule(data=st.data(), left=st.booleans())
+    def tensor(self, data, left):
+        """A fresh product tableau on either side.  The dense side takes it
+        as it is and the tableau side's mixed product takes its dense
+        form, so both orders of the mixed product promote to dense."""
+        fresh = StabilizerState.product(data.draw(
+            st.text("01+-im*", max_size=DENSE_QUBIT_CAP - self.n)))
+        if left:
+            stab, dense = fresh.tensor(self.stab), fresh.tensor(self.dense)
+            mixed = fresh.to_density().tensor(self.stab)
+        else:
+            stab, dense = self.stab.tensor(fresh), self.dense.tensor(fresh)
+            mixed = self.stab.tensor(fresh.to_density())
+        assert mixed.BACKEND == dense.BACKEND
+        assert np.abs(mixed.mat - dense.mat).max() <= TOL
+        self.stab, self.dense = stab, dense
+
+    @invariant()
+    def to_density(self):
+        assert self.stab.n_qubits == self.dense.n_qubits
+        assert np.abs(self.stab.to_density().mat - self.dense.mat).max() <= TOL
+
+    @invariant()
+    def expectation(self):
+        """On every generator, and on X, Y or Z of every qubit, in turn."""
+        singles = [PauliString.single(self.n, q, "XYZ"[q % 3])
+                   for q in range(self.n)]
+        for p in self.stab.generators + tuple(singles):
+            assert abs(self.stab.expectation(p) - self.dense.expectation(p)) <= TOL
+
+    @precondition(lambda self: self.n <= 3)
+    @invariant()
+    def to_json(self):
+        """Both sides survive a JSON round trip (up to 3 qubits: the dense
+        form is one Python pair per entry)."""
+        stab, dense = (type(s).from_json(json.loads(json.dumps(s.to_json())))
+                       for s in (self.stab, self.dense))
+        assert stab.generators == self.stab.generators
+        assert np.abs(dense.mat - self.dense.mat).max() <= TOL
+
+    @invariant()
+    def reduced_density(self):
+        """On every other qubit, from the last down: an unsorted list."""
+        qs = list(range(self.n))[::-2]
+        got, want = (s.reduced_density(qs).mat for s in (self.stab, self.dense))
+        assert np.abs(got - want).max() <= TOL
+
+
+BackendPair.TestCase.settings = settings(max_examples=15, stateful_step_count=20,
+                                         deadline=None)
+TestBackendPair = BackendPair.TestCase
 
 
 def _both(spec):
     return [StabilizerState.product(spec), DensityMatrix.product(spec)]
 
 
-def _assert_agree(stab, dense):
-    assert stab.n_qubits == dense.n_qubits
-    assert trace_distance(stab.to_density(), dense.to_density()) < 1e-10
-
-
 class TestSameProgramBothBackends:
-    @pytest.mark.parametrize("seed", range(10))
-    def test_random_program(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 7))
-        spec = "".join(rng.choice(list("01+-im"), n))
-        stab, dense = _both(spec)
-        word = random_clifford(n, rng).gates
-        stab, dense = stab.apply_gates(word), dense.apply_gates(word)
-        _assert_agree(stab, dense)
-        for i in range(3):
-            k = random_pauli(n, rng, phase_free=False)
-            if k.weight() == 0:
-                continue
-            # force the outcome the stabilizer side allows
-            ev = stab.expectation(k)
-            force = int(rng.integers(2)) if ev == 0 else (0 if ev == 1 else 1)
-            stab, srec = stab.measure_pauli(k, rng, label=f"m{i}", force=force)
-            dense, drec = dense.measure_pauli(k, rng, label=f"m{i}", force=force)
-            assert srec.outcome == drec.outcome == force
-            assert srec.probability == pytest.approx(drec.probability, abs=1e-10)
-            _assert_agree(stab, dense)
-        p = random_pauli(n, rng)
-        stab, dense = stab.apply_pauli(p), dense.apply_pauli(p)
-        perm = [int(q) for q in rng.permutation(n)]
-        stab, dense = stab.permute_qubits(perm), dense.permute_qubits(perm)
-        _assert_agree(stab, dense)
-        drop = sorted(int(q) for q in rng.choice(n, int(rng.integers(1, n)),
-                                                 replace=False))
-        stab, dense = stab.discard_qubits(drop), dense.discard_qubits(drop)
-        _assert_agree(stab, dense)
-        m = stab.n_qubits
-        qubits = [int(q) for q in rng.permutation(m)[:min(m, 3)]]
-        assert np.allclose(stab.reduced_density(qubits).mat,
-                           dense.reduced_density(qubits).mat, atol=1e-10)
-
     def test_apply_clifford_replays_the_gate_word(self):
         rng = np.random.default_rng(3)
         c = random_clifford(4, rng)
@@ -85,7 +247,9 @@ class TestSameProgramBothBackends:
 
     def test_dense_methods_exist_on_the_tableau(self):
         """Every public non-constructor method of the dense oracle is part
-        of the protocol, so the tableau has it too."""
+        of the protocol, so the tableau has it too, and `BackendPair`
+        names a rule or an invariant after it: a new protocol method fails
+        here until the machine drives it on both backends."""
         names = [name for name, attr in vars(DensityMatrix).items()
                  if not name.startswith("_") and callable(attr)
                  and not isinstance(attr, classmethod)]
@@ -93,6 +257,10 @@ class TestSameProgramBothBackends:
         missing = [name for name in names
                    if not callable(getattr(StabilizerState, name, None))]
         assert missing == []
+        driven = {name for name, attr in vars(BackendPair).items()
+                  if hasattr(attr, "hypothesis_stateful_rule")
+                  or hasattr(attr, "hypothesis_stateful_invariant")}
+        assert sorted(set(names) - driven) == []
 
 
 class TestMixedTensor:

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from oracles import full_rank_density, projected
 from qhelab import states
 from qhelab.paulis import CliffordOp, PauliString, parse_circuit, random_clifford
 from qhelab.paulis import _signed_permutation, random_pauli
@@ -191,41 +192,6 @@ class TestToDensity:
         assert 0 < states._density_of.cache_info().maxsize <= 64
 
 
-class TestBackendEquivalence:
-    @pytest.mark.parametrize("seed", range(12))
-    def test_forced_circuits_agree(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(1, 5))
-        gates = []
-        n_meas = 0
-        for _ in range(12):
-            roll = rng.random()
-            if roll < 0.25:
-                gates.append(f"M {int(rng.integers(n))} -> b{n_meas}")
-                n_meas += 1
-            elif roll < 0.5 and n >= 2:
-                a, b = rng.choice(n, 2, replace=False)
-                gates.append(f"{rng.choice(['CNOT', 'CZ'])} {a} {b}")
-            else:
-                gates.append(f"{rng.choice(['H', 'S', 'X', 'Z'])} {int(rng.integers(n))}")
-        circuit = parse_circuit("\n".join(gates) + "\n", n_qubits=n)
-        forced = {f"b{i}": int(rng.integers(2)) for i in range(n_meas)}
-        st = StabilizerState.zero(n)
-        dn = DensityMatrix.product("0" * n)
-        try:
-            st_out, st_rec = evaluate_circuit(st, circuit, np.random.default_rng(0),
-                                              forced=forced)
-            dn_out, dn_rec = evaluate_circuit(dn, circuit, np.random.default_rng(0),
-                                              forced=forced)
-        except ZeroProbabilityError:
-            return  # forced branch has no support; nothing to compare
-        assert trace_distance(st_out.to_density(), dn_out) < 1e-10
-        for label in st_rec:
-            assert st_rec[label].outcome == dn_rec[label].outcome
-            assert st_rec[label].probability == pytest.approx(
-                dn_rec[label].probability, abs=1e-10)
-
-
 class TestClassicallyControlledPauli:
     def test_cpauli_fires_on_outcome_one(self):
         circuit = parse_circuit("H 0\nM 0 -> b\nCPAULI b X 1\n", n_qubits=2)
@@ -255,17 +221,6 @@ class TestReductionAndDiscard:
         bell = StabilizerState.product("00").apply_clifford(BELL)
         assert np.allclose(bell.reduced_density([0]).mat, np.eye(2) / 2)
         assert np.allclose(bell.reduced_density([1]).mat, np.eye(2) / 2)
-
-    def test_reduced_density_matches_dense_partial_trace(self):
-        rng = np.random.default_rng(8)
-        for _ in range(10):
-            st = StabilizerState.product("000").apply_clifford(
-                random_clifford(3, rng))
-            keep = sorted(rng.choice(3, 2, replace=False).tolist())
-            drop = [q for q in range(3) if q not in keep]
-            assert np.allclose(st.reduced_density(keep).mat,
-                               st.to_density().discard_qubits(drop).mat,
-                               atol=1e-12)
 
     def test_discard_matches_partial_trace(self):
         rng = np.random.default_rng(9)
@@ -395,13 +350,6 @@ class TestNoBackendBranches:
 
 # -- the dense oracle against full-size reference operators ------------------
 
-def _random_density(n, rng):
-    """A random full-rank mixed state, so no entry is zero by structure."""
-    a = rng.normal(size=(2 ** n, 2 ** n)) + 1j * rng.normal(size=(2 ** n, 2 ** n))
-    rho = a @ a.conj().T
-    return rho / np.trace(rho)
-
-
 def _kron_embedding(u, n, qs):
     """Reference 2^n x 2^n embedding of a gate matrix, built with np.kron
     (qubit 0 the most significant bit)."""
@@ -422,7 +370,7 @@ def _gate_arity(name):
 class TestDenseGateKernel:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_every_gate_on_every_qubit_tuple(self, n):
-        rho = _random_density(n, np.random.default_rng(n))
+        rho = full_rank_density(n, np.random.default_rng(n))
         state = DensityMatrix(rho)
         for name, u in _GATE_MATS.items():
             for qs in itertools.permutations(range(n), _gate_arity(name)):
@@ -432,7 +380,7 @@ class TestDenseGateKernel:
 
     def test_random_gates_on_six_qubits(self):
         rng = np.random.default_rng(6)
-        state = DensityMatrix(_random_density(6, rng))
+        state = DensityMatrix(full_rank_density(6, rng))
         names = sorted(_GATE_MATS)
         for _ in range(60):
             name = names[int(rng.integers(len(names)))]
@@ -471,7 +419,7 @@ def _every_pauli(n):
 class TestDensePauliPaths:
     @pytest.mark.parametrize("n", [1, 2])
     def test_apply_pauli_every_pauli_and_phase(self, n):
-        rho = _random_density(n, np.random.default_rng(20 + n))
+        rho = full_rank_density(n, np.random.default_rng(20 + n))
         for p in _every_pauli(n):
             want = _conjugated(p.to_matrix(), rho)
             got = DensityMatrix(rho).apply_pauli(p).mat
@@ -479,7 +427,7 @@ class TestDensePauliPaths:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_expectation_every_pauli_and_phase(self, n):
-        state = DensityMatrix(_random_density(n, np.random.default_rng(30 + n)))
+        state = DensityMatrix(full_rank_density(n, np.random.default_rng(30 + n)))
         for p in _every_pauli(n):
             if not p.is_hermitian():
                 with pytest.raises(BackendError, match="Hermitian"):
@@ -490,13 +438,10 @@ class TestDensePauliPaths:
 
     def _check_measurement(self, rho, k):
         """Both forced outcomes against the projector sandwich."""
-        kmat = k.to_matrix()
-        eye = np.eye(len(rho))
         for outcome in (0, 1):
-            proj = (eye + (-1) ** outcome * kmat) / 2
-            prob = float(np.real(np.trace(proj @ rho)))
+            want, prob = projected(rho, k, outcome)
             state = DensityMatrix(rho)
-            if prob < 1e-12:
+            if want is None:
                 with pytest.raises(ZeroProbabilityError):
                     state.measure_pauli(k, np.random.default_rng(0), force=outcome)
                 continue
@@ -504,13 +449,12 @@ class TestDensePauliPaths:
                                             force=outcome)
             assert (rec.outcome, rec.label) == (outcome, "m")
             assert rec.probability == pytest.approx(prob, abs=1e-14)
-            want = proj @ rho @ proj / prob
             assert np.max(np.abs(post.mat - want)) < 1e-14, (k, outcome)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_measure_every_hermitian_pauli(self, n):
         rng = np.random.default_rng(40 + n)
-        mixed = _random_density(n, rng)
+        mixed = full_rank_density(n, rng)
         pure = DensityMatrix.product("0" * n).mat     # zero-probability cases
         for p in _every_pauli(n):
             if p.is_hermitian():
@@ -519,7 +463,7 @@ class TestDensePauliPaths:
 
     def test_random_strings_on_six_qubits(self):
         rng = np.random.default_rng(6)
-        rho = _random_density(6, rng)
+        rho = full_rank_density(6, rng)
         for _ in range(20):
             k = random_pauli(6, rng, phase_free=False)
             self._check_measurement(rho, k)
@@ -572,34 +516,28 @@ class TestDenseZMeasurement:
     columns of the outcome's sign; checked against the projector built
     from `PauliString.to_matrix`."""
 
-    @staticmethod
-    def _reference(rho, k, outcome):
-        proj = (np.eye(len(rho)) + (-1) ** outcome * k.to_matrix()) / 2
-        prob = float(np.real(np.trace(proj @ rho)))
-        return proj @ rho @ proj / prob, prob
-
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_random_z_strings_with_signs(self, n):
         rng = np.random.default_rng(60 + n)
         for trial in range(12):
-            rho = (_random_density(n, rng) if trial % 2
+            rho = (full_rank_density(n, rng) if trial % 2
                    else DensityMatrix.random_pure(n, rng).mat)
             z = rng.integers(0, 2, n).astype(np.uint8)
             z[rng.integers(n)] = 1              # single- and multi-qubit Z
             k = PauliString(np.zeros(n, np.uint8), z, 2 * int(rng.integers(2)))
             state = DensityMatrix(rho)
             for force in (0, 1):
-                want, prob = self._reference(rho, k, force)
+                want, prob = projected(rho, k, force)
                 post, rec = state.measure_pauli(k, rng, label="z", force=force)
                 assert (rec.label, rec.outcome) == ("z", force)
                 assert rec.probability == pytest.approx(prob, abs=1e-13)
                 assert np.max(np.abs(post.mat - want)) < 1e-13, (k, force)
             draw_seed = int(rng.integers(2 ** 32))
             post, rec = state.measure_pauli(k, np.random.default_rng(draw_seed))
-            p0 = self._reference(rho, k, 0)[1]
+            p0 = projected(rho, k, 0)[1]
             drawn = np.random.default_rng(draw_seed).random()
             assert rec.outcome == (0 if drawn < p0 else 1)
-            want, _ = self._reference(rho, k, rec.outcome)
+            want, _ = projected(rho, k, rec.outcome)
             assert np.max(np.abs(post.mat - want)) < 1e-13
 
     @pytest.mark.parametrize("spec, label, impossible", [

@@ -3,7 +3,6 @@ against the per-gate word, the logical CZ that replaces H; CNOT; H, the
 operand checks, the engine, word-check and permutation calls of one
 encrypted QEC cycle, and register programs whose discarded rows leave
 their factor's state at its next read."""
-import collections
 import copy
 
 import numpy as np
@@ -11,19 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import Calls, per_gate, qec_cycle, random_state, same_group, same_rows
 from qhelab import paulis, permkey, qec, states
-from qhelab.paulis import CLIFFORD_GATES, PauliString, random_clifford
+from qhelab.paulis import CLIFFORD_GATES, PauliString
 from qhelab.permkey import PermClient, PermKey, RegisterError, SpreadRegister
 from qhelab.states import BackendError, DensityMatrix, StabilizerState
-from test_row_kernels import _qec_cycle, _same_group
-
-
-def _random_state(backend, n, rng):
-    """A random stabilizer state on n qubits, mixed on about a quarter of
-    them, as `backend`."""
-    spec = "".join(rng.choice(list("01+-im**"), n))
-    stab = StabilizerState.product(spec).apply_clifford(random_clifford(n, rng))
-    return stab if backend is StabilizerState else stab.to_density()
 
 
 def _random_slots(rng, n: int, arity: int) -> list[range]:
@@ -36,16 +27,9 @@ def _random_slots(rng, n: int, arity: int) -> list[range]:
     return [slots[i] for i in rng.permutation(arity)]
 
 
-def _per_gate(state, name, slots):
-    """The reference: the word the slots stand for, one gate at a time."""
-    for qs in zip(*slots):
-        state = state.apply_gates([(name, qs)])
-    return state
-
-
-def _assert_same_tableau(a, b):
-    for u, v in ((a.x, b.x), (a.z, b.z), (a.phase, b.phase)):
-        assert np.array_equal(u, v)
+def _word(name, slots):
+    """The gate word a transversal gate on `slots` stands for."""
+    return [(name, qs) for qs in zip(*slots)]
 
 
 def _arity(name):
@@ -59,32 +43,32 @@ class TestApplyTransversal:
         """Slots are whole rows of a 3-row factor, rows in either order."""
         rng = np.random.default_rng([m, CLIFFORD_GATES.index(name)])
         n_cols = 2 * m
-        state = _random_state(StabilizerState, 3 * n_cols, rng)
+        state = random_state(StabilizerState, 3 * n_cols, rng)
         for rows in ([2, 0], [0, 1], [1, 2]):
             slots = [range(r * n_cols, (r + 1) * n_cols)
                      for r in rows[:_arity(name)]]
-            _assert_same_tableau(state.apply_transversal(name, slots),
-                                 _per_gate(state, name, slots))
+            assert same_rows(state.apply_transversal(name, slots),
+                             per_gate(state, _word(name, slots)))
 
     @pytest.mark.parametrize("name", CLIFFORD_GATES)
     @pytest.mark.parametrize("seed", range(8))
     def test_tableau_random_ranges_match_per_gate(self, name, seed):
         rng = np.random.default_rng([seed, CLIFFORD_GATES.index(name), 1])
         n = int(rng.integers(2, 31))
-        state = _random_state(StabilizerState, n, rng)
+        state = random_state(StabilizerState, n, rng)
         slots = _random_slots(rng, n, _arity(name))
-        _assert_same_tableau(state.apply_transversal(name, slots),
-                             _per_gate(state, name, slots))
+        assert same_rows(state.apply_transversal(name, slots),
+                         per_gate(state, _word(name, slots)))
 
     @pytest.mark.parametrize("name", CLIFFORD_GATES + ("T",))
     @pytest.mark.parametrize("seed", range(6))
     def test_dense_matches_per_gate(self, name, seed):
         rng = np.random.default_rng([seed, len(name), 2])
         n = int(rng.integers(2, 7))
-        state = _random_state(DensityMatrix, n, rng)
+        state = random_state(DensityMatrix, n, rng)
         slots = _random_slots(rng, n, _arity(name))
         got = state.apply_transversal(name, slots)
-        assert np.array_equal(got.mat, _per_gate(state, name, slots).mat)
+        assert np.array_equal(got.mat, per_gate(state, _word(name, slots)).mat)
 
     def test_register_pair_matches_word(self):
         """On a 7-row concatenated factor, a logical gate between two rows
@@ -97,7 +81,7 @@ class TestApplyTransversal:
             reg.transversal_pair(name, *rows)
             word = [(name, (a, b)) for a, b in zip(
                 *(range(r * 2 * m, (r + 1) * 2 * m) for r in rows))]
-            _assert_same_tableau(f.state, before.apply_gates(word))
+            assert same_rows(f.state, before.apply_gates(word))
 
 
 def _cz_registers(m: int, plaintext):
@@ -123,7 +107,7 @@ class TestLogicalCZ:
             hch.transversal_single(row, "H")
             assert [f.rows for f in cz.factors] == [f.rows for f in hch.factors]
             for a, b in zip(cz.factors, hch.factors):
-                _assert_same_tableau(a.state, b.state)
+                assert same_rows(a.state, b.state)
 
     def test_cz_equals_h_cnot_h_on_dense(self):
         plain = DensityMatrix.random_pure(1, np.random.default_rng(3))
@@ -209,84 +193,47 @@ class TestBadOperands:
 
     @pytest.mark.parametrize("backend", [StabilizerState, DensityMatrix])
     def test_array_perm_equals_list_perm(self, backend):
-        state = _random_state(backend, 4, np.random.default_rng(5))
+        state = random_state(backend, 4, np.random.default_rng(5))
         perm = [2, 0, 3, 1]
         a = state.permute_qubits(perm).to_density().mat
         b = state.permute_qubits(np.array(perm)).to_density().mat
         assert np.array_equal(a, b)
 
 
-class _Calls:
-    """Counts calls of wrapped callables, apart from those made while an
-    encoder is built (`qec.steane_code` synthesizes its Clifford) or run
-    (`ConcatenatedSpreadCode.encode`), which are counted separately."""
-
-    def __init__(self, monkeypatch):
-        self.mp = monkeypatch
-        self.outside = collections.Counter()
-        self.encoding = collections.Counter()
-        self.in_encoder = False
-        for owner, name in ((qec, "steane_code"),
-                            (permkey.ConcatenatedSpreadCode, "encode")):
-            self._flag(owner, name)
-
-    def _flag(self, owner, name: str) -> None:
-        inner = getattr(owner, name)
-
-        def flagged(*args, **kwargs):
-            self.in_encoder = True
-            try:
-                return inner(*args, **kwargs)
-            finally:
-                self.in_encoder = False
-        self.mp.setattr(owner, name, flagged)
-
-    def book(self, key: str, calls: int = 1) -> None:
-        (self.encoding if self.in_encoder else self.outside)[key] += calls
-
-    def count(self, owner, name: str, key: str) -> None:
-        inner = getattr(owner, name)
-
-        def counted(*args, **kwargs):
-            self.book(key)
-            return inner(*args, **kwargs)
-        self.mp.setattr(owner, name, counted)
-
-
 class TestCycleCalls:
     def test_transversal_gates_skip_the_word_path(self, monkeypatch):
         """Over one encrypted Steane x spread QEC cycle at m = 5: the word
-        check and the run folding serve only the encoder, each transversal
-        gate is one engine call, and the only qubit permutations are one
-        per factor at encrypt and decrypt (`_permute`, the kernel behind
-        `permute_qubits`, which the register calls without the check)."""
-        calls = _Calls(monkeypatch)
+        check serves only the encoder (`qec.steane_code` synthesizes its
+        Clifford, `ConcatenatedSpreadCode.encode` runs it), each
+        transversal gate is one engine call, and the only qubit
+        permutations are one per factor at encrypt and decrypt
+        (`_permute`, the kernel behind `permute_qubits`, which the
+        register calls without the check)."""
+        calls = Calls(monkeypatch)
+        for owner, name in ((qec, "steane_code"),
+                            (permkey.ConcatenatedSpreadCode, "encode")):
+            calls.count(owner, name, "encoder", scope=True)
         calls.count(paulis, "_check_word", "check_word")
         calls.count(states, "_check_word", "check_word")
-        calls.count(states, "_gate_runs", "gate_runs")
         calls.count(states, "_apply_gate_rows", "engine")
         for name in ("transversal_single", "transversal_pair"):
             calls.count(SpreadRegister, name, "transversal")
         for backend in (StabilizerState, DensityMatrix):
             calls.count(backend, "_permute", "permute")
-        permute_columns = SpreadRegister.permute_columns
+        calls.count(SpreadRegister, "permute_columns", scope=True,
+                    note=lambda reg, key: len(reg.factors))
 
-        def counted_permute_columns(reg, key):
-            calls.book("expected_permute", len(reg.factors))
-            return permute_columns(reg, key)
-        monkeypatch.setattr(SpreadRegister, "permute_columns",
-                            counted_permute_columns)
-
-        plain, value, bits = _qec_cycle(101, 1)
+        plain, value, bits = qec_cycle(101, 1)
         assert value == (-1 if plain == "1" else 1)
         assert len(bits) == 6
-        enc, out = calls.encoding, calls.outside
-        assert enc["check_word"] > 0 and enc["gate_runs"] > 0
-        assert out["check_word"] == 0 and out["gate_runs"] == 0
+        enc, out = calls.inside("encoder"), calls.counts
+        assert enc["check_word"] > 0 and out["check_word"] == 0
         assert out["transversal"] > 0
         assert out["engine"] == out["transversal"]
-        assert out["expected_permute"] > 0
-        assert out["permute"] == out["expected_permute"]
+        permutes = [(c["permute"], factors) for key, factors, c in calls.scopes
+                    if key == "permute_columns"]
+        assert len(permutes) == 2 and out["permute"] == 0
+        assert all(done == factors > 0 for done, factors in permutes)
 
     @pytest.mark.parametrize("middle", ["+", "magic"])
     def test_interleaved_merge_matches_dense_oracle(self, monkeypatch, middle):
@@ -302,12 +249,12 @@ class TestCycleCalls:
             reg.add_data_row(middle)
         reg.add_data_row("1")
         row_states = [f.state for f in reg.factors]
-        calls = _Calls(monkeypatch)
+        calls = Calls(monkeypatch)
         for backend in (StabilizerState, DensityMatrix):
             calls.count(backend, "_permute", "permute")
         reg.transversal_pair("CNOT", 0, 2)
         reg.transversal_pair("CZ", 1, 0)
-        assert calls.outside["permute"] == 0
+        assert calls.counts["permute"] == 0
         (f,) = reg.factors
         assert f.rows == [0, 2, 1]
         rho = row_states[0].to_density().tensor(row_states[2]).tensor(
@@ -378,7 +325,7 @@ def _step(reg: SpreadRegister, step, rng, discard):
 def _assert_same_state(a, b):
     assert a.BACKEND == b.BACKEND and a.n_qubits == b.n_qubits
     if a.BACKEND == StabilizerState.BACKEND:
-        assert _same_group(a, b)
+        assert same_group(a, b)
     else:
         assert np.abs(a.mat - b.mat).max() < 1e-12
 
@@ -425,22 +372,18 @@ class TestDeferredDiscards:
         for r in rows[1:]:
             reg.transversal_pair("CNOT", rows[0], r)
         (f,) = reg.factors
-        calls = []
+        calls = Calls(monkeypatch)
         for backend in (StabilizerState, DensityMatrix):
-            inner = backend.discard_qubits
-
-            def counted(state, qs, inner=inner):
-                calls.append(list(qs))
-                return inner(state, qs)
-            monkeypatch.setattr(backend, "discard_qubits", counted)
+            calls.count(backend, "discard_qubits", "discard",
+                        note=lambda state, qs: list(qs))
         reg.measure_row(rows[1], np.random.default_rng(0))
         reg.discard_row(rows[3])
         reg.discard_row(rows[2])
-        assert f.rows == [rows[0]] and calls == []
+        assert f.rows == [rows[0]] and calls.log["discard"] == []
         assert reg.consumed_ancilla_rows() == 1
         n_cols = 2 * m
         assert f.state.n_qubits == n_cols
         # held rows 0, 2, 3 after the measurement: 2 and 3 leave together
-        assert calls == [list(range(n_cols, 3 * n_cols))]
+        assert calls.log["discard"] == [list(range(n_cols, 3 * n_cols))]
         f.state
-        assert len(calls) == 1
+        assert len(calls.log["discard"]) == 1
