@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 from oracles import (Calls, ScriptedRng, qec_cycle, random_dense,
                      random_state, same_group, sequential)
 from qhelab import gf2, permkey, qec, states
+from qhelab.paulis import PauliString
 from qhelab.states import (BackendError, DensityMatrix, StabilizerState,
-                           ZeroProbabilityError)
+                           ZeroProbabilityError, trace_distance)
 
 
 def _case(seed, n_max):
@@ -50,6 +51,21 @@ class TestMeasureDiscard:
         assert bits == want_bits
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert np.array_equal(got.mat, want.mat)
+
+    @given(st.integers(0, 10 ** 9))
+    @settings(max_examples=60, deadline=None)
+    def test_stabilizer_agrees_with_dense_oracle(self, seed):
+        """The tableau's post-measurement state is the dense projection
+        onto the bits it drew."""
+        rng, n, qs, draw_seed = _case(seed, 6)
+        stab = random_state(StabilizerState, n, rng)
+        got, bits = stab.measure_discard(qs, np.random.default_rng(draw_seed))
+        dense = stab.to_density()
+        for q, bit in zip(qs, bits):
+            dense, _ = dense.measure_pauli(
+                PauliString.single(n, q, "Z"), rng, force=bit)
+        dense = dense.discard_qubits(qs)
+        assert trace_distance(got.to_density(), dense) < 1e-10
 
     def test_deterministic_outcomes_draw_nothing(self):
         rng = np.random.default_rng(0)

@@ -16,7 +16,7 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant,
 
 from oracles import ScriptedRng
 from qhelab.paulis import _GATE_ARITY, CLIFFORD_GATES, CliffordOp, PauliString
-from qhelab.paulis import parse_circuit, random_clifford
+from qhelab.paulis import parse_circuit, random_clifford, random_pauli
 from qhelab.permkey import SpreadRegister
 from qhelab.permkey import perm_scheme, spread_basis_input
 from qhelab.protocol import run_session
@@ -220,7 +220,47 @@ def _both(spec):
     return [StabilizerState.product(spec), DensityMatrix.product(spec)]
 
 
+def _assert_agree(stab, dense):
+    assert stab.n_qubits == dense.n_qubits
+    assert trace_distance(stab.to_density(), dense.to_density()) < 1e-10
+
+
 class TestSameProgramBothBackends:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_program(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 7))
+        spec = "".join(rng.choice(list("01+-im"), n))
+        stab, dense = _both(spec)
+        word = random_clifford(n, rng).gates
+        stab, dense = stab.apply_gates(word), dense.apply_gates(word)
+        _assert_agree(stab, dense)
+        for i in range(3):
+            k = random_pauli(n, rng, phase_free=False)
+            if k.weight() == 0:
+                continue
+            # force the outcome the stabilizer side allows
+            ev = stab.expectation(k)
+            force = int(rng.integers(2)) if ev == 0 else (0 if ev == 1 else 1)
+            stab, srec = stab.measure_pauli(k, rng, label=f"m{i}", force=force)
+            dense, drec = dense.measure_pauli(k, rng, label=f"m{i}", force=force)
+            assert srec.outcome == drec.outcome == force
+            assert srec.probability == pytest.approx(drec.probability, abs=1e-10)
+            _assert_agree(stab, dense)
+        p = random_pauli(n, rng)
+        stab, dense = stab.apply_pauli(p), dense.apply_pauli(p)
+        perm = [int(q) for q in rng.permutation(n)]
+        stab, dense = stab.permute_qubits(perm), dense.permute_qubits(perm)
+        _assert_agree(stab, dense)
+        drop = sorted(int(q) for q in rng.choice(n, int(rng.integers(1, n)),
+                                                 replace=False))
+        stab, dense = stab.discard_qubits(drop), dense.discard_qubits(drop)
+        _assert_agree(stab, dense)
+        m = stab.n_qubits
+        qubits = [int(q) for q in rng.permutation(m)[:min(m, 3)]]
+        assert np.allclose(stab.reduced_density(qubits).mat,
+                           dense.reduced_density(qubits).mat, atol=1e-10)
+
     def test_apply_clifford_replays_the_gate_word(self):
         rng = np.random.default_rng(3)
         c = random_clifford(4, rng)
