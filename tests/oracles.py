@@ -108,18 +108,18 @@ class Calls:
     monkeypatch, by key.
 
     `count(owner, name, key)` patches owner.name.  Each call counts one for
-    the key in the innermost open scope (in `counts` outside every scope)
-    and logs `note(*args)` at the call (None without a note) to `log[key]`.
-    With `scope=True` the call opens a scope while it runs, appended to
-    `scopes` as (key, note, counts).  `take(key)` reads and resets a key's
-    count outside every scope."""
+    the key in `counts` and in every scope open around it, and logs
+    `note(*args)` at the call (None without a note) to `log[key]`.  With
+    `scope=True` the call opens a scope while it runs, appended to `scopes`
+    as (key, note, counts).  `take(key)` reads and resets a key's count in
+    `counts`."""
 
     def __init__(self, monkeypatch):
         self.mp = monkeypatch
         self.counts = collections.Counter()
         self.log = collections.defaultdict(list)
         self.scopes = []
-        self._open = [self.counts]
+        self._open = []
 
     def count(self, owner, name: str, key: str | None = None, note=None,
               scope: bool = False) -> None:
@@ -127,7 +127,8 @@ class Calls:
         inner = getattr(owner, name)
 
         def counted(*args, **kwargs):
-            self._open[-1][key] += 1
+            for counts in [self.counts, *self._open]:
+                counts[key] += 1
             self.log[key].append(note(*args) if note else None)
             if not scope:
                 return inner(*args, **kwargs)

@@ -211,7 +211,7 @@ class BackendPair(RuleBasedStateMachine):
         assert np.abs(got - want).max() <= TOL
 
 
-BackendPair.TestCase.settings = settings(max_examples=15, stateful_step_count=20,
+BackendPair.TestCase.settings = settings(max_examples=10, stateful_step_count=20,
                                          deadline=None)
 TestBackendPair = BackendPair.TestCase
 
