@@ -70,6 +70,8 @@ def relations(vecs: np.ndarray) -> list[list[int]]:
     """Each row of `vecs` that is a sum of rows before it, as the
     ascending indices of the rows (itself the last) that sum to zero: a
     basis of the left null space, one relation per dependent row."""
+    if not len(vecs):
+        return []
     found: list[int] = []
     _echelon(_bitsets(vecs), vecs.shape[1], found)
     return [[i for i in range(tags.bit_length()) if tags >> i & 1]

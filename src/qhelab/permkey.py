@@ -11,11 +11,16 @@ server evaluates transversally without knowing which columns matter.
 
 Registers are stored as a list of tensor factors over whole rows; factors
 hold either a stabilizer tableau (anything Clifford) or a small dense
-block (rows touched by magic states).  Transversal measurement of a row
-collapses it to a product, after which the row is traced out and the
-factor shrinks, so dense blocks never exceed the oracle cap.  A discarded
-row leaves its factor's state at the factor's next read, in one partial
-trace with every row discarded since the last.
+block (rows touched by magic states).  A logical gate word merges the
+rows it touches once and reaches their factor's state in one call, so a
+syndrome round is one pass.  Transversal measurement of a row collapses
+it to a product, after which the row is traced out and the factor
+shrinks, so dense blocks never exceed the oracle cap.  A discarded row
+leaves its factor's state at the factor's next read, in one partial
+trace with every row discarded since the last.  Correction rows are
+single-use and never merge: a conditional logical consumes its |0>/|1>
+row, and on a tableau applies the gate and the row's discard as one
+Pauli mixture on the target row.
 """
 from __future__ import annotations
 
@@ -27,8 +32,8 @@ import numpy as np
 
 from .paulis import CliffordOp, PauliString, _signed_permutation
 from .schemes import SchemeDescriptor, SchemeError
-from .states import (DENSE_QUBIT_CAP, DensityMatrix, StabilizerState, _dense,
-                     _tableau)
+from .states import (DENSE_QUBIT_CAP, DensityMatrix, StabilizerState,
+                     _controlled_discard, _dense, _tableau)
 
 
 class RegisterError(ValueError):
@@ -327,16 +332,22 @@ class SpreadRegister:
     # -- register operations ------------------------------------------------
 
     def permute_columns(self, key: PermKey) -> None:
+        """Every factor's columns permuted, once per distinct state: fresh
+        rows of one role share one state object, and share its image."""
         if key.m != self.m:
             raise SchemeError("column count mismatch")
         # one inverse per factor size; a key is a bijection, so no checks
         inv = np.asarray(key.inverse().perm)
         invs: dict[int, np.ndarray] = {}
+        # id -> (state, image): holding the state keeps its id its own
+        done: dict[int, tuple] = {}
         for f in self.factors:
-            k = len(f.rows)
+            k, state = len(f.rows), f.state
             if k not in invs:
                 invs[k] = (np.arange(k)[:, None] * self.n_cols + inv).ravel()
-            f.state = f.state._permute(invs[k])
+            if id(state) not in done:
+                done[id(state)] = state, state._permute(invs[k])
+            f.state = done[id(state)][1]
 
     def encrypt(self, key: PermKey) -> None:
         self.permute_columns(key)
@@ -351,20 +362,30 @@ class SpreadRegister:
         if name == "H" and self.m % 2 != 1:
             raise RegisterError("transversal H needs odd m")
 
+    def apply_logical(self, gates) -> None:
+        """A logical gate word over register rows, each gate (name, rows),
+        applied transversally: the 1-row gates' transversality checks run
+        first, the touched rows' factors merge once, and the merged
+        factor's state takes the whole word in one `apply_transversals`
+        on the rows' column ranges."""
+        word = [(name, tuple(rows)) for name, rows in gates]
+        if not word:
+            return
+        for name, rows in word:
+            if len(rows) == 1:
+                self._require_transversal(name)
+        f = self._merge([row for _, rows in word for row in rows])
+        f.state = f.state.apply_transversals(
+            [(name, [f.columns(row, self.n_cols) for row in rows])
+             for name, rows in word])
+
     def transversal_single(self, row: int, name: str) -> None:
-        """The same 1-qubit gate on every column of a row: one
-        `apply_transversal` on the row's column range."""
-        self._require_transversal(name)
-        f = self._factor_of(row)
-        f.state = f.state.apply_transversal(name, [f.columns(row, self.n_cols)])
+        """The same 1-qubit gate on every column of a row."""
+        self.apply_logical([(name, (row,))])
 
     def transversal_pair(self, name: str, row_c: int, row_t: int) -> None:
-        """Columnwise two-row gate (logical CNOT/CZ/SWAP between rows): one
-        `apply_transversal` on the two rows' column ranges of the merged
-        factor."""
-        f = self._merge([row_c, row_t])
-        f.state = f.state.apply_transversal(
-            name, [f.columns(row_c, self.n_cols), f.columns(row_t, self.n_cols)])
+        """Columnwise two-row gate (logical CNOT/CZ/SWAP between rows)."""
+        self.apply_logical([(name, (row_c, row_t))])
 
     def controlled_z(self, control_row: int, row: int) -> None:
         """Logical CZ as one transversal CZ.  Per column it is the unitary
@@ -372,13 +393,32 @@ class SpreadRegister:
         self._require_transversal("H")
         self.transversal_pair("CZ", control_row, row)
 
-    def apply_logical(self, op: CliffordOp, rows: list[int]) -> None:
-        """A logical Clifford over the given rows, applied transversally."""
-        for name, qs in op.gates:
-            if len(qs) == 1:
-                self.transversal_single(rows[qs[0]], name)
-            else:
-                self.transversal_pair(name, rows[qs[0]], rows[qs[1]])
+    def apply_correction(self, name: str, control_row: int, row: int) -> None:
+        """Transversal `name` (CNOT or CZ) from a |0>/|1> correction row
+        onto `row`; the correction row is consumed.
+
+        When the control is a lone row on a tableau with Z generators only
+        and `row`'s factor is a tableau, the gate and the control's
+        discard are one mixture of X^b (Z^b) on `row`'s columns
+        (`states._controlled_discard`), and the rows never merge.  Any
+        other case is the transversal gate, then `discard_row`.  A CZ,
+        like transversal H, needs odd m; every check runs before anything
+        changes."""
+        fc, ft = self._factor_of(control_row), self._factor_of(row)
+        if self.roles[control_row] not in ("zero", "one"):
+            raise RegisterError(f"row {control_row} is not a |0>/|1> correction row")
+        if name == "CZ":
+            self._require_transversal("H")
+        state = None
+        if fc is not ft and len(fc.rows) == 1:
+            state = _controlled_discard(ft.state, fc.state, name,
+                                        ft.columns(row, self.n_cols))
+        if state is None:
+            self.transversal_pair(name, control_row, row)
+            self.discard_row(control_row)
+            return
+        self._remove_row(fc, control_row)
+        ft.state = state
 
     def measure_row(self, row: int, rng: np.random.Generator,
                     basis: str = "Z") -> list[int]:
@@ -620,8 +660,9 @@ def t_gate_deterministic(reg: SpreadRegister, data_row: int,
        client, who alone can read the logical outcome o1.
     2. client names one row of the identity/S pair; consuming it applies
        S^(+-1) exactly when o1 = 1, leaving a Pauli (Z^c) byproduct.
-    3. client names one row of the |0>/|1> pair; a transversal CZ from
-       it applies the Z^c correction.
+    3. client names one row of the |0>/|1> pair; a conditional Z from it
+       (`apply_conditional_logical`, which consumes the row) applies the
+       Z^c correction.
 
     Row labels are uniform and carry no information about data or key.
     Returns the transcript messages.
@@ -633,8 +674,8 @@ def t_gate_deterministic(reg: SpreadRegister, data_row: int,
     row_a = client.row_for(f"{tag}a", "plusi" if o1 else "plus")
     sent2, o2 = _teleport(reg, data_row, row_a, client, rng)
     row_b = client.row_for(f"{tag}b", "one" if o1 & o2 else "zero")
-    reg.controlled_z(row_b, data_row)
-    # burn the consumed pair rows
+    apply_conditional_logical(reg, "Z", data_row, row_b)
+    # burn the rest of the pair rows
     for row in (*bundle["slots_a"], *bundle["slots_b"]):
         if reg.alive[row]:
             reg.discard_row(row)
@@ -691,32 +732,42 @@ def encrypted_syndrome_protocol(reg: SpreadRegister, stabilizer: PauliString,
                                 rng: np.random.Generator):
     """Measure an inner-code stabilizer on the encrypted register.
 
-    The ancilla row must be a fresh encrypted |+> row; controlled logical
-    Paulis couple it to the stabilizer's support rows, it is read out
-    transversally in the X basis, and only the client can turn the 2m
-    bits into the syndrome parity.
+    The ancilla row must be a fresh encrypted |+> row.  One logical word
+    couples it to the stabilizer's support rows (a transversal CNOT or CZ
+    from it to each) and ends in transversal H on it, so the rows merge
+    once and the factor takes the round in one state call; the row is
+    then read out transversally, and only the client can turn the 2m bits
+    into the syndrome parity.
 
     Returns (corrected parity, messages).
     """
     if not reg.alive[ancilla_row] or reg.roles[ancilla_row] != "plus":
         raise SchemeError("no fresh encrypted ancilla rows remain")
-    for i, row in enumerate(rows):
-        letter = stabilizer.restricted_letter(i)
-        if letter != "I":
-            apply_conditional_logical(reg, letter, row, ancilla_row)
-    bits = reg.measure_row(ancilla_row, rng, basis="X")
+    letters = [(stabilizer.restricted_letter(i), row) for i, row in enumerate(rows)]
+    word = [(_controlled_gate(letter), (ancilla_row, row))
+            for letter, row in letters if letter != "I"]
+    reg.apply_logical(word + [("H", (ancilla_row,))])
+    bits = reg.measure_row(ancilla_row, rng)
     messages = [{"sender": "server", "kind": "classical-bits", "payload": bits}]
     parity = client.parity(bits)
     return parity, messages
 
 
+def _controlled_gate(letter: str) -> str:
+    """The transversal gate of a controlled logical X or Z."""
+    if letter not in ("X", "Z"):
+        raise SchemeError("only X/Z controlled logical Paulis are supported")
+    return "CNOT" if letter == "X" else "CZ"
+
+
 def apply_conditional_logical(reg: SpreadRegister, letter: str, row: int,
                               control_row: int) -> None:
-    """Controlled logical Pauli on `row` from an encrypted control row
-    (a |0>/|1> correction row, or a |+> syndrome ancilla)."""
-    if letter == "X":
-        reg.transversal_pair("CNOT", control_row, row)
-    elif letter == "Z":
-        reg.controlled_z(control_row, row)
-    else:
-        raise SchemeError("only X/Z controlled logical Paulis are supported")
+    """Controlled logical Pauli on `row` from an encrypted |0>/|1>
+    correction row.
+
+    Correction rows are single-use and never merge: the call consumes the
+    row (it is retired and counted in `consumed_ancilla_rows`), and on a
+    tableau `row` takes the gate and the row's discard as one Pauli
+    mixture (`SpreadRegister.apply_correction`).  A conditional Z, like
+    transversal H, needs odd m; that check runs before anything changes."""
+    reg.apply_correction(_controlled_gate(letter), control_row, row)

@@ -36,16 +36,20 @@ Both implement the same state protocol, so scheme code never asks which
 backend it holds: `apply_gates` (a gate word; `apply_clifford` and the
 tableau's `apply_gate` replay through it; the dense one gathers a run of
 X, CNOT and SWAP once, by the composed index, and calls `apply_gate` on
-every other gate), `apply_transversal` (one gate on each column of
-equal-length, disjoint qubit ranges), `apply_pauli`, `measure_pauli`,
-`measure_discard` (Z on a list of qubits in order, then trace them
-out), `permute_qubits`, `discard_qubits`, `reduced_density` (a state),
-`expectation`, `to_density` (a tableau's is cached on its rows),
-`tensor` (a dense operand promotes a stabilizer one), and the
-`product` / `maximally_mixed` constructors; `trace_distance` takes two
-states.  On the tableau `apply_transversal` is one engine call on column
-slices, and a general word is one engine call per gate; the dense oracle
-replays a transversal gate as its word.
+every other gate), `apply_transversals` (a word of transversal gates,
+each one gate on each column of equal-length, disjoint qubit ranges),
+`apply_pauli`, `measure_pauli`, `measure_discard` (Z on a list of qubits
+in order, then trace them out), `permute_qubits`, `discard_qubits`,
+`reduced_density` (a state), `expectation`, `to_density` (a tableau's is
+cached on its rows), `tensor` (a dense operand promotes a stabilizer
+one), and the `product` / `maximally_mixed` constructors;
+`trace_distance` takes two states.  On the tableau a transversal word is
+one row copy, one engine call per gate on column slices and one tableau
+build, and a general word is one engine call per gate; the dense oracle
+replays a transversal word as its gate word.  `_controlled_discard`
+serves the register's correction rows: a transversal CNOT or CZ from a
+separate Z-type control tableau, then the control's partial trace, as
+one `_drop_support` on the target.
 `StabilizerState(n, generators)`, `DensityMatrix(mat)` and
 `permute_qubits` check outside data (`_permute` is the unchecked
 relabelling), and `DensityMatrix(mat)` keeps a copy; `_tableau` (packed
@@ -423,14 +427,18 @@ class StabilizerState:
             _apply_gate_rows(x, z, phase, name, qs)
         return _tableau(self.n_qubits, x, z, phase)
 
-    def apply_transversal(self, name: str, slots) -> "StabilizerState":
-        """One gate on each column of its step-1 qubit ranges (gate j acts
-        on slots[0][j], slots[1][j], ...): one engine call whose slots are
-        basic slices, so numpy works on views."""
-        slots = _check_slots(name, slots, self.n_qubits, CLIFFORD_GATES)
+    def apply_transversals(self, word) -> "StabilizerState":
+        """A word of transversal gates, each (name, slots): one gate on each
+        column of its step-1 qubit ranges (gate j acts on slots[0][j],
+        slots[1][j], ...).  Every gate is checked first; then one row copy,
+        one engine call per gate whose slots are basic slices, so numpy
+        works on views, and one tableau build."""
+        word = [(name, _check_slots(name, slots, self.n_qubits, CLIFFORD_GATES))
+                for name, slots in word]
         x, z, phase = self._rows()
-        _apply_gate_rows(x, z, phase, name,
-                         tuple(slice(r.start, r.stop) for r in slots))
+        for name, slots in word:
+            _apply_gate_rows(x, z, phase, name,
+                             tuple(slice(r.start, r.stop) for r in slots))
         return _tableau(self.n_qubits, x, z, phase)
 
     def apply_gate(self, name: str, qs: tuple[int, ...]) -> "StabilizerState":
@@ -642,6 +650,53 @@ def _drop_support(x: np.ndarray, z: np.ndarray, phase: np.ndarray,
     return alive
 
 
+def _controlled_discard(target, control, name: str, cols: range):
+    """`target` after the transversal `name` (CNOT or CZ) from the qubits
+    of the separate state `control` onto `cols`, with `control` traced
+    out; None unless both are tableaus and `control` has only Z
+    generators.  Unchecked: the register calls it on a row's columns.
+
+    Such a control is uniform over the basis strings b0 + ker(C) (C its
+    generators' z rows), and a CNOT (CZ) from basis string b is X^b (Z^b)
+    on cols, so the gate and the discard are the mixture of those Paulis:
+    conjugation by X^b0 (Z^b0) flips signs, and one `_drop_support` keeps
+    the products of target rows that commute with X^k (Z^k) for every k
+    in a basis of ker(C)."""
+    if (target.BACKEND != StabilizerState.BACKEND
+            or control.BACKEND != StabilizerState.BACKEND or control.x.any()):
+        return None
+    coset = _z_coset(control.n_qubits, control.z.tobytes(), control.phase.tobytes())
+    # a row's overlap with each column of `coset`, over its z (x) bits on
+    # cols; a uint8 product wraps at 256, which keeps its parity
+    bits = target.z if name == "CNOT" else target.x
+    odd = (bits[:, cols.start:cols.stop] @ coset) & 1
+    # the sign flip first, as a new phase vector (conjugation commutes with
+    # the row products; adding 2 mod 4 flips a phase's bit 1)
+    phase = target.phase ^ (odd[:, -1] << 1)
+    if not odd[:, :-1].any():
+        # every row commutes with the mixture: only the signs move
+        return _tableau(target.n_qubits, target.x, target.z, phase)
+    x, z = target.x.copy(), target.z.copy()
+    alive = _drop_support(x, z, phase, odd[:, :-1])
+    return _tableau(target.n_qubits, x[alive], z[alive], phase[alive])
+
+
+@functools.lru_cache(maxsize=64)
+def _z_coset(n: int, z: bytes, phase: bytes) -> np.ndarray:
+    """The basis strings b of a state with Z generators only (packed z
+    rows C and phases on n qubits), C b = s for the generators' sign bits
+    s, as one read-only n-row matrix: a basis of ker(C) as its columns,
+    then the pivot-only solution b0."""
+    c = np.frombuffer(z, np.uint8).reshape(-1, n)
+    rels = gf2.relations(c.T)
+    coset = np.zeros((n, len(rels) + 1), np.uint8)
+    for j, rel in enumerate(rels):
+        coset[rel, j] = 1
+    coset[:, -1] = gf2.solve(c, np.frombuffer(phase, np.uint8) >> 1)
+    coset.setflags(write=False)
+    return coset
+
+
 def _multiply_rows(x: np.ndarray, z: np.ndarray, phase: np.ndarray,
                    rows: np.ndarray, pivot: int) -> None:
     """Replace each listed row g by g * (row pivot), in place."""
@@ -716,11 +771,13 @@ class DensityMatrix:
                 run = []
         return _phase_free_run(out, run)
 
-    def apply_transversal(self, name: str, slots) -> "DensityMatrix":
-        """One gate on each column of its step-1 qubit ranges, replayed as
-        the gate word it stands for (the gate path checks each gate)."""
-        slots = _check_slots(name, slots, self.n_qubits, _GATE_MATS)
-        return self.apply_gates((name, qs) for qs in zip(*slots))
+    def apply_transversals(self, word) -> "DensityMatrix":
+        """A word of transversal gates, replayed as the gate word it stands
+        for (the gate path checks each gate)."""
+        word = [(name, _check_slots(name, slots, self.n_qubits, _GATE_MATS))
+                for name, slots in word]
+        return self.apply_gates((name, qs) for name, slots in word
+                                for qs in zip(*slots))
 
     def apply_gate(self, name: str, qs: tuple[int, ...]) -> "DensityMatrix":
         """u rho u^dag: H and T through the gate's superoperator on its row
@@ -845,14 +902,17 @@ class DensityMatrix:
         return float(np.real(s @ self.mat[idx, np.arange(len(idx))]))
 
     def to_json(self) -> dict:
-        flat = [[float(v.real), float(v.imag)] for v in self.mat.reshape(-1)]
+        """The matrix as one [real, imag] pair of floats per entry."""
+        flat = np.stack([self.mat.real, self.mat.imag], -1).reshape(-1, 2).tolist()
         return {"backend": self.BACKEND, "n_qubits": self.n_qubits, "matrix": flat}
 
     @classmethod
     def from_json(cls, blob: dict) -> "DensityMatrix":
+        """Each [real, imag] pair read back as the bits of one complex
+        entry, so a round trip is byte-equal."""
         dim = 2 ** blob["n_qubits"]
-        vals = np.array([complex(re, im) for re, im in blob["matrix"]])
-        return cls(vals.reshape(dim, dim))
+        pairs = np.array(blob["matrix"], dtype=float).reshape(dim * dim, 2)
+        return cls(pairs.view(complex).reshape(dim, dim))
 
     def __repr__(self):
         return f"DensityMatrix(n={self.n_qubits})"

@@ -1,0 +1,29 @@
+"""The committed benchmark rows: every BENCH_<pr>.json at the repository
+root parses, and carries the keys that all of them share (`change`, a
+string; `claim`, null or an object; `method`, an object; `workloads`, an
+object keyed by the workloads of BENCHMARK.json), so that a malformed row
+fails here instead of going unnoticed."""
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+ROWS = sorted(ROOT.glob("BENCH_*.json"))
+
+
+def test_rows_are_committed():
+    assert ROWS
+
+
+@pytest.mark.parametrize("path", ROWS, ids=lambda path: path.name)
+def test_row_has_the_shared_keys(path):
+    row = json.loads(path.read_text())
+    assert isinstance(row, dict)
+    assert {"change", "claim", "method", "workloads"} <= row.keys()
+    assert isinstance(row["change"], str) and row["change"]
+    assert row["claim"] is None or isinstance(row["claim"], dict)
+    assert isinstance(row["method"], dict)
+    names = {w["name"] for w in json.loads(
+        (ROOT / "BENCHMARK.json").read_text())["workloads"]}
+    assert set(row["workloads"]) == names

@@ -296,7 +296,7 @@ class TestTransversalClifford:
         reg = SpreadRegister(5)
         reg.add_data_row("0")
         gens = list(reg.factors[0].state.generators)
-        reg.apply_logical(CliffordOp.identity(1), [0])
+        reg.apply_logical([])
         assert list(reg.factors[0].state.generators) == gens
 
     @pytest.mark.parametrize("m", [1, 5])

@@ -205,25 +205,29 @@ class TestRowReduction:
             self._assert_measure(state, qs, int(rng.integers(2 ** 32)))
 
     def test_one_row_product_per_touched_generator(self, monkeypatch):
-        """Over one encrypted Steane x spread cycle at m = 5, each
-        measurement, and the one reduction that traces out every
-        discarded row at the final read, forms at most one relation
-        product per generator with support on its qubits.  (On other qubit lists a
-        measurement can form more: on X0, X0Z1Z3, X0Z2Z4, Z3, Z4 measuring
-        qubits 0-2 forms four, two per reduction step.)"""
+        """Over one encrypted Steane x spread cycle at m = 5, each of the
+        6 row measurements and each of the 14 merge-free corrections forms
+        at most one relation product per generator with support on its
+        qubits; no reduction is left for the final read.  (On other qubit
+        lists a measurement can form more: on X0, X0Z1Z3, X0Z2Z4, Z3, Z4
+        measuring qubits 0-2 forms four, two per reduction step.)"""
         calls = Calls(monkeypatch)
         calls.count(states, "_row_product", "product")
+
+        def touched(state, qs):
+            qs = list(qs)
+            return int((state.x[:, qs].any(1) | state.z[:, qs].any(1)).sum())
         for name in ("discard_qubits", "measure_discard"):
             calls.count(StabilizerState, name, "reduce", scope=True,
-                        note=lambda state, qs, *_: int(
-                            (state.x[:, list(qs)].any(1)
-                             | state.z[:, list(qs)].any(1)).sum()))
+                        note=lambda state, qs, *_: touched(state, qs))
+        calls.count(permkey, "_controlled_discard", "correct", scope=True,
+                    note=lambda target, control, name, cols: touched(target, cols))
         plain, value, _ = qec_cycle(101, 1)
         assert value == (-1 if plain == "1" else 1)
-        seen = [(c["product"], touched) for _, touched, c in calls.scopes]
-        assert len(seen) == 6 + 1
-        assert sum(products for products, _ in seen) > 0
-        assert all(products <= touched for products, touched in seen)
+        seen = [(key, c["product"], touched) for key, touched, c in calls.scopes]
+        assert [key for key, _, _ in seen] == ["reduce"] * 6 + ["correct"] * 14
+        assert sum(products for _, products, _ in seen) > 0
+        assert all(products <= touched for _, products, touched in seen)
 
 
 class TestDenseMeasureDiscard:

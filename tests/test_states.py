@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from oracles import full_rank_density, projected
+from oracles import full_rank_density, projected, random_dense
 from qhelab import states
 from qhelab.paulis import CliffordOp, PauliString, parse_circuit, random_clifford
 from qhelab.paulis import _signed_permutation, random_pauli
@@ -290,6 +290,23 @@ class TestSerialization:
         rho = DensityMatrix.product("+0")
         back = DensityMatrix.from_json(json.loads(json.dumps(rho.to_json())))
         assert np.allclose(back.mat, rho.mat)
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_dense_json_is_the_per_entry_list(self, n):
+        """The vectorised JSON is the list of one [real, imag] pair of
+        Python floats per entry, and a round trip through JSON text is
+        byte-equal, signed zeros included."""
+        rng = np.random.default_rng(n)
+        for rho in (random_dense(n, rng),
+                    DensityMatrix.product("+0-i1m"[:n]).apply_gate("S", (0,))):
+            blob = rho.to_json()
+            assert blob["matrix"] == [[float(v.real), float(v.imag)]
+                                      for v in rho.mat.reshape(-1)]
+            assert all(type(v) is float for pair in blob["matrix"] for v in pair)
+            back = DensityMatrix.from_json(json.loads(json.dumps(blob)))
+            assert back.mat.tobytes() == rho.mat.tobytes()
+        # the gate leaves negative zeros in the product state's matrix
+        assert n == 1 or (np.signbit(rho.mat.imag) & (rho.mat.imag == 0)).any()
 
     def test_density_invariants_enforced(self):
         bad = np.eye(2, dtype=complex)       # trace 2

@@ -1,8 +1,9 @@
-"""Transversal gates as column ranges: `apply_transversal` on both backends
-against the per-gate word, the logical CZ that replaces H; CNOT; H, the
-operand checks, the engine, word-check and permutation calls of one
-encrypted QEC cycle, and register programs whose discarded rows leave
-their factor's state at its next read."""
+"""Transversal gates as column ranges: `apply_transversals` on both
+backends against the per-gate word, the logical CZ that replaces H; CNOT;
+H, the operand checks, the engine, word-check and permutation calls of one
+encrypted QEC cycle, register programs whose discarded rows leave their
+factor's state at its next read, and merge-free corrections against the
+transversal gate and discard they replace."""
 import copy
 
 import numpy as np
@@ -47,7 +48,7 @@ class TestApplyTransversal:
         for rows in ([2, 0], [0, 1], [1, 2]):
             slots = [range(r * n_cols, (r + 1) * n_cols)
                      for r in rows[:_arity(name)]]
-            assert same_rows(state.apply_transversal(name, slots),
+            assert same_rows(state.apply_transversals([(name, slots)]),
                              per_gate(state, _word(name, slots)))
 
     @pytest.mark.parametrize("name", CLIFFORD_GATES)
@@ -57,7 +58,7 @@ class TestApplyTransversal:
         n = int(rng.integers(2, 31))
         state = random_state(StabilizerState, n, rng)
         slots = _random_slots(rng, n, _arity(name))
-        assert same_rows(state.apply_transversal(name, slots),
+        assert same_rows(state.apply_transversals([(name, slots)]),
                          per_gate(state, _word(name, slots)))
 
     @pytest.mark.parametrize("name", CLIFFORD_GATES + ("T",))
@@ -67,8 +68,56 @@ class TestApplyTransversal:
         n = int(rng.integers(2, 7))
         state = random_state(DensityMatrix, n, rng)
         slots = _random_slots(rng, n, _arity(name))
-        got = state.apply_transversal(name, slots)
+        got = state.apply_transversals([(name, slots)])
         assert np.array_equal(got.mat, per_gate(state, _word(name, slots)).mat)
+
+    @pytest.mark.parametrize("backend", [StabilizerState, DensityMatrix])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_word_matches_one_call_per_gate(self, backend, seed):
+        """A word of transversal gates in one call is the same gates in
+        one call each, byte for byte."""
+        rng = np.random.default_rng([seed, 3])
+        n = int(rng.integers(2, 7 if backend is DensityMatrix else 31))
+        state = random_state(backend, n, rng)
+        names = rng.choice(CLIFFORD_GATES, int(rng.integers(0, 6)))
+        word = [(str(name), _random_slots(rng, n, _arity(name))) for name in names]
+        got, want = state.apply_transversals(word), state
+        for gate in word:
+            want = want.apply_transversals([gate])
+        if backend is StabilizerState:
+            assert same_rows(got, want)
+        else:
+            assert np.array_equal(got.mat, want.mat)
+
+    @pytest.mark.parametrize("m", [1, 3, 5])
+    def test_syndrome_round_matches_gate_by_gate(self, m):
+        """`encrypted_syndrome_protocol` sends a round through one logical
+        word: the same rows, bits and draws as its gates applied one
+        `transversal_pair` at a time, then H and the row's measurement."""
+        code = qec.steane_code()
+        key = PermKey.sample(m, np.random.default_rng(m))
+        client = PermClient(key, np.random.default_rng(0))
+        for i, stab in enumerate(code.generators):
+            regs, rngs = [], [np.random.default_rng([m, i]) for _ in range(2)]
+            for _ in range(2):
+                reg = permkey.build_concatenated_code(code, m).encode("01+"[i % 3])
+                anc = reg.add_ancilla_row("plus")
+                reg.encrypt(key)
+                reg.transversal_single(i, "XZ"[i % 2])
+                regs.append(reg)
+            batched, stepwise = regs
+            _, msgs = permkey.encrypted_syndrome_protocol(
+                batched, stab, list(range(code.n)), anc, client, rngs[0])
+            for r in range(code.n):
+                letter = stab.restricted_letter(r)
+                if letter != "I":
+                    stepwise.transversal_pair("CNOT" if letter == "X" else "CZ",
+                                              anc, r)
+            stepwise.transversal_single(anc, "H")
+            assert msgs[0]["payload"] == stepwise.measure_row(anc, rngs[1])
+            assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+            (a,), (b,) = batched.factors, stepwise.factors
+            assert a.rows == b.rows and same_rows(a.state, b.state)
 
     def test_register_pair_matches_word(self):
         """On a 7-row concatenated factor, a logical gate between two rows
@@ -164,12 +213,12 @@ class TestBadOperands:
     def test_bad_slots_raise(self, backend, name, slots):
         state = backend.product("0+1-i0")
         with pytest.raises(BackendError):
-            state.apply_transversal(name, slots)
+            state.apply_transversals([(name, slots)])
 
     def test_t_only_on_dense(self):
         with pytest.raises(BackendError):
-            StabilizerState.product("0+").apply_transversal("T", [range(0, 2)])
-        DensityMatrix.product("0+").apply_transversal("T", [range(0, 2)])
+            StabilizerState.product("0+").apply_transversals([("T", [range(0, 2)])])
+        DensityMatrix.product("0+").apply_transversals([("T", [range(0, 2)])])
 
     @pytest.mark.parametrize("m", [1, 3])
     def test_pair_on_one_row_raises(self, m):
@@ -205,10 +254,11 @@ class TestCycleCalls:
         """Over one encrypted Steane x spread QEC cycle at m = 5: the word
         check serves only the encoder (`qec.steane_code` synthesizes its
         Clifford, `ConcatenatedSpreadCode.encode` runs it), each
-        transversal gate is one engine call, and the only qubit
-        permutations are one per factor at encrypt and decrypt
-        (`_permute`, the kernel behind `permute_qubits`, which the
-        register calls without the check)."""
+        transversal gate sent through `SpreadRegister.apply_logical` is
+        one engine call, and the only qubit permutations are at encrypt
+        and decrypt, one per distinct factor state (`_permute`, the kernel
+        behind `permute_qubits`, which the register calls without the
+        check): the fresh rows of one role share theirs."""
         calls = Calls(monkeypatch)
         for owner, name in ((qec, "steane_code"),
                             (permkey.ConcatenatedSpreadCode, "encode")):
@@ -216,12 +266,13 @@ class TestCycleCalls:
         calls.count(paulis, "_check_word", "check_word")
         calls.count(states, "_check_word", "check_word")
         calls.count(states, "_apply_gate_rows", "engine")
-        for name in ("transversal_single", "transversal_pair"):
-            calls.count(SpreadRegister, name, "transversal")
+        calls.count(SpreadRegister, "apply_logical", "logical",
+                    note=lambda reg, gates: len(gates))
         for backend in (StabilizerState, DensityMatrix):
             calls.count(backend, "_permute", "permute")
         calls.count(SpreadRegister, "permute_columns", scope=True,
-                    note=lambda reg, key: len(reg.factors))
+                    note=lambda reg, key: (len(reg.factors),
+                                           len({id(f.state) for f in reg.factors})))
 
         plain, value, bits = qec_cycle(101, 1)
         assert value == (-1 if plain == "1" else 1)
@@ -229,13 +280,16 @@ class TestCycleCalls:
         enc = calls.inside("encoder")
         out = calls.counts - enc
         assert enc["check_word"] > 0 and out["check_word"] == 0
-        assert out["transversal"] > 0
-        assert out["engine"] == out["transversal"]
-        permutes = [(c["permute"], factors) for key, factors, c in calls.scopes
+        assert enc["logical"] == 0 and out["logical"] > 0
+        assert out["engine"] == sum(calls.log["logical"])
+        permutes = [(c["permute"], note) for key, note, c in calls.scopes
                     if key == "permute_columns"]
         assert len(permutes) == 2
         assert out["permute"] == sum(done for done, _ in permutes)
-        assert all(done == factors > 0 for done, factors in permutes)
+        assert all(0 < done == distinct <= factors
+                   for done, (factors, distinct) in permutes)
+        # at encrypt: the data factor, and one state per fresh-row role
+        assert permutes[0][1] == (1 + 6 + 2 * 2 * 7, 4)
 
     @pytest.mark.parametrize("middle", ["+", "magic"])
     def test_interleaved_merge_matches_dense_oracle(self, monkeypatch, middle):
@@ -389,3 +443,155 @@ class TestDeferredDiscards:
         assert calls.log["discard"] == [list(range(n_cols, 3 * n_cols))]
         f.state
         assert len(calls.log["discard"]) == 1
+
+
+def _reference_correction(reg: SpreadRegister, letter: str, row: int,
+                          control: int) -> None:
+    """The correction as the transversal gate and a discard: the control
+    row merges into `row`'s factor, then leaves it."""
+    if letter == "Z":
+        reg.controlled_z(control, row)
+    else:
+        reg.transversal_pair("CNOT", control, row)
+    reg.discard_row(control)
+
+
+def _correct(reg: SpreadRegister, step, rng, apply):
+    """Run one step of a correction program: "control" adds a |0> or |1>
+    row, "correct" applies a conditional X or Z from a live correction
+    row onto another live row through `apply`, and any other step runs as
+    in `_step`, picking among all live rows, so that both registers pick
+    the same rows whatever their factors hold."""
+    kind, a, b = step
+    if kind == "control":
+        return reg.add_ancilla_row(("zero", "one")[a % 2])
+    if kind != "correct":
+        return _step(reg, (kind, a, 3 * b), rng, SpreadRegister.discard_row)
+    live = [r for r, alive in enumerate(reg.alive) if alive]
+    controls = [r for r in live if reg.roles[r] in ("zero", "one")]
+    if not controls or len(live) < 2:
+        return None
+    control = controls[a % len(controls)]
+    targets = [r for r in live if r != control]
+    try:
+        return apply(reg, "XZ"[b % 2], targets[b // 2 % len(targets)], control)
+    except (BackendError, RegisterError) as err:
+        return type(err), str(err)
+
+
+_CORRECTION_PROGRAM = st.builds(
+    lambda adds, steps: adds + steps,
+    st.lists(st.tuples(st.sampled_from(["add", "control"]),
+                       st.integers(0, 10 ** 6), st.just(0)),
+             min_size=2, max_size=5),
+    st.lists(st.tuples(st.sampled_from(["add", "control", "control", "single",
+                                        "pair", "measure", "discard",
+                                        "encrypt", "decrypt", "read",
+                                        *["correct"] * 5]),
+                       st.integers(0, 10 ** 6), st.integers(0, 10 ** 6)),
+             min_size=6, max_size=24))
+
+
+class TestMergeFreeCorrections:
+    """A conditional logical consumes its |0>/|1> row, and on a tableau
+    target never merges it: every register program gives what the
+    transversal gate followed by `discard_row` gives."""
+
+    @given(st.sampled_from([1, 3, 5]), st.integers(0, 2 ** 32 - 1),
+           _CORRECTION_PROGRAM)
+    @settings(max_examples=100, deadline=None)
+    def test_programs_match_gate_and_discard(self, m, seed, program):
+        regs = [SpreadRegister(m), SpreadRegister(m)]
+        rngs = [np.random.default_rng(seed), np.random.default_rng(seed)]
+        applies = [_reference_correction, permkey.apply_conditional_logical]
+        for step in program:
+            ref, got = (_correct(reg, step, rng, apply)
+                        for reg, rng, apply in zip(regs, rngs, applies))
+            if step[0] == "read" and ref is not None and not isinstance(ref, tuple):
+                _assert_same_state(ref, got)
+            else:
+                assert ref == got, step
+            merged, merge_free = regs
+            assert merged.alive == merge_free.alive
+            assert (merged.consumed_ancilla_rows()
+                    == merge_free.consumed_ancilla_rows())
+            # the reference's merged factor moves to the end of the list
+            states_by_rows = [{tuple(f.rows): f.state for f in reg.factors}
+                              for reg in regs]
+            assert states_by_rows[0].keys() == states_by_rows[1].keys()
+            for rows, state in states_by_rows[0].items():
+                _assert_same_state(state, states_by_rows[1][rows])
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+    @pytest.mark.parametrize("m", [1, 3, 5])
+    @pytest.mark.parametrize("letter", ["X", "Z"])
+    def test_correction_never_merges(self, m, letter):
+        """On a tableau target the control row leaves the register without
+        joining the target's factor, and is counted as consumed."""
+        reg = SpreadRegister(m)
+        data = reg.add_data_row("+")
+        rows = [reg.add_ancilla_row(role) for role in ("zero", "one", "plus")]
+        reg.encrypt(PermKey.sample(m, np.random.default_rng(m)))
+        target = reg.factors[0]
+        for control in rows[:2]:
+            permkey.apply_conditional_logical(reg, letter, data, control)
+            assert not reg.alive[control]
+            assert target.rows == [data] and reg.factors[0] is target
+        assert reg.consumed_ancilla_rows() == 2
+        assert [f.rows for f in reg.factors] == [[data], [rows[2]]]
+
+    def test_consumed_row_cannot_be_reused(self):
+        reg = SpreadRegister(3)
+        data = reg.add_data_row("0")
+        control = reg.add_ancilla_row("one")
+        permkey.apply_conditional_logical(reg, "X", data, control)
+        snapshot = reg.to_json()
+        with pytest.raises(RegisterError):
+            permkey.apply_conditional_logical(reg, "X", data, control)
+        assert reg.to_json() == snapshot
+
+    def test_only_correction_rows_control(self):
+        reg = SpreadRegister(3)
+        data = reg.add_data_row("0")
+        plus = reg.add_ancilla_row("plus")
+        snapshot = reg.to_json()
+        with pytest.raises(RegisterError):
+            permkey.apply_conditional_logical(reg, "X", data, plus)
+        assert reg.to_json() == snapshot
+
+
+class TestControlledDiscard:
+    """`states._controlled_discard` against the product state, the
+    transversal gate and the control's discard that it stands for."""
+
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_tensor_gate_discard(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 13))
+        k = int(rng.integers(1, n + 1))
+        target = random_state(StabilizerState, n, rng)
+        # CNOTs keep a product of 0, 1 and mixed qubits Z-type
+        control = StabilizerState.product("".join(rng.choice(list("01*"), k)))
+        if k > 1:
+            control = control.apply_gates(
+                ("CNOT", tuple(int(q) for q in rng.permutation(k)[:2]))
+                for _ in range(int(rng.integers(0, 2 * k))))
+        start = int(rng.integers(0, n - k + 1))
+        cols = range(start, start + k)
+        for name in ("CNOT", "CZ"):
+            got = states._controlled_discard(target, control, name, cols)
+            want = control.tensor(target).apply_transversals(
+                [(name, [range(k), range(k + start, k + start + k)])]
+            ).discard_qubits(list(range(k)))
+            assert same_group(got, want)
+
+    def test_other_states_are_not_served(self):
+        target = StabilizerState.product("0+1")
+        for control in (StabilizerState.product("+0"),
+                        StabilizerState.product("01").to_density()):
+            assert states._controlled_discard(target, control, "CNOT",
+                                              range(2)) is None
+        assert states._controlled_discard(
+            target.to_density(), StabilizerState.product("01"), "CZ",
+            range(2)) is None
