@@ -387,12 +387,6 @@ class SpreadRegister:
         """Columnwise two-row gate (logical CNOT/CZ/SWAP between rows)."""
         self.apply_logical([(name, (row_c, row_t))])
 
-    def controlled_z(self, control_row: int, row: int) -> None:
-        """Logical CZ as one transversal CZ.  Per column it is the unitary
-        of H; CNOT; H on `row`, and like transversal H it needs odd m."""
-        self._require_transversal("H")
-        self.transversal_pair("CZ", control_row, row)
-
     def apply_correction(self, name: str, control_row: int, row: int) -> None:
         """Transversal `name` (CNOT or CZ) from a |0>/|1> correction row
         onto `row`; the correction row is consumed.
@@ -420,15 +414,12 @@ class SpreadRegister:
         self._remove_row(fc, control_row)
         ft.state = state
 
-    def measure_row(self, row: int, rng: np.random.Generator,
-                    basis: str = "Z") -> list[int]:
+    def measure_row(self, row: int, rng: np.random.Generator) -> list[int]:
         """Transversally measure a row; the row is consumed (traced out).
 
         One `measure_discard` on the row's columns: on a tableau factor,
         two GF(2) echelons, of the generators with x on the row and of
         the kept parts of the rest."""
-        if basis == "X":
-            self.transversal_single(row, "H")
         f = self._factor_of(row)
         state, bits = f.state.measure_discard(f.columns(row, self.n_cols), rng)
         self._remove_row(f, row)

@@ -911,7 +911,9 @@ class DensityMatrix:
         """Each [real, imag] pair read back as the bits of one complex
         entry, so a round trip is byte-equal."""
         dim = 2 ** blob["n_qubits"]
-        pairs = np.array(blob["matrix"], dtype=float).reshape(dim * dim, 2)
+        pairs = np.array(blob["matrix"], dtype=float)
+        if pairs.shape != (dim * dim, 2):
+            raise BackendError(f"matrix must be {dim * dim} [real, imag] pairs")
         return cls(pairs.view(complex).reshape(dim, dim))
 
     def __repr__(self):

@@ -308,6 +308,16 @@ class TestSerialization:
         # the gate leaves negative zeros in the product state's matrix
         assert n == 1 or (np.signbit(rho.mat.imag) & (rho.mat.imag == 0)).any()
 
+    @pytest.mark.parametrize("matrix", [
+        [0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5, 0.0],          # flat floats
+        [[0.5, 0.0, 0.0, 0.0], [0.0, 0.0, 0.5, 0.0]],      # rows of 4
+        [[0.5, 0.0], [0.0, 0.0], [0.5, 0.0]],              # too few pairs
+    ])
+    def test_dense_json_needs_one_pair_per_entry(self, matrix):
+        with pytest.raises(BackendError):
+            DensityMatrix.from_json({"backend": "dense", "n_qubits": 1,
+                                     "matrix": matrix})
+
     def test_density_invariants_enforced(self):
         bad = np.eye(2, dtype=complex)       # trace 2
         with pytest.raises(BackendError):

@@ -150,7 +150,7 @@ class TestLogicalCZ:
     def test_cz_equals_h_cnot_h_on_tableau(self, m):
         for control, row in ((1, 0), (2, 0), (0, 2)):
             cz, hch = _cz_registers(m, "+")
-            cz.controlled_z(control, row)
+            cz.transversal_pair("CZ", control, row)
             hch.transversal_single(row, "H")
             hch.transversal_pair("CNOT", control, row)
             hch.transversal_single(row, "H")
@@ -161,7 +161,7 @@ class TestLogicalCZ:
     def test_cz_equals_h_cnot_h_on_dense(self):
         plain = DensityMatrix.random_pure(1, np.random.default_rng(3))
         cz, hch = _cz_registers(1, plain)
-        cz.controlled_z(1, 0)
+        cz.transversal_pair("CZ", 1, 0)
         hch.transversal_single(0, "H")
         hch.transversal_pair("CNOT", 1, 0)
         hch.transversal_single(0, "H")
@@ -178,13 +178,14 @@ class TestLogicalCZ:
         snapshot = reg.to_json()
         with pytest.raises(RegisterError):
             permkey.apply_conditional_logical(reg, "Z", data, control)
-        with pytest.raises(RegisterError):
-            reg.controlled_z(control, data)
         client = PermClient(PermKey.identity(2), np.random.default_rng(0))
-        with pytest.raises(RegisterError):
-            permkey.encrypted_syndrome_protocol(
-                reg, PauliString.from_label("Z"), [data], plus, client,
-                np.random.default_rng(1))
+        # a round's H comes last in its word and is checked before the
+        # word's CNOT (X) or CZ (Z) coupling merges or changes anything
+        for label in "ZX":
+            with pytest.raises(RegisterError):
+                permkey.encrypted_syndrome_protocol(
+                    reg, PauliString.from_label(label), [data], plus, client,
+                    np.random.default_rng(1))
         assert reg.to_json() == snapshot
         permkey.apply_conditional_logical(reg, "X", data, control)
 
@@ -367,7 +368,10 @@ def _step(reg: SpreadRegister, step, rng, discard):
             t = live[(a + 1 + b % max(len(live) - 1, 1)) % len(live)]
             return reg.transversal_pair(("CNOT", "CZ", "SWAP")[b % 3], c, t)
         if kind == "measure":
-            return reg.measure_row(live[a % len(live)], rng, "ZX"[b % 2])
+            row = live[a % len(live)]
+            if b % 2:
+                reg.transversal_single(row, "H")
+            return reg.measure_row(row, rng)
         if kind == "discard":
             return discard(reg, live[a % len(live)])
         if kind in ("encrypt", "decrypt"):
@@ -450,7 +454,8 @@ def _reference_correction(reg: SpreadRegister, letter: str, row: int,
     """The correction as the transversal gate and a discard: the control
     row merges into `row`'s factor, then leaves it."""
     if letter == "Z":
-        reg.controlled_z(control, row)
+        reg._require_transversal("H")
+        reg.transversal_pair("CZ", control, row)
     else:
         reg.transversal_pair("CNOT", control, row)
     reg.discard_row(control)
