@@ -25,7 +25,7 @@ import numpy as np
 from .paulis import (Circuit, CliffordOp, PauliString, _apply_gate_rows,
                      _check_gate, _inverse_word)
 from .schemes import SchemeDescriptor, SchemeError
-from .states import DensityMatrix
+from .states import VECTOR_QUBIT_CAP, StateVector
 
 
 @dataclass(frozen=True)
@@ -243,10 +243,11 @@ class MagicStateResource:
         return self.count - self.used
 
 
-def prepare_magic_register(plaintext: DensityMatrix, data_key: PauliKey,
-                           n_t: int, rng: np.random.Generator,
-                           ) -> tuple[DensityMatrix, EvalTracker, MagicStateResource]:
-    """Dense register [data | n_t magic wires], everything encrypted.
+def prepare_magic_register(plaintext, data_key: PauliKey, n_t: int,
+                           rng: np.random.Generator,
+                           ) -> tuple[object, EvalTracker, MagicStateResource]:
+    """Register [data | n_t magic wires] on the plaintext's backend,
+    everything encrypted.
 
     Returns (ciphertext register, tracker holding the joint key, resource).
     """
@@ -254,7 +255,7 @@ def prepare_magic_register(plaintext: DensityMatrix, data_key: PauliKey,
     anc_keys = [PauliKey.random(1, rng) for _ in range(n_t)]
     # one wire at a time: a joint T block would regroup the kron products
     # and move ciphertext entries in their last bits
-    t_state = DensityMatrix.product("T")
+    t_state = type(plaintext).product("T")
     full = plaintext
     for _ in range(n_t):
         full = full.tensor(t_state)
@@ -381,37 +382,18 @@ def iqp_distribution(circuit: Circuit, x: tuple[int, ...],
     when n_samples > 0, empirical counts.
     """
     n = circuit.n_qubits
-    if n > 12:
-        raise SchemeError("IQP evaluator capped at 12 qubits")
+    if n > VECTOR_QUBIT_CAP:
+        raise SchemeError(f"IQP evaluator capped at {VECTOR_QUBIT_CAP} qubits")
     for g in circuit.gates:
         if g.name not in _IQP_GATES:
             raise SchemeError(f"non-diagonal gate {g.name} in IQP circuit")
     if len(x) != n:
         raise SchemeError("input length mismatch")
+    layer = [("H", (q,)) for q in range(n)]
+    state = StateVector.product("".join(str(b & 1) for b in x)).apply_gates(
+        layer + [(g.name, g.qubits) for g in circuit.gates] + layer)
     dim = 2 ** n
-    u = np.arange(dim)
-    bits = ((u[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.int64)
-    diag = np.ones(dim, dtype=complex)
-    for g in circuit.gates:
-        if g.name == "CZ":
-            a, b = g.qubits
-            diag *= (-1.0) ** (bits[:, a] * bits[:, b])
-        elif g.name == "S":
-            diag *= (1j) ** bits[:, g.qubits[0]]
-        elif g.name == "Z":
-            diag *= (-1.0) ** bits[:, g.qubits[0]]
-        elif g.name == "T":
-            diag *= np.exp(1j * np.pi / 4 * bits[:, g.qubits[0]])
-    xvec = np.array(x, np.int64)
-    psi = ((-1.0) ** (bits @ xvec)) / np.sqrt(dim)
-    psi = diag * psi
-    # final Hadamard layer via the fast Walsh transform
-    psi = psi.reshape((2,) * n)
-    for axis in range(n):
-        a = np.take(psi, 0, axis=axis)
-        b = np.take(psi, 1, axis=axis)
-        psi = np.stack([(a + b), (a - b)], axis=axis) / np.sqrt(2)
-    probs = np.abs(psi.reshape(dim)) ** 2
+    probs = np.abs(state.vec) ** 2
     probs = probs / probs.sum()
     counts = np.zeros(dim, dtype=np.int64)
     if n_samples:

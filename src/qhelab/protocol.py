@@ -28,7 +28,7 @@ import numpy as np
 from .paulis import Circuit, PauliString
 from .paulikey import PauliKey, inject_t_gate, prepare_magic_register
 from .permkey import PermKey, build_t_register, t_gate_deterministic
-from .states import DensityMatrix
+from .states import StateVector
 
 
 class ProtocolViolation(RuntimeError):
@@ -65,7 +65,7 @@ class Transcript:
 
 
 class _PauliSession:
-    """Pauli keys on a dense [data | magic] register; T through
+    """Pauli keys on a state-vector [data | magic] register; T through
     `inject_t_gate`.  Draws the data key, then the magic-wire keys."""
 
     def __init__(self, plaintext: str, circuit: Circuit,
@@ -75,7 +75,7 @@ class _PauliSession:
             raise ProtocolViolation("plaintext length must match the register")
         key = PauliKey.random(self.n_data, rng)
         self.state, self.tracker, self.magic = prepare_magic_register(
-            DensityMatrix.product(plaintext), key, circuit.t_count(), rng)
+            StateVector.product(plaintext), key, circuit.t_count(), rng)
 
     def qubits(self) -> int:
         return self.state.n_qubits
@@ -136,7 +136,8 @@ def run_session(scheme: str, plaintext: str, circuit: Circuit,
 
     scheme: "pauli" or "perm"; m spreads each perm row over 2m columns
     and the Pauli scheme ignores it.  Returns (decrypted output, reference
-    plain evaluation, Transcript).
+    plain evaluation, Transcript), both states a `DensityMatrix`; the
+    reference is the plaintext's state vector through the circuit.
     """
     if scheme not in _SESSIONS:
         raise ProtocolViolation(f"unknown scheme {scheme!r}")
@@ -148,8 +149,8 @@ def run_session(scheme: str, plaintext: str, circuit: Circuit,
             transcript.log(msg["sender"], msg["kind"], msg["payload"])
     transcript.log("server", "quantum-handoff", [session.qubits()])
     output = session.decrypt()
-    ref = DensityMatrix.product(plaintext).apply_gates(
-        (g.name, g.qubits) for g in circuit.gates)
+    ref = StateVector.product(plaintext).apply_gates(
+        (g.name, g.qubits) for g in circuit.gates).to_density()
     return output, ref, transcript
 
 
@@ -159,9 +160,8 @@ def canary_session(plaintext: str, circuit: Circuit,
     alongside an encrypted measurement, so the plaintext is inferable."""
     transcript = Transcript()
     n = circuit.n_qubits
-    rho = DensityMatrix.product(plaintext)
     key = PauliKey.random(n, rng)
-    cipher = rho.apply_pauli(key.pauli)
+    cipher = StateVector.product(plaintext).apply_pauli(key.pauli)
     transcript.log("client", "quantum-handoff", [n])
     state, rec = cipher.measure_pauli(PauliString.single(n, 0, "Z"), rng,
                                       label="leak")

@@ -1,4 +1,4 @@
-"""Two interchangeable state backends behind one protocol.
+"""Three interchangeable state backends behind one protocol.
 
 `StabilizerState` is a packed stabilizer tableau: k x n x/z bit arrays
 plus Z4 phases, updated through the batch gate engine of `paulis`.  A
@@ -28,11 +28,20 @@ diagonal, so they select blocks instead: a Z-type `measure_pauli` keeps
 the rows and columns of the outcome's sign, and `measure_discard` draws
 its bits from rho's diagonal and returns the block at those bits
 (`_draw` is the one outcome rule).
-The two backends are cross-checked against each other by `BackendPair`
-(tests/test_state_protocol.py), a stateful machine that drives every
-protocol method on both and compares them after each step.
 
-Both implement the same state protocol, so scheme code never asks which
+`StateVector` holds a pure state as its 2^n amplitudes, capped at
+n = 12, on the same kernels with one index instead of two: a `_row_map`
+take times d, H and T as one matmul on the qubit's axis, a Pauli as
+s * v[idx], and Z measurements as block selections drawn through `_draw`,
+so a seeded generator gives the dense oracle's outcomes and stream.  It
+holds no mixed state: `maximally_mixed` and mixed inputs raise, and its
+partial traces (`discard_qubits`, `reduced_density`, `to_density`) are
+dense.  Pauli-key sessions and the plain session reference run on it.
+The backends are cross-checked against each other by `BackendPair`
+(tests/test_state_protocol.py), a stateful machine that drives every
+protocol method on each and compares them after each step.
+
+All three implement the same state protocol, so scheme code never asks which
 backend it holds: `apply_gates` (a gate word; `apply_clifford` and the
 tableau's `apply_gate` replay through it; the dense one gathers a run of
 X, CNOT and SWAP once, by the composed index, and calls `apply_gate` on
@@ -42,19 +51,21 @@ each one gate on each column of equal-length, disjoint qubit ranges),
 in order, then trace them out), `permute_qubits`, `discard_qubits`,
 `reduced_density` (a state), `expectation`, `to_density` (a tableau's is
 cached on its rows), `tensor` (a dense operand promotes a stabilizer
-one), and the `product` / `maximally_mixed` constructors;
+or vector one to dense, a vector operand a pure tableau to a vector), and
+the `product` / `maximally_mixed` constructors;
 `trace_distance` takes two states.  On the tableau a transversal word is
 one row copy, one engine call per gate on column slices and one tableau
 build, and a general word is one engine call per gate; the dense oracle
-replays a transversal word as its gate word.  `_controlled_discard`
+and the vector replay a transversal word as its gate word.  `_controlled_discard`
 serves the register's correction rows: a transversal CNOT or CZ from a
 separate Z-type control tableau, then the control's partial trace, as
 one `_drop_support` on the target.
-`StabilizerState(n, generators)`, `DensityMatrix(mat)` and
-`permute_qubits` check outside data (`_permute` is the unchecked
-relabelling), and `DensityMatrix(mat)` keeps a copy; `_tableau` (packed
-rows) and `_dense` (an exactly built matrix) are the only internal
-constructors, and take over their arrays without checks or copies.
+`StabilizerState(n, generators)`, `DensityMatrix(mat)`,
+`StateVector(vec)` and `permute_qubits` check outside data (`_permute`
+is the unchecked relabelling), and the two array constructors keep a
+copy; `_tableau` (packed rows), `_dense` (an exactly built matrix) and
+`_vector` (an exactly built vector) are the only internal constructors,
+and take over their arrays without checks or copies.
 """
 from __future__ import annotations
 
@@ -69,6 +80,7 @@ from .paulis import (_GATE_ARITY, CLIFFORD_GATES, Circuit, CliffordOp,
                      _row_product, _signed_permutation, _symplectic_gram)
 
 DENSE_QUBIT_CAP = 6
+VECTOR_QUBIT_CAP = 12
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -115,7 +127,7 @@ class BackendError(ValueError):
 
 
 def _check_pauli(n: int, p: PauliString, use: str | None = None) -> None:
-    """Both backends' operand check: qubit count first, then (for a
+    """Every backend's operand check: qubit count first, then (for a
     measurement or an expectation) Hermiticity."""
     if p.n_qubits != n:
         raise BackendError("qubit count mismatch")
@@ -124,7 +136,7 @@ def _check_pauli(n: int, p: PauliString, use: str | None = None) -> None:
 
 
 def _check_qubits(n: int, qs) -> list[int]:
-    """Both backends' check on the qubits to measure or discard: distinct
+    """Every backend's check on the qubits to measure or discard: distinct
     qubits in range(n), returned as a list."""
     qs = list(qs)
     if len(set(qs)) != len(qs) or qs and not 0 <= min(qs) <= max(qs) < n:
@@ -133,7 +145,7 @@ def _check_qubits(n: int, qs) -> list[int]:
 
 
 def _check_slots(name: str, slots, n: int, names) -> tuple[range, ...]:
-    """Both backends' check on a transversal gate: `name` in `names` and
+    """Every backend's check on a transversal gate: `name` in `names` and
     its arity of step-1 `range` slots, of equal length, inside range(n)
     and pairwise disjoint; O(1) per slot.  Returns the slots as a tuple."""
     if name not in names:
@@ -155,7 +167,7 @@ def _check_slots(name: str, slots, n: int, names) -> tuple[range, ...]:
 
 
 def _check_perm(perm, n: int) -> np.ndarray:
-    """Both backends' check that perm (a list or an integer array) is a
+    """Every backend's check that perm (a list or an integer array) is a
     bijection on range(n); returns its inverse."""
     perm = np.asarray(perm)
     inv = np.argsort(perm) if perm.shape == (n,) else None
@@ -182,7 +194,7 @@ class ZeroProbabilityError(BackendError):
 
 
 def _check_force(force) -> int | None:
-    """Both backends' check on a forced measurement outcome: None, or an
+    """Every backend's check on a forced measurement outcome: None, or an
     integer 0 or 1, returned as an int."""
     if force is None:
         return None
@@ -253,17 +265,26 @@ def _gather(mat: np.ndarray, idx: np.ndarray, d: np.ndarray | None) -> np.ndarra
     return out
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=1024)
 def _row_map(n: int, name: str, qs: tuple[int, ...]):
     """A gate with one nonzero per row on n qubits as read-only (idx, d):
     row r of its 2^n x 2^n unitary holds d[r] at column idx[r], so
-    u rho u^dag = d[:, None] * d.conj() * rho[idx][:, idx].  d is None when
-    every entry is 1.  Read off the gate multiplied into the identity, once
-    per (n, name, qs); the cache holds at most the 294 gates of
-    n <= 6 qubits, as 2^n-entry vectors."""
-    u = _apply_on_bits(np.eye(2 ** n, dtype=complex), _GATE_MATS[name], qs)
-    idx = np.argmax(u != 0, axis=1)
-    d = u[np.arange(2 ** n), idx]
+    u rho u^dag = d[:, None] * d.conj() * rho[idx][:, idx] and
+    u v = d * v[idx].  d is None when every entry is 1.  Read off the
+    gate's 2^k x 2^k matrix at the bits of r on qs (qs[0] the most
+    significant), once per (n, name, qs), as two 2^n-entry vectors."""
+    g = _GATE_MATS[name]
+    r = np.arange(2 ** n)
+    shifts = [n - 1 - q for q in qs]
+    a = np.zeros_like(r)
+    for s in shifts:
+        a = (a << 1) | ((r >> s) & 1)
+    b = np.argmax(g != 0, axis=1)[a]
+    idx = r & ~sum(1 << s for s in shifts)
+    for i, s in enumerate(shifts):
+        idx |= ((b >> (len(qs) - 1 - i)) & 1) << s
+    # + 0.0 turns the -0.0 real part of the literal -1j in Y into +0.0
+    d = g[a, b] + 0.0
     idx.setflags(write=False)
     if (d == 1).all():
         return idx, None
@@ -372,10 +393,14 @@ class StabilizerState:
             x[i, q], z[i, q], phase[i] = _1Q_GENERATORS[spec[q]]
         return _tableau(len(spec), x, z, phase)
 
-    def tensor(self, other) -> "StabilizerState":
-        """self (x) other; a dense operand promotes the result to dense."""
+    def tensor(self, other):
+        """self (x) other; a dense operand promotes the result to dense,
+        a state vector to a state vector (this tableau must be pure)."""
         if other.BACKEND == DensityMatrix.BACKEND:
             return self.to_density().tensor(other)
+        if other.BACKEND == StateVector.BACKEND:
+            _check_vector_cap(self.n_qubits + other.n_qubits)
+            return _vector(_vector_of(self)).tensor(other)
         return _tableau(
             self.n_qubits + other.n_qubits, _block_diag(self.x, other.x),
             _block_diag(self.z, other.z),
@@ -938,6 +963,244 @@ def _phase_free_run(state: DensityMatrix, run: list) -> DensityMatrix:
     return _dense(_gather(state.mat, idx, None))
 
 
+class StateVector:
+    """Exact pure state as its 2^n amplitudes, n <= 12 enforced.
+
+    It runs the dense oracle's kernels on one index instead of two: a gate
+    with one nonzero per row is one take by its `_row_map` index, times d;
+    H and T are one matmul on the qubit's axis; a Pauli is s * v[idx]
+    (`_signed_permutation`).  Z measurements select a block, and outcomes
+    come from `_draw` with the dense rule's probabilities, so a seeded
+    generator gives the same outcomes and leaves the same stream.  Mixed
+    states have no vector: `maximally_mixed` and a mixed input raise
+    `BackendError`, and the reduced state of a pure one (`discard_qubits`,
+    `reduced_density`, `to_density`) is a `DensityMatrix`."""
+
+    __slots__ = ("n_qubits", "vec")
+    BACKEND = "statevector"
+
+    def __init__(self, vec: np.ndarray):
+        vec = np.array(vec, dtype=complex)      # the caller's array stays writable
+        n = vec.size.bit_length() - 1
+        if vec.shape != (2 ** n,):
+            raise BackendError("state vector must have 2^n entries")
+        _check_vector_cap(n)
+        if abs(np.vdot(vec, vec).real - 1.0) > 1e-12:
+            raise BackendError("state vector must have norm 1")
+        self._set(vec)
+
+    def _set(self, vec: np.ndarray) -> "StateVector":
+        object.__setattr__(self, "n_qubits", len(vec).bit_length() - 1)
+        object.__setattr__(self, "vec", vec)
+        vec.setflags(write=False)
+        return self
+
+    def __setattr__(self, *_):
+        raise AttributeError("StateVector is immutable")
+
+    # -- constructors ---------------------------------------------------
+
+    @classmethod
+    def product(cls, spec: str) -> "StateVector":
+        """Product state from characters in '01+-imT'; '*' (mixed) raises."""
+        _check_vector_cap(len(spec))
+        if "*" in spec:
+            raise BackendError("a state vector holds pure states only")
+        return _vector(statevector(spec))
+
+    @classmethod
+    def maximally_mixed(cls, n: int) -> "StateVector":
+        raise BackendError("a state vector holds pure states only")
+
+    # -- dynamics ---------------------------------------------------------
+
+    def apply_gates(self, gates) -> "StateVector":
+        """Apply an elementary gate word (application order), T included."""
+        out = self
+        for name, qs in gates:
+            out = out.apply_gate(name, qs)
+        return out
+
+    def apply_transversals(self, word) -> "StateVector":
+        """A word of transversal gates, replayed as the gate word it stands
+        for (the gate path checks each gate)."""
+        word = [(name, _check_slots(name, slots, self.n_qubits, _GATE_MATS))
+                for name, slots in word]
+        return self.apply_gates((name, qs) for name, slots in word
+                                for qs in zip(*slots))
+
+    def apply_gate(self, name: str, qs: tuple[int, ...]) -> "StateVector":
+        """u v: H and T as one matmul on the qubit's axis, any other gate
+        as a take by its cached row map, times d."""
+        n = self.n_qubits
+        _check_gate(name, qs, n, _GATE_MATS, BackendError)
+        if name in _GATE_SUPEROPS:
+            q = qs[0]
+            t = _GATE_MATS[name] @ self.vec.reshape(2 ** q, 2, 2 ** (n - q - 1))
+            return _vector(t.reshape(-1))
+        idx, d = _row_map(n, name, tuple(qs))
+        out = self.vec.take(idx)
+        if d is not None:
+            out *= d
+        return _vector(out)
+
+    def apply_clifford(self, c: CliffordOp) -> "StateVector":
+        if c.n_qubits != self.n_qubits:
+            raise BackendError("qubit count mismatch")
+        return self.apply_gates(c.gates)
+
+    def apply_pauli(self, p: PauliString) -> "StateVector":
+        _check_pauli(self.n_qubits, p)
+        idx, s = _signed_permutation(p.x, p.z, p.phase)
+        return _vector(s * self.vec[idx])
+
+    def measure_pauli(self, k: PauliString, rng: np.random.Generator,
+                      label: str = "m", force: int | None = None,
+                      ) -> tuple["StateVector", MeasurementRecord]:
+        """p0 = (|v|^2 + <v|K|v>) / 2, as the dense rule reads it off rho.
+        A Z-type k keeps the entries where its sign s is the outcome's
+        sign; any other k projects, (v +/- K v) / 2."""
+        _check_pauli(self.n_qubits, k, "measure")
+        force = _check_force(force)
+        idx, s = _signed_permutation(k.x, k.z, k.phase)
+        v = self.vec
+        weight = (v.conj() * v).real
+        diagonal = not k.x.any()
+        if diagonal:
+            k_mean = (s * weight).sum()
+        else:
+            k_v = s * v[idx]
+            k_mean = np.vdot(v, k_v)
+        p0 = float(np.real(weight.sum() + k_mean)) / 2
+        outcome, prob = _draw(p0, rng, force)
+        sign = 1 if outcome == 0 else -1
+        if diagonal:
+            post = np.divide(v, np.sqrt(prob), out=np.zeros_like(v),
+                             where=s == sign)
+        else:
+            post = (v + sign * k_v) / (2 * np.sqrt(prob))
+        return _vector(post), MeasurementRecord(label, outcome, prob)
+
+    def permute_qubits(self, perm) -> "StateVector":
+        """Relabel qubits: new qubit perm[q] carries old qubit q."""
+        return self._permute(_check_perm(perm, self.n_qubits))
+
+    def _permute(self, inv: np.ndarray) -> "StateVector":
+        """`permute_qubits` by a checked inverse: new q is old inv[q]."""
+        n = self.n_qubits
+        return _vector(self.vec.reshape((2,) * n).transpose(inv).reshape(-1))
+
+    def measure_discard(self, qs: list[int], rng: np.random.Generator,
+                        ) -> tuple["StateVector", list[int]]:
+        """Measure Z on each listed qubit in the order given, then trace
+        them out; returns (state, outcome bits).  The dense rule on |v|^2:
+        each qubit's p0 is the mass of its 0 outcome among the entries that
+        agree with the bits drawn so far, one ``rng.random()`` per qubit,
+        and the state is v's block at the drawn bits, normalised."""
+        qs = _check_qubits(self.n_qubits, qs)
+        n = self.n_qubits
+        weight = (self.vec.conj() * self.vec).real.reshape((2,) * n)
+        sel = [slice(None)] * n
+        bits: list[int] = []
+        for q in qs:
+            mass = weight[tuple(sel)]
+            bit, _ = _draw(float(mass.take(0, q).sum() / mass.sum()), rng)
+            bits.append(bit)
+            sel[q] = slice(bit, bit + 1)
+        block = self.vec.reshape((2,) * n)[tuple(sel)]
+        norm = np.sqrt(weight[tuple(sel)].sum())
+        return _vector((block / norm).reshape(-1)), bits
+
+    # -- extraction -------------------------------------------------------
+
+    def discard_qubits(self, qs: list[int]) -> "DensityMatrix":
+        """Trace out the given qubits: a `DensityMatrix`, mixed in general."""
+        qs = _check_qubits(self.n_qubits, qs)
+        return self._reduce([q for q in range(self.n_qubits) if q not in qs])
+
+    def reduced_density(self, qubits: list[int]) -> "DensityMatrix":
+        """Reduced state on `qubits`, in the order given."""
+        return self._reduce(_check_qubits(self.n_qubits, qubits))
+
+    def _reduce(self, kept: list[int]) -> "DensityMatrix":
+        """t t^dag for v as a matrix, rows the kept qubits in order."""
+        _check_dense_cap(len(kept))
+        n = self.n_qubits
+        rest = [q for q in range(n) if q not in kept]
+        t = self.vec.reshape((2,) * n).transpose(kept + rest).reshape(2 ** len(kept), -1)
+        return _dense(t @ t.conj().T)
+
+    def to_density(self) -> "DensityMatrix":
+        _check_dense_cap(self.n_qubits)
+        return _dense(np.outer(self.vec, self.vec.conj()))
+
+    def tensor(self, other):
+        """self (x) other: a state vector with a vector or a pure tableau,
+        a `DensityMatrix` with a dense operand."""
+        if other.BACKEND == DensityMatrix.BACKEND:
+            return self.to_density().tensor(other)
+        _check_vector_cap(self.n_qubits + other.n_qubits)
+        # np.kron's entries, each the one product of its two factors
+        return _vector(np.multiply.outer(self.vec, _vector_of(other)).reshape(-1))
+
+    def expectation(self, p: PauliString) -> float:
+        _check_pauli(self.n_qubits, p, "take the expectation of")
+        idx, s = _signed_permutation(p.x, p.z, p.phase)
+        return float(np.real(np.vdot(self.vec, s * self.vec[idx])))
+
+    def to_json(self) -> dict:
+        """The amplitudes as one [real, imag] pair of floats each."""
+        pairs = np.stack([self.vec.real, self.vec.imag], -1).tolist()
+        return {"backend": self.BACKEND, "n_qubits": self.n_qubits,
+                "vector": pairs}
+
+    @classmethod
+    def from_json(cls, blob: dict) -> "StateVector":
+        """A state vector's blob, read back byte for byte; any other
+        backend's blob may hold a mixed state and raises."""
+        if blob.get("backend") != cls.BACKEND:
+            raise BackendError("a state vector holds pure states only, "
+                               f"not a {blob.get('backend')!r} blob")
+        pairs = np.array(blob["vector"], dtype=float)
+        if pairs.shape != (2 ** blob["n_qubits"], 2):
+            raise BackendError("vector must be 2^n [real, imag] pairs")
+        return cls(pairs.view(complex).reshape(-1))
+
+    def __repr__(self):
+        return f"StateVector(n={self.n_qubits})"
+
+
+def _vector(vec: np.ndarray) -> StateVector:
+    """State from an exactly built complex 2^n vector, taken over without
+    checks or copies."""
+    return object.__new__(StateVector)._set(vec)
+
+
+def _check_vector_cap(n: int) -> None:
+    if n > VECTOR_QUBIT_CAP:
+        raise BackendError(f"state vector capped at {VECTOR_QUBIT_CAP} qubits")
+
+
+def _vector_of(state) -> np.ndarray:
+    """The amplitudes of a state vector, or of a pure tableau: a basis
+    string b of its support (every qubit measured, `measure_discard`),
+    then (I + g) / 2 on |b> for each generator g, normalised.  A mixed
+    state raises."""
+    if state.BACKEND == StateVector.BACKEND:
+        return state.vec
+    n = state.n_qubits
+    if state.BACKEND != StabilizerState.BACKEND or len(state.phase) < n:
+        raise BackendError("a state vector holds pure states only")
+    _check_vector_cap(n)
+    _, bits = state.measure_discard(range(n), np.random.default_rng(0))
+    v = np.zeros(2 ** n, dtype=complex)
+    v[sum(bit << (n - 1 - q) for q, bit in enumerate(bits))] = 1.0
+    for row in zip(state.x, state.z, state.phase):
+        idx, s = _signed_permutation(*row)
+        v = (v + s * v[idx]) / 2.0
+    return v / np.linalg.norm(v)
+
+
 def trace_distance(a, b) -> float:
     """(1/2)||a - b||_1 between two states of either backend, via the
     eigenvalues of the Hermitian difference of their dense forms."""
@@ -955,7 +1218,7 @@ def evaluate_circuit(state, circuit: Circuit, rng: np.random.Generator,
     named bits.
 
     Returns (state, records dict).  A T gate raises BackendError: plain
-    T references apply their gates to a dense state directly, and
+    T references apply their gates to a state vector directly, and
     encrypted T handling lives in the scheme modules.
     """
     forced = forced or {}

@@ -18,7 +18,8 @@ from qhelab.paulikey import (EvalTracker, PauliKey, all_keys,
                              transport_key)
 from qhelab.qec import extract_syndrome, repetition_code, steane_code
 from qhelab.schemes import SchemeError, ciphertext_average, derive_decryption
-from qhelab.states import DensityMatrix, StabilizerState, trace_distance
+from qhelab.states import (DensityMatrix, StabilizerState, StateVector,
+                           trace_distance)
 
 P = PauliString.from_label
 
@@ -133,6 +134,37 @@ class TestInjectT:
         out, msgs = self._run_single_t("+", seed)
         assert trace_distance(out, DensityMatrix.product("T")) < 1e-10
         assert msgs[0]["kind"] == "classical-bits"
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_vector_gadget_matches_dense(self, seed):
+        """The same magic register and injections on a dense and on a
+        state-vector plaintext, at the same seed: the same messages and
+        tracker keys, the states within 1e-12, the streams aligned."""
+        circuit = [("H", (0,)), ("T", (0,)), ("CNOT", (0, 1)), ("T", (1,)),
+                   ("S", (0,)), ("T", (0,))]
+        runs = []
+        for backend in (DensityMatrix, StateVector):
+            rng = np.random.default_rng(seed)
+            key = PauliKey.random(2, rng)
+            state, tracker, magic = prepare_magic_register(
+                backend.product("+1"), key, 3, rng)
+            msgs = []
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                for name, qs in circuit:
+                    if name == "T":
+                        state, sent = inject_t_gate(state, qs[0], magic,
+                                                    tracker, rng)
+                        msgs += sent
+                    else:
+                        state = state.apply_gate(name, qs)
+                        tracker.absorb(name, qs)
+            assert state.BACKEND == backend.BACKEND
+            runs.append((msgs, tracker.key, state.to_density().mat, rng.random()))
+        (dense_msgs, dense_key, dense, dense_next), (msgs, key, vec, vec_next) = runs
+        assert msgs == dense_msgs and key == dense_key
+        assert np.abs(vec - dense).max() <= 1e-12
+        assert vec_next == dense_next
 
     def test_magic_exhaustion(self):
         rng = np.random.default_rng(0)

@@ -1,5 +1,6 @@
 """Session runtime and transcript auditing."""
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from qhelab.paulis import Circuit, Gate, parse_circuit
 from qhelab.permkey import RegisterError
 from qhelab.protocol import (ProtocolViolation, Transcript, audit_transcript,
                              canary_session, load_session_config, run_session)
-from qhelab.states import DensityMatrix, trace_distance
+from qhelab.schemes import SchemeError
+from qhelab.states import (VECTOR_QUBIT_CAP, BackendError, DensityMatrix,
+                           trace_distance)
 
 
 class TestRunSession:
@@ -36,6 +39,27 @@ class TestRunSession:
         out, ref, tr = run_session("pauli", "+", circuit, rng)
         assert trace_distance(out, ref) < 1e-10
         assert len(tr.classical_slots()) == 1
+
+    @pytest.mark.parametrize("k", range(1, VECTOR_QUBIT_CAP))
+    def test_t_h_powers_stop_only_by_design(self, k):
+        """(T H)^k at seed 0 holds 1 + k qubits on the state vector: it
+        completes, or the pending correction blocks an injection; the
+        backend's cap never stops it."""
+        circuit = parse_circuit("T 0\nH 0\n" * k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            try:
+                out, ref, _ = run_session("pauli", "0", circuit,
+                                          np.random.default_rng(0))
+            except SchemeError as err:
+                assert "pending correction blocks" in str(err)
+            else:
+                assert trace_distance(out, ref) < 1e-12
+
+    def test_t_h_power_past_the_vector_cap(self):
+        circuit = parse_circuit("T 0\nH 0\n" * VECTOR_QUBIT_CAP)
+        with pytest.raises(BackendError, match="capped at 12"):
+            run_session("pauli", "0", circuit, np.random.default_rng(0))
 
     def test_perm_t_session_message_shape(self):
         rng = np.random.default_rng(3)

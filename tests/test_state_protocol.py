@@ -1,9 +1,9 @@
-"""The state protocol: both backends, driven by the same calls, agree.
+"""The state protocol: every backend, driven by the same calls, agrees.
 
 `BackendPair` is the differential harness: a Hypothesis state machine that
-holds one state on the tableau and on the dense oracle and drives every
-protocol method on both, one rule or invariant per method.  A new backend
-joins it as one more side."""
+holds one state on the tableau, on the dense oracle and, while it is pure,
+on the state vector, and drives every protocol method on each, one rule or
+invariant per method.  A new backend joins it as one more side."""
 import json
 import tracemalloc
 
@@ -21,9 +21,9 @@ from qhelab.permkey import SpreadRegister
 from qhelab.permkey import perm_scheme, spread_basis_input
 from qhelab.protocol import run_session
 from qhelab.schemes import security_delta
-from qhelab.states import (DENSE_QUBIT_CAP, BackendError, DensityMatrix,
-                           StabilizerState, ZeroProbabilityError,
-                           trace_distance)
+from qhelab.states import (DENSE_QUBIT_CAP, VECTOR_QUBIT_CAP, BackendError,
+                           DensityMatrix, StabilizerState, StateVector,
+                           ZeroProbabilityError, trace_distance)
 
 TOL = 1e-12
 
@@ -59,27 +59,42 @@ def _bits_rng(bits):
 
 
 class BackendPair(RuleBasedStateMachine):
-    """One state on both backends, n <= 6, driven by the same calls.
+    """One state on every backend, n <= 6, driven by the same calls.
 
     It starts as a product of '01+-im*' characters, the dense side built by
-    `to_density()`.  After every step the dense forms agree within 1e-12;
-    measurements agree on outcomes exactly and on probabilities within
-    1e-12.  The tableau draws outcomes from a seeded generator, and the
-    dense side replays its bits through `ScriptedRng`: on a stabilizer
+    `to_density()`, and a state-vector side when the spec has no '*'.  The
+    vector side lasts while the state is pure: a partial trace or a mixed
+    tensor factor ends it.  After every step the dense forms agree within
+    1e-12; measurements agree on outcomes exactly and on probabilities
+    within 1e-12.  The tableau draws outcomes from a seeded generator, and
+    the other sides replay its bits through `ScriptedRng`: on a stabilizer
     state every outcome has probability 0, 1/2 or 1."""
 
     @initialize(spec=st.text("01+-im*", min_size=1, max_size=DENSE_QUBIT_CAP))
     def start(self, spec):
         self.stab = StabilizerState.product(spec)
         self.dense = self.stab.to_density()
+        self.vec = None if "*" in spec else StateVector.product(spec)
 
     @property
     def n(self) -> int:
         return self.stab.n_qubits
 
+    @property
+    def sides(self):
+        """The dense oracle and, while it lasts, the state vector."""
+        return (self.dense,) if self.vec is None else (self.dense, self.vec)
+
+    def _take(self, stab, others):
+        """The tableau's new state, and the other sides' in `sides` order."""
+        self.stab = stab
+        self.dense, self.vec = (*others, None)[:2]
+
     def _step(self, name, *args):
         self.stab = getattr(self.stab, name)(*args)
         self.dense = getattr(self.dense, name)(*args)
+        if self.vec is not None:
+            self.vec = getattr(self.vec, name)(*args)
 
     @precondition(lambda self: self.n)
     @rule(data=st.data())
@@ -129,31 +144,32 @@ class BackendPair(RuleBasedStateMachine):
         k = data.draw(_pauli(self.n, hermitian=True))
         ev = self.stab.expectation(k)
         if ev:      # the outcome is fixed: forcing the other one raises
-            for state in (self.stab, self.dense):
+            for state in (self.stab, *self.sides):
                 with pytest.raises(ZeroProbabilityError):
                     state.measure_pauli(k, None, force=int(ev == 1))
         if data.draw(st.booleans()):
             force = data.draw(st.integers(0, 1)) if ev == 0 else int(ev == -1)
             stab, srec = self.stab.measure_pauli(k, None, "k", force)
-            dense, drec = self.dense.measure_pauli(k, None, "k", force)
+            others = [s.measure_pauli(k, None, "k", force) for s in self.sides]
             assert srec.outcome == force
         else:
             stab, srec = self.stab.measure_pauli(
                 k, np.random.default_rng(seed), "k")
-            dense, drec = self.dense.measure_pauli(
-                k, _bits_rng([srec.outcome]), "k")
-        assert (srec.label, srec.outcome) == (drec.label, drec.outcome)
-        assert abs(srec.probability - drec.probability) <= TOL
-        self.stab, self.dense = stab, dense
+            others = [s.measure_pauli(k, _bits_rng([srec.outcome]), "k")
+                      for s in self.sides]
+        for _, rec in others:
+            assert (srec.label, srec.outcome) == (rec.label, rec.outcome)
+            assert abs(srec.probability - rec.probability) <= TOL
+        self._take(stab, [state for state, _ in others])
 
     @precondition(lambda self: self.n)
     @rule(data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
     def measure_discard(self, data, seed):
         qs = data.draw(_qubits(self.n))
         stab, bits = self.stab.measure_discard(qs, np.random.default_rng(seed))
-        dense, dense_bits = self.dense.measure_discard(qs, _bits_rng(bits))
-        assert dense_bits == bits
-        self.stab, self.dense = stab, dense
+        others = [s.measure_discard(qs, _bits_rng(bits)) for s in self.sides]
+        assert all(other_bits == bits for _, other_bits in others)
+        self._take(stab, [state for state, _ in others])
 
     @precondition(lambda self: self.n)
     @rule(data=st.data())
@@ -163,7 +179,16 @@ class BackendPair(RuleBasedStateMachine):
     @precondition(lambda self: self.n)
     @rule(data=st.data())
     def discard_qubits(self, data):
-        self._step("discard_qubits", data.draw(_qubits(self.n)))
+        """The vector side's partial trace is a `DensityMatrix`, held to
+        the oracle's; the state may be mixed from here on, so the vector
+        side ends."""
+        qs = data.draw(_qubits(self.n))
+        reduced = None if self.vec is None else self.vec.discard_qubits(qs)
+        self.vec = None
+        self._step("discard_qubits", qs)
+        if reduced is not None:
+            assert reduced.BACKEND == DensityMatrix.BACKEND
+            assert np.abs(reduced.mat - self.dense.mat).max() <= TOL
 
     @precondition(lambda self: self.n < DENSE_QUBIT_CAP)
     @rule(data=st.data(), left=st.booleans())
@@ -171,8 +196,8 @@ class BackendPair(RuleBasedStateMachine):
         """A fresh product tableau on either side.  The dense side takes it
         as it is and the tableau side's mixed product takes its dense
         form, so both orders of the mixed product promote to dense."""
-        fresh = StabilizerState.product(data.draw(
-            st.text("01+-im*", max_size=DENSE_QUBIT_CAP - self.n)))
+        spec = data.draw(st.text("01+-im*", max_size=DENSE_QUBIT_CAP - self.n))
+        fresh = StabilizerState.product(spec)
         if left:
             stab, dense = fresh.tensor(self.stab), fresh.tensor(self.dense)
             mixed = fresh.to_density().tensor(self.stab)
@@ -181,12 +206,23 @@ class BackendPair(RuleBasedStateMachine):
             mixed = self.stab.tensor(fresh.to_density())
         assert mixed.BACKEND == dense.BACKEND
         assert np.abs(mixed.mat - dense.mat).max() <= TOL
+        if self.vec is not None:
+            pair = (fresh, self.vec) if left else (self.vec, fresh)
+            if "*" in spec:     # a mixed factor has no vector
+                with pytest.raises(BackendError):
+                    pair[0].tensor(pair[1])
+                self.vec = None
+            else:
+                self.vec = pair[0].tensor(pair[1])
+                assert self.vec.BACKEND == StateVector.BACKEND
         self.stab, self.dense = stab, dense
 
     @invariant()
     def to_density(self):
-        assert self.stab.n_qubits == self.dense.n_qubits
-        assert np.abs(self.stab.to_density().mat - self.dense.mat).max() <= TOL
+        for state in (self.stab, self.vec):
+            if state is not None:
+                assert state.n_qubits == self.dense.n_qubits
+                assert np.abs(state.to_density().mat - self.dense.mat).max() <= TOL
 
     @invariant()
     def expectation(self):
@@ -194,15 +230,19 @@ class BackendPair(RuleBasedStateMachine):
         singles = [PauliString.single(self.n, q, "XYZ"[q % 3])
                    for q in range(self.n)]
         for p in self.stab.generators + tuple(singles):
-            assert abs(self.stab.expectation(p) - self.dense.expectation(p)) <= TOL
+            for state in self.sides:
+                assert abs(self.stab.expectation(p) - state.expectation(p)) <= TOL
 
     def _round_trip(self):
-        """Both sides through JSON text, the dense one byte for byte."""
-        stab, dense = (type(s).from_json(json.loads(json.dumps(s.to_json())))
-                       for s in (self.stab, self.dense))
+        """Every side through JSON text, the dense and vector ones byte
+        for byte."""
+        stab, dense, vec = (
+            s and type(s).from_json(json.loads(json.dumps(s.to_json())))
+            for s in (self.stab, self.dense, self.vec))
         assert stab.generators == self.stab.generators
         assert dense.mat.tobytes() == self.dense.mat.tobytes()
-        return stab, dense
+        assert vec is None or vec.vec.tobytes() == self.vec.vec.tobytes()
+        return stab, dense, vec
 
     @precondition(lambda self: self.n <= 3)
     @invariant()
@@ -217,14 +257,16 @@ class BackendPair(RuleBasedStateMachine):
         machine goes on from the decoded states.  A rule as well as the
         invariant: at 6 qubits one dense round trip through JSON text
         takes milliseconds, too long for every step."""
-        self.stab, self.dense = self._round_trip()
+        self.stab, self.dense, self.vec = self._round_trip()
 
     @invariant()
     def reduced_density(self):
         """On every other qubit, from the last down: an unsorted list."""
         qs = list(range(self.n))[::-2]
-        got, want = (s.reduced_density(qs).mat for s in (self.stab, self.dense))
-        assert np.abs(got - want).max() <= TOL
+        want = self.dense.reduced_density(qs).mat
+        for state in (self.stab, self.vec):
+            if state is not None:
+                assert np.abs(state.reduced_density(qs).mat - want).max() <= TOL
 
 
 BackendPair.TestCase.settings = settings(max_examples=10, stateful_step_count=20,
@@ -244,13 +286,17 @@ def _assert_agree(stab, dense):
 class TestSameProgramBothBackends:
     @pytest.mark.parametrize("seed", range(10))
     def test_random_program(self, seed):
+        """One seeded program on the tableau, the dense oracle and the
+        state vector; the vector's partial trace is dense, like the
+        others' reduced states."""
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 7))
         spec = "".join(rng.choice(list("01+-im"), n))
-        stab, dense = _both(spec)
+        stab, dense, vec = _both(spec) + [StateVector.product(spec)]
         word = random_clifford(n, rng).gates
-        stab, dense = stab.apply_gates(word), dense.apply_gates(word)
+        stab, dense, vec = (s.apply_gates(word) for s in (stab, dense, vec))
         _assert_agree(stab, dense)
+        _assert_agree(vec, dense)
         for i in range(3):
             k = random_pauli(n, rng, phase_free=False)
             if k.weight() == 0:
@@ -260,22 +306,28 @@ class TestSameProgramBothBackends:
             force = int(rng.integers(2)) if ev == 0 else (0 if ev == 1 else 1)
             stab, srec = stab.measure_pauli(k, rng, label=f"m{i}", force=force)
             dense, drec = dense.measure_pauli(k, rng, label=f"m{i}", force=force)
-            assert srec.outcome == drec.outcome == force
+            vec, vrec = vec.measure_pauli(k, rng, label=f"m{i}", force=force)
+            assert srec.outcome == drec.outcome == vrec.outcome == force
             assert srec.probability == pytest.approx(drec.probability, abs=1e-10)
+            assert vrec.probability == pytest.approx(drec.probability, abs=1e-10)
             _assert_agree(stab, dense)
+            _assert_agree(vec, dense)
         p = random_pauli(n, rng)
-        stab, dense = stab.apply_pauli(p), dense.apply_pauli(p)
         perm = [int(q) for q in rng.permutation(n)]
-        stab, dense = stab.permute_qubits(perm), dense.permute_qubits(perm)
+        stab, dense, vec = (s.apply_pauli(p).permute_qubits(perm)
+                            for s in (stab, dense, vec))
         _assert_agree(stab, dense)
+        _assert_agree(vec, dense)
         drop = sorted(int(q) for q in rng.choice(n, int(rng.integers(1, n)),
                                                  replace=False))
-        stab, dense = stab.discard_qubits(drop), dense.discard_qubits(drop)
+        stab, dense, vec = (s.discard_qubits(drop) for s in (stab, dense, vec))
         _assert_agree(stab, dense)
+        _assert_agree(vec, dense)
         m = stab.n_qubits
         qubits = [int(q) for q in rng.permutation(m)[:min(m, 3)]]
-        assert np.allclose(stab.reduced_density(qubits).mat,
-                           dense.reduced_density(qubits).mat, atol=1e-10)
+        for state in (stab, vec):
+            assert np.allclose(state.reduced_density(qubits).mat,
+                               dense.reduced_density(qubits).mat, atol=1e-10)
 
     def test_apply_clifford_replays_the_gate_word(self):
         rng = np.random.default_rng(3)
@@ -303,15 +355,17 @@ class TestSameProgramBothBackends:
 
     def test_dense_methods_exist_on_the_tableau(self):
         """Every public non-constructor method of the dense oracle is part
-        of the protocol, so the tableau has it too, and `BackendPair`
-        names a rule or an invariant after it: a new protocol method fails
-        here until the machine drives it on both backends."""
+        of the protocol, so the tableau and the state vector have it too,
+        and `BackendPair` names a rule or an invariant after it: a new
+        protocol method fails here until the machine drives it on every
+        backend."""
         names = [name for name, attr in vars(DensityMatrix).items()
                  if not name.startswith("_") and callable(attr)
                  and not isinstance(attr, classmethod)]
         assert "discard_qubits" in names and "permute_qubits" in names
-        missing = [name for name in names
-                   if not callable(getattr(StabilizerState, name, None))]
+        missing = [f"{backend.__name__}.{name}" for name in names
+                   for backend in (StabilizerState, StateVector)
+                   if not callable(getattr(backend, name, None))]
         assert missing == []
         driven = {name for name, attr in vars(BackendPair).items()
                   if hasattr(attr, "hypothesis_stateful_rule")
@@ -343,6 +397,35 @@ class TestMixedTensor:
         with pytest.raises(BackendError):
             DensityMatrix.product("T").tensor(
                 StabilizerState.product("0" * DENSE_QUBIT_CAP))
+
+
+class TestStateVectorHoldsPureStates:
+    """The vector never falls back to dense: a mixed state, or one past
+    its cap, raises."""
+
+    def test_maximally_mixed(self):
+        with pytest.raises(BackendError, match="pure states only"):
+            StateVector.maximally_mixed(1)
+
+    @pytest.mark.parametrize("blob", [
+        DensityMatrix.maximally_mixed(1).to_json(),
+        StabilizerState.maximally_mixed(2).to_json()])
+    def test_mixed_from_json(self, blob):
+        with pytest.raises(BackendError, match="pure states only"):
+            StateVector.from_json(blob)
+
+    def test_mixed_tensor_factor(self):
+        with pytest.raises(BackendError, match="pure states only"):
+            StateVector.product("+").tensor(StabilizerState.product("0*"))
+
+    def test_tensor_past_the_cap(self):
+        half = StateVector.product("0" * (VECTOR_QUBIT_CAP // 2))
+        wide = half.tensor(half)
+        assert wide.n_qubits == VECTOR_QUBIT_CAP
+        with pytest.raises(BackendError, match="capped at 12"):
+            wide.tensor(StateVector.product("1"))
+        with pytest.raises(BackendError, match="capped at 12"):
+            StabilizerState.product("1").tensor(wide)
 
 
 class TestRegisterMergeCap:
