@@ -41,8 +41,8 @@ The backends are cross-checked against each other by `BackendPair`
 (tests/test_state_protocol.py), a stateful machine that drives every
 protocol method on each and compares them after each step.
 
-All three implement the same state protocol, so scheme code never asks which
-backend it holds: `apply_gates` (a gate word; `apply_clifford` and the
+All three implement the same state protocol, so scheme code never asks
+which backend it holds: `apply_gates` (a gate word; `apply_clifford` and the
 tableau's `apply_gate` replay through it; the dense one gathers a run of
 X, CNOT and SWAP once, by the composed index, and calls `apply_gate` on
 every other gate), `apply_transversals` (a word of transversal gates,
@@ -56,10 +56,10 @@ the `product` / `maximally_mixed` constructors;
 `trace_distance` takes two states.  On the tableau a transversal word is
 one row copy, one engine call per gate on column slices and one tableau
 build, and a general word is one engine call per gate; the dense oracle
-and the vector replay a transversal word as its gate word.  `_controlled_discard`
-serves the register's correction rows: a transversal CNOT or CZ from a
-separate Z-type control tableau, then the control's partial trace, as
-one `_drop_support` on the target.
+and the vector replay a transversal word as its gate word.
+`_controlled_discard` serves the register's correction rows: a
+transversal CNOT or CZ from a separate Z-type control tableau, then the
+control's partial trace, as one `_drop_support` on the target.
 `StabilizerState(n, generators)`, `DensityMatrix(mat)`,
 `StateVector(vec)` and `permute_qubits` check outside data (`_permute`
 is the unchecked relabelling), and the two array constructors keep a
@@ -399,7 +399,6 @@ class StabilizerState:
         if other.BACKEND == DensityMatrix.BACKEND:
             return self.to_density().tensor(other)
         if other.BACKEND == StateVector.BACKEND:
-            _check_vector_cap(self.n_qubits + other.n_qubits)
             return _vector(_vector_of(self)).tensor(other)
         return _tableau(
             self.n_qubits + other.n_qubits, _block_diag(self.x, other.x),
@@ -1202,7 +1201,7 @@ def _vector_of(state) -> np.ndarray:
 
 
 def trace_distance(a, b) -> float:
-    """(1/2)||a - b||_1 between two states of either backend, via the
+    """(1/2)||a - b||_1 between two states of any backend, via the
     eigenvalues of the Hermitian difference of their dense forms."""
     if a.n_qubits != b.n_qubits:
         raise BackendError("dimension mismatch")
