@@ -428,6 +428,34 @@ class TestStateVectorHoldsPureStates:
             StabilizerState.product("1").tensor(wide)
 
 
+class TestVectorPastTheDenseCap:
+    """From 7 qubits up the dense oracle cannot hold the state, and the
+    tableau is the vector's reference: on a pure stabilizer state every
+    generator reads +1 and any Pauli reads the tableau's -1, 0 or +1."""
+
+    @pytest.mark.parametrize("n", [7, 9, VECTOR_QUBIT_CAP])
+    def test_clifford_word_and_measurements(self, n):
+        rng = np.random.default_rng(n)
+        spec = "".join(rng.choice(list("01+-im"), n))
+        word = random_clifford(n, rng).gates
+        stab = StabilizerState.product(spec).apply_gates(word)
+        vec = StateVector.product(spec).apply_gates(word)
+        k = PauliString.single(n, n // 2, "X")
+        ev = stab.expectation(k)
+        force = int(rng.integers(2)) if ev == 0 else int(ev == -1)
+        (stab, srec), (vec, vrec) = (s.measure_pauli(k, None, "k", force)
+                                     for s in (stab, vec))
+        assert abs(srec.probability - vrec.probability) <= TOL
+        qs = [int(q) for q in rng.permutation(n)[:3]]
+        stab, bits = stab.measure_discard(qs, np.random.default_rng(n))
+        vec, vec_bits = vec.measure_discard(qs, _bits_rng(bits))
+        assert vec_bits == bits
+        probes = stab.generators + tuple(random_pauli(stab.n_qubits, rng)
+                                         for _ in range(20))
+        for p in probes:
+            assert abs(vec.expectation(p) - stab.expectation(p)) <= TOL
+
+
 class TestRegisterMergeCap:
     @pytest.mark.parametrize("first", ["magic", "plus"])
     def test_merge_past_cap_raises_before_allocating(self, first):
