@@ -3,8 +3,9 @@ quantum computation.
 
 Layers, bottom up:
 
-- paulis / states: exact Pauli-Clifford algebra and the two state
-  backends (stabilizer tableau, dense oracle capped at 6 qubits);
+- paulis / states: exact Pauli-Clifford algebra and the three state
+  backends (stabilizer tableau, state vector capped at 12 qubits, dense
+  oracle capped at 6);
 - qec: stabilizer codes, syndrome extraction, lookup decoding, lifts;
 - schemes: the abstract encryption-scheme algebra (ciphertext averages,
   the trace-distance security metric, decryption derivation, composition);
@@ -19,12 +20,12 @@ Layers, bottom up:
 from .paulis import (Circuit, CliffordOp, Gate, PauliString, parse_circuit,
                      random_clifford)
 from .states import (DensityMatrix, MeasurementRecord, StabilizerState,
-                     trace_distance)
+                     StateVector, trace_distance)
 
 __all__ = [
     "Circuit", "CliffordOp", "DensityMatrix", "Gate", "MeasurementRecord",
-    "PauliString", "StabilizerState", "parse_circuit", "random_clifford",
-    "trace_distance",
+    "PauliString", "StabilizerState", "StateVector", "parse_circuit",
+    "random_clifford", "trace_distance",
 ]
 
 __version__ = "0.1.0"

@@ -311,7 +311,7 @@ def inject_t_gate(state, target: int, magic: MagicStateResource,
     tracker.absorb("CNOT", (target, anc))
 
     za = PauliString.single(n, anc, "Z")
-    state, rec = state.measure_pauli(za, rng, label=f"t{tracker.t_injected}")
+    state, rec = state.measure_pauli(za, rng)
     o_raw = rec.outcome
     o_true = o_raw ^ int(tracker.key.pauli.x[anc])
 
@@ -360,7 +360,7 @@ def encrypted_stabilizer_measurement(state, stabilizer: PauliString,
             gates += [("Z", (q,)), ("S", (q,)), ("CNOT", (anc, q)), ("S", (q,))]
     full = full.apply_gates(gates)
     xa = PauliString.single(n + 1, anc, "X")
-    full, rec = full.measure_pauli(xa, rng, label="stab")
+    full, rec = full.measure_pauli(xa, rng)
     raw = rec.outcome
     corrected = raw ^ int(ancilla_key.pauli.z[0])
     return full, raw, corrected

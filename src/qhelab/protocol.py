@@ -163,8 +163,7 @@ def canary_session(plaintext: str, circuit: Circuit,
     key = PauliKey.random(n, rng)
     cipher = StateVector.product(plaintext).apply_pauli(key.pauli)
     transcript.log("client", "quantum-handoff", [n])
-    state, rec = cipher.measure_pauli(PauliString.single(n, 0, "Z"), rng,
-                                      label="leak")
+    state, rec = cipher.measure_pauli(PauliString.single(n, 0, "Z"), rng)
     # raw outcome + the key bits that decrypt it: plaintext in the clear
     transcript.log("server", "classical-bits",
                    [rec.outcome, *key.pauli.x.tolist(), *key.pauli.z.tolist()])

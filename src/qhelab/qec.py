@@ -133,8 +133,8 @@ def extract_syndrome(state, code: StabilizerCode, ancillas: int,
     if ancillas < len(code.generators):
         raise CodeError("ancilla supply exhausted")
     bits = []
-    for j, g in enumerate(code.generators):
-        state, rec = state.measure_pauli(g, rng, label=f"syn{j}")
+    for g in code.generators:
+        state, rec = state.measure_pauli(g, rng)
         bits.append(rec.outcome)
     return state, Syndrome(tuple(bits)), ancillas - len(code.generators)
 

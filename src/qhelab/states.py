@@ -41,22 +41,24 @@ The backends are cross-checked against each other by `BackendPair`
 (tests/test_state_protocol.py), a stateful machine that drives every
 protocol method on each and compares them after each step.
 
-All three implement the same state protocol, so scheme code never asks
-which backend it holds: `apply_gates` (a gate word; `apply_clifford` and the
-tableau's `apply_gate` replay through it; the dense one gathers a run of
-X, CNOT and SWAP once, by the composed index, and calls `apply_gate` on
-every other gate), `apply_transversals` (a word of transversal gates,
-each one gate on each column of equal-length, disjoint qubit ranges),
-`apply_pauli`, `measure_pauli`, `measure_discard` (Z on a list of qubits
-in order, then trace them out), `permute_qubits`, `discard_qubits`,
-`reduced_density` (a state), `expectation`, `to_density` (a tableau's is
-cached on its rows), `tensor` (a dense operand promotes a stabilizer
-or vector one to dense, a vector operand a pure tableau to a vector), and
-the `product` / `maximally_mixed` constructors;
-`trace_distance` takes two states.  On the tableau a transversal word is
-one row copy, one engine call per gate on column slices and one tableau
-build, and a general word is one engine call per gate; the dense oracle
-and the vector replay a transversal word as its gate word.
+All three implement one state protocol, so scheme code never asks which
+backend it holds.  Their base `State` holds no state and writes once, in
+terms of each backend's `apply_gate`, `_permute`, `discard_qubits` and
+`to_density`, the rules they share: immutability, `apply_gates` (a gate
+word, one `apply_gate` per gate), `apply_transversals` (a word of
+transversal gates, each one gate on each column of equal-length, disjoint
+qubit ranges, replayed as its gate word), `apply_clifford` (its gate word),
+`permute_qubits` and `reduced_density` (a `DensityMatrix`: the other
+qubits discarded, the rest relabelled to the order given).  The tableau
+overrides `apply_gates`, `apply_gate` and `apply_transversals`: a word is
+one row copy, one engine call per gate (on column slices for a transversal
+word) and one tableau build.  Each backend has its own `apply_pauli`,
+`measure_pauli`, `measure_discard` (Z on a list of qubits in order, then
+trace them out), `discard_qubits`, `expectation`, `to_density` (a
+tableau's is cached on its rows), `tensor` (a dense operand promotes a
+stabilizer or vector one to dense, a vector operand a pure tableau to a
+vector), and `product` / `maximally_mixed` constructors;
+`trace_distance` takes two states.
 `_controlled_discard` serves the register's correction rows: a
 transversal CNOT or CZ from a separate Z-type control tableau, then the
 control's partial trace, as one `_drop_support` on the target.
@@ -113,8 +115,6 @@ _1Q_VECTORS = {
     "m": np.array([1, -1j], dtype=complex) * _INV_SQRT2,
     "T": np.array([1, np.exp(1j * np.pi / 4)], dtype=complex) * _INV_SQRT2,
 }
-
-_PHASE_FREE = frozenset({"X", "CNOT", "SWAP"})   # row maps without phases
 
 # stabilizer generator (x bit, z bit, Z4 phase; Y = iXZ) for the
 # stabilizer-representable plaintext characters
@@ -219,7 +219,6 @@ def _draw(p0: float, rng: np.random.Generator,
 
 @dataclass(frozen=True)
 class MeasurementRecord:
-    label: str
     outcome: int
     probability: float
 
@@ -312,7 +311,57 @@ def statevector(spec: str) -> np.ndarray:
     return v
 
 
-class StabilizerState:
+class State:
+    """The protocol rules the three backends share; it holds no state.
+
+    A backend supplies `apply_gate`, `_permute` (a relabelling by a checked
+    inverse), `discard_qubits` and `to_density`; everything here is written
+    in terms of those, never in terms of which backend it is."""
+
+    __slots__ = ()
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def apply_gates(self, gates):
+        """Apply an elementary gate word (application order), one
+        `apply_gate` per gate."""
+        out = self
+        for name, qs in gates:
+            out = out.apply_gate(name, qs)
+        return out
+
+    def apply_transversals(self, word):
+        """A word of transversal gates, each (name, slots): one gate on each
+        column of its step-1 qubit ranges (gate j acts on slots[0][j],
+        slots[1][j], ...).  Every slot is checked first, then the word is
+        replayed as the gate word it stands for."""
+        word = [(name, _check_slots(name, slots, self.n_qubits, _GATE_MATS))
+                for name, slots in word]
+        return self.apply_gates((name, qs) for name, slots in word
+                                for qs in zip(*slots))
+
+    def apply_clifford(self, c: CliffordOp):
+        if c.n_qubits != self.n_qubits:
+            raise BackendError("qubit count mismatch")
+        return self.apply_gates(c.gates)
+
+    def permute_qubits(self, perm):
+        """Relabel qubits: new qubit perm[q] carries old qubit q."""
+        return self._permute(_check_perm(perm, self.n_qubits))
+
+    def reduced_density(self, qubits: list[int]) -> "DensityMatrix":
+        """Reduced state on `qubits`, in the order given, as a
+        `DensityMatrix`: the other qubits discarded, then the kept ones,
+        left in ascending order, relabelled to the order given."""
+        qubits = _check_qubits(self.n_qubits, qubits)
+        kept = self.discard_qubits([q for q in range(self.n_qubits)
+                                    if q not in qubits])
+        return kept.to_density().permute_qubits(
+            [qubits.index(q) for q in sorted(qubits)])
+
+
+class StabilizerState(State):
     """Possibly-mixed stabilizer state: k <= n independent commuting
     signed generators; k < n leaves 2^(n-k)-fold residual mixedness.
 
@@ -348,9 +397,6 @@ class StabilizerState:
     def _rows(self):
         """Writable copies of (x, z, phase)."""
         return self.x.copy(), self.z.copy(), self.phase.copy()
-
-    def __setattr__(self, *_):
-        raise AttributeError("StabilizerState is immutable")
 
     @property
     def generators(self) -> tuple[PauliString, ...]:
@@ -407,7 +453,7 @@ class StabilizerState:
 
     # -- group queries ----------------------------------------------------
 
-    def contains(self, p: PauliString) -> tuple[bool, int]:
+    def _contains(self, p: PauliString) -> tuple[bool, int]:
         """Is +/-p in the stabilizer group?  Returns (found, sign).
 
         Costs one ``gf2.solve`` on the 2n x k generator matrix: O(nk)
@@ -436,7 +482,7 @@ class StabilizerState:
         _check_pauli(self.n_qubits, p, "take the expectation of")
         if self._anticommuting(p).any():
             return 0
-        found, s = self.contains(p)
+        found, s = self._contains(p)
         return s * p.sign() if found else 0
 
     # -- dynamics ---------------------------------------------------------
@@ -468,11 +514,6 @@ class StabilizerState:
     def apply_gate(self, name: str, qs: tuple[int, ...]) -> "StabilizerState":
         return self.apply_gates([(name, qs)])
 
-    def apply_clifford(self, c: CliffordOp) -> "StabilizerState":
-        if c.n_qubits != self.n_qubits:
-            raise BackendError("qubit count mismatch")
-        return self.apply_gates(c.gates)
-
     def apply_pauli(self, p: PauliString) -> "StabilizerState":
         # p g p^dag = +/- g depending on commutation
         _check_pauli(self.n_qubits, p)
@@ -480,7 +521,7 @@ class StabilizerState:
         return _tableau(self.n_qubits, self.x, self.z, phase.astype(np.uint8))
 
     def measure_pauli(self, k: PauliString, rng: np.random.Generator,
-                      label: str = "m", force: int | None = None,
+                      force: int | None = None,
                       ) -> tuple["StabilizerState", MeasurementRecord]:
         _check_pauli(self.n_qubits, k, "measure")
         force = _check_force(force)
@@ -488,13 +529,13 @@ class StabilizerState:
         flip = 0 if k.sign() == 1 else 1
         anti = np.flatnonzero(self._anticommuting(pos))
         if not len(anti):
-            found, sign = self.contains(pos)
+            found, sign = self._contains(pos)
             if found:
                 outcome = (0 if sign == 1 else 1) ^ flip
                 if force is not None and force != outcome:
                     raise ZeroProbabilityError(
                         f"forced outcome {force} has probability 0")
-                return self, MeasurementRecord(label, outcome, 1.0)
+                return self, MeasurementRecord(outcome, 1.0)
         # outcome uniform: an anticommuting generator (the pivot) gives way
         # to +/-k, or k lies in the mixed directions and the state purifies
         # by one generator
@@ -509,12 +550,8 @@ class StabilizerState:
             phase = np.append(phase, np.uint8(0))
         x[pivot], z[pivot] = pos.x, pos.z
         phase[pivot] = (pos.phase + 2 * o_pos) & 3
-        rec = MeasurementRecord(label, o_pos ^ flip, 0.5)
+        rec = MeasurementRecord(o_pos ^ flip, 0.5)
         return _tableau(self.n_qubits, x, z, phase), rec
-
-    def permute_qubits(self, perm) -> "StabilizerState":
-        """Relabel qubits: new qubit perm[q] carries old qubit q."""
-        return self._permute(_check_perm(perm, self.n_qubits))
 
     def _permute(self, inv: np.ndarray) -> "StabilizerState":
         """`permute_qubits` by a checked inverse: new q is old inv[q]."""
@@ -594,12 +631,6 @@ class StabilizerState:
         return _tableau(x.shape[1], x, _without(z, cols), phase[alive])
 
     # -- extraction -------------------------------------------------------
-
-    def reduced_density(self, qubits: list[int]) -> "DensityMatrix":
-        """Exact reduced state on `qubits`, in the order given."""
-        order = sorted(qubits)
-        kept = self.discard_qubits([q for q in range(self.n_qubits) if q not in qubits])
-        return kept.to_density().reduced_density([order.index(q) for q in qubits])
 
     def to_density(self) -> "DensityMatrix":
         """Cached on the packed rows: sessions promote a few tableaus often."""
@@ -732,7 +763,7 @@ def _multiply_rows(x: np.ndarray, z: np.ndarray, phase: np.ndarray,
     z[rows] ^= z[pivot]
 
 
-class DensityMatrix:
+class DensityMatrix(State):
     """Exact dense density operator, n <= 6 enforced."""
 
     __slots__ = ("n_qubits", "mat")
@@ -754,9 +785,6 @@ class DensityMatrix:
         object.__setattr__(self, "mat", mat)
         mat.setflags(write=False)
         return self
-
-    def __setattr__(self, *_):
-        raise AttributeError("DensityMatrix is immutable")
 
     # -- constructors ---------------------------------------------------
 
@@ -783,26 +811,6 @@ class DensityMatrix:
 
     # -- dynamics ---------------------------------------------------------
 
-    def apply_gates(self, gates) -> "DensityMatrix":
-        """Apply an elementary gate word (application order), T included:
-        each maximal run of X, CNOT and SWAP through `_phase_free_run`."""
-        out, run = self, []
-        for gate in gates:
-            if gate[0] in _PHASE_FREE:
-                run.append(gate)
-            else:
-                out = _phase_free_run(out, run).apply_gate(*gate)
-                run = []
-        return _phase_free_run(out, run)
-
-    def apply_transversals(self, word) -> "DensityMatrix":
-        """A word of transversal gates, replayed as the gate word it stands
-        for (the gate path checks each gate)."""
-        word = [(name, _check_slots(name, slots, self.n_qubits, _GATE_MATS))
-                for name, slots in word]
-        return self.apply_gates((name, qs) for name, slots in word
-                                for qs in zip(*slots))
-
     def apply_gate(self, name: str, qs: tuple[int, ...]) -> "DensityMatrix":
         """u rho u^dag: H and T through the gate's superoperator on its row
         and column axes, any other gate (SWAP included) as a gather of rows
@@ -814,17 +822,12 @@ class DensityMatrix:
             return _dense(_apply_on_bits(self.mat, _GATE_SUPEROPS[name], bits))
         return _dense(_gather(self.mat, *_row_map(n, name, tuple(qs))))
 
-    def apply_clifford(self, c: CliffordOp) -> "DensityMatrix":
-        if c.n_qubits != self.n_qubits:
-            raise BackendError("qubit count mismatch")
-        return self.apply_gates(c.gates)
-
     def apply_pauli(self, p: PauliString) -> "DensityMatrix":
         _check_pauli(self.n_qubits, p)
         return _dense(_gather(self.mat, *_signed_permutation(p.x, p.z, p.phase)))
 
     def measure_pauli(self, k: PauliString, rng: np.random.Generator,
-                      label: str = "m", force: int | None = None,
+                      force: int | None = None,
                       ) -> tuple["DensityMatrix", MeasurementRecord]:
         """A Z-type k (no X bits) is the diagonal of signs s, so p0 needs
         only s * diag(rho) and the post-state keeps the rows and columns
@@ -852,15 +855,11 @@ class DensityMatrix:
             rho_k = rho[:, idx] * s.conj()
             post = (rho + sign * (k_rho + rho_k)
                     + s[:, None] * rho_k[idx]) / (4 * prob)
-        return _dense(post), MeasurementRecord(label, outcome, prob)
-
-    def permute_qubits(self, perm) -> "DensityMatrix":
-        """Relabel qubits: new qubit perm[q] carries old qubit q, so new
-        row b is the old row whose bit q is bit perm[q] of b."""
-        return self._permute(_check_perm(perm, self.n_qubits))
+        return _dense(post), MeasurementRecord(outcome, prob)
 
     def _permute(self, inv: np.ndarray) -> "DensityMatrix":
-        """`permute_qubits` by a checked inverse: new q is old inv[q]."""
+        """`permute_qubits` by a checked inverse: new q is old inv[q], so
+        new row b is the old row whose bit inv[q] is bit q of b."""
         return _dense(_gather(self.mat, _basis(self.n_qubits).transpose(inv).ravel(), None))
 
     # -- extraction -------------------------------------------------------
@@ -880,34 +879,17 @@ class DensityMatrix:
         """Measure Z on each listed qubit in the order given, then trace
         them out; returns (state, outcome bits).
 
-        Z outcomes are read off rho's diagonal alone: each qubit's p0 is
-        the mass of its 0 outcome among the diagonal entries that agree
-        with the bits drawn so far, with one ``rng.random()`` per qubit
-        as in `measure_pauli`.  The result is rho's block at the drawn
-        bits on rows and columns alike, over its trace: the same bits,
-        draws and state as one `measure_pauli` per qubit, then
-        `discard_qubits(qs)`."""
+        Z outcomes are read off rho's diagonal alone (`_draw_bits`).  The
+        result is rho's block at the drawn bits on rows and columns alike,
+        over its trace: the same bits, draws and state as one
+        `measure_pauli` per qubit, then `discard_qubits(qs)`."""
         qs = _check_qubits(self.n_qubits, qs)
         n = self.n_qubits
         diag = np.diagonal(self.mat).real.reshape((2,) * n)
-        # the drawn bits as size-1 slices, so each qubit keeps its axis
-        sel = [slice(None)] * n
-        bits: list[int] = []
-        for q in qs:
-            mass = diag[tuple(sel)]
-            bit, _ = _draw(float(mass.take(0, q).sum() / mass.sum()), rng)
-            bits.append(bit)
-            sel[q] = slice(bit, bit + 1)
-        block = self.mat.reshape((2,) * (2 * n))[tuple(sel + sel)]
+        bits, sel = _draw_bits(diag, qs, rng)
+        block = self.mat.reshape((2,) * (2 * n))[sel + sel]
         dim = 2 ** (n - len(qs))
-        return _dense((block / diag[tuple(sel)].sum()).reshape(dim, dim)), bits
-
-    def reduced_density(self, qubits: list[int]) -> "DensityMatrix":
-        """Reduced state on `qubits`, in the order given."""
-        order = sorted(qubits)
-        reduced = self.discard_qubits(
-            [q for q in range(self.n_qubits) if q not in qubits])
-        return reduced.permute_qubits([list(qubits).index(q) for q in order])
+        return _dense((block / diag[sel].sum()).reshape(dim, dim)), bits
 
     def to_density(self) -> "DensityMatrix":
         return self
@@ -950,19 +932,25 @@ def _dense(mat: np.ndarray) -> DensityMatrix:
     return object.__new__(DensityMatrix)._set(mat)
 
 
-def _phase_free_run(state: DensityMatrix, run: list) -> DensityMatrix:
-    """A lone gate is one `apply_gate`; a longer run is one gather by the
-    composed index idx_1[idx_2]..., the entries of gate by gate."""
-    if len(run) < 2:
-        return state.apply_gate(*run[0]) if run else state
-    n = state.n_qubits
-    _check_word(run, n, _GATE_MATS, BackendError)
-    idx = functools.reduce(lambda a, b: a[b], (
-        _row_map(n, name, tuple(qs))[0] for name, qs in run))
-    return _dense(_gather(state.mat, idx, None))
+def _draw_bits(weight: np.ndarray, qs: list[int], rng: np.random.Generator,
+               ) -> tuple[list[int], tuple]:
+    """Z outcomes on qs, in order, from a (2,)*n tensor of basis weights
+    (rho's diagonal, or |v|^2): each qubit's p0 is the mass of its 0
+    outcome among the entries that agree with the bits drawn so far, with
+    one ``rng.random()`` per qubit as in `measure_pauli`.  Returns the bits
+    and the drawn block's index, the bits as size-1 slices so each qubit
+    keeps its axis."""
+    sel = [slice(None)] * weight.ndim
+    bits: list[int] = []
+    for q in qs:
+        mass = weight[tuple(sel)]
+        bit, _ = _draw(float(mass.take(0, q).sum() / mass.sum()), rng)
+        bits.append(bit)
+        sel[q] = slice(bit, bit + 1)
+    return bits, tuple(sel)
 
 
-class StateVector:
+class StateVector(State):
     """Exact pure state as its 2^n amplitudes, n <= 12 enforced.
 
     It runs the dense oracle's kernels on one index instead of two: a gate
@@ -994,9 +982,6 @@ class StateVector:
         vec.setflags(write=False)
         return self
 
-    def __setattr__(self, *_):
-        raise AttributeError("StateVector is immutable")
-
     # -- constructors ---------------------------------------------------
 
     @classmethod
@@ -1013,21 +998,6 @@ class StateVector:
 
     # -- dynamics ---------------------------------------------------------
 
-    def apply_gates(self, gates) -> "StateVector":
-        """Apply an elementary gate word (application order), T included."""
-        out = self
-        for name, qs in gates:
-            out = out.apply_gate(name, qs)
-        return out
-
-    def apply_transversals(self, word) -> "StateVector":
-        """A word of transversal gates, replayed as the gate word it stands
-        for (the gate path checks each gate)."""
-        word = [(name, _check_slots(name, slots, self.n_qubits, _GATE_MATS))
-                for name, slots in word]
-        return self.apply_gates((name, qs) for name, slots in word
-                                for qs in zip(*slots))
-
     def apply_gate(self, name: str, qs: tuple[int, ...]) -> "StateVector":
         """u v: H and T as one matmul on the qubit's axis, any other gate
         as a take by its cached row map, times d."""
@@ -1043,18 +1013,13 @@ class StateVector:
             out *= d
         return _vector(out)
 
-    def apply_clifford(self, c: CliffordOp) -> "StateVector":
-        if c.n_qubits != self.n_qubits:
-            raise BackendError("qubit count mismatch")
-        return self.apply_gates(c.gates)
-
     def apply_pauli(self, p: PauliString) -> "StateVector":
         _check_pauli(self.n_qubits, p)
         idx, s = _signed_permutation(p.x, p.z, p.phase)
         return _vector(s * self.vec[idx])
 
     def measure_pauli(self, k: PauliString, rng: np.random.Generator,
-                      label: str = "m", force: int | None = None,
+                      force: int | None = None,
                       ) -> tuple["StateVector", MeasurementRecord]:
         """p0 = (|v|^2 + <v|K|v>) / 2, as the dense rule reads it off rho.
         A Z-type k keeps the entries where its sign s is the outcome's
@@ -1078,11 +1043,7 @@ class StateVector:
                              where=s == sign)
         else:
             post = (v + sign * k_v) / (2 * np.sqrt(prob))
-        return _vector(post), MeasurementRecord(label, outcome, prob)
-
-    def permute_qubits(self, perm) -> "StateVector":
-        """Relabel qubits: new qubit perm[q] carries old qubit q."""
-        return self._permute(_check_perm(perm, self.n_qubits))
+        return _vector(post), MeasurementRecord(outcome, prob)
 
     def _permute(self, inv: np.ndarray) -> "StateVector":
         """`permute_qubits` by a checked inverse: new q is old inv[q]."""
@@ -1092,41 +1053,27 @@ class StateVector:
     def measure_discard(self, qs: list[int], rng: np.random.Generator,
                         ) -> tuple["StateVector", list[int]]:
         """Measure Z on each listed qubit in the order given, then trace
-        them out; returns (state, outcome bits).  The dense rule on |v|^2:
-        each qubit's p0 is the mass of its 0 outcome among the entries that
-        agree with the bits drawn so far, one ``rng.random()`` per qubit,
-        and the state is v's block at the drawn bits, normalised."""
+        them out; returns (state, outcome bits).  The dense rule on |v|^2
+        (`_draw_bits`), and the state is v's block at the drawn bits,
+        normalised."""
         qs = _check_qubits(self.n_qubits, qs)
         n = self.n_qubits
         weight = (self.vec.conj() * self.vec).real.reshape((2,) * n)
-        sel = [slice(None)] * n
-        bits: list[int] = []
-        for q in qs:
-            mass = weight[tuple(sel)]
-            bit, _ = _draw(float(mass.take(0, q).sum() / mass.sum()), rng)
-            bits.append(bit)
-            sel[q] = slice(bit, bit + 1)
-        block = self.vec.reshape((2,) * n)[tuple(sel)]
-        norm = np.sqrt(weight[tuple(sel)].sum())
+        bits, sel = _draw_bits(weight, qs, rng)
+        block = self.vec.reshape((2,) * n)[sel]
+        norm = np.sqrt(weight[sel].sum())
         return _vector((block / norm).reshape(-1)), bits
 
     # -- extraction -------------------------------------------------------
 
     def discard_qubits(self, qs: list[int]) -> "DensityMatrix":
-        """Trace out the given qubits: a `DensityMatrix`, mixed in general."""
-        qs = _check_qubits(self.n_qubits, qs)
-        return self._reduce([q for q in range(self.n_qubits) if q not in qs])
-
-    def reduced_density(self, qubits: list[int]) -> "DensityMatrix":
-        """Reduced state on `qubits`, in the order given."""
-        return self._reduce(_check_qubits(self.n_qubits, qubits))
-
-    def _reduce(self, kept: list[int]) -> "DensityMatrix":
-        """t t^dag for v as a matrix, rows the kept qubits in order."""
-        _check_dense_cap(len(kept))
+        """Trace out the given qubits: a `DensityMatrix`, mixed in general,
+        t t^dag for v as a matrix whose rows are the kept qubits."""
+        qs = sorted(_check_qubits(self.n_qubits, qs))
         n = self.n_qubits
-        rest = [q for q in range(n) if q not in kept]
-        t = self.vec.reshape((2,) * n).transpose(kept + rest).reshape(2 ** len(kept), -1)
+        kept = [q for q in range(n) if q not in qs]
+        _check_dense_cap(len(kept))
+        t = self.vec.reshape((2,) * n).transpose(kept + qs).reshape(2 ** len(kept), -1)
         return _dense(t @ t.conj().T)
 
     def to_density(self) -> "DensityMatrix":
@@ -1225,8 +1172,7 @@ def evaluate_circuit(state, circuit: Circuit, rng: np.random.Generator,
     for g in circuit.gates:
         if g.name == "M":
             zq = PauliString.single(circuit.n_qubits, g.qubits[0], "Z")
-            state, rec = state.measure_pauli(
-                zq, rng, label=g.bit, force=forced.get(g.bit))
+            state, rec = state.measure_pauli(zq, rng, force=forced.get(g.bit))
             records[g.bit] = rec
         elif g.name == "CPAULI":
             if g.bit not in records:

@@ -1,21 +1,18 @@
 """SWAPs on the dense oracle move entries, they are not gate contractions.
 
 `DensityMatrix.apply_gate` gathers a SWAP's rows and columns by its row
-map, as it does for every gate with one nonzero per row, and
-`apply_gates` gathers a run of phase-free gates (X, CNOT, SWAP) once, by
-their composed index.  These tests pin the permutation scheme's
-ciphertexts bit for bit, compare mixed gate words with a gate-by-gate
-contraction reference and with one `apply_gate` per gate, and check that
-no SWAP reaches the contraction kernel."""
+map, as it does for every gate with one nonzero per row.  These tests pin
+the permutation scheme's ciphertexts bit for bit, compare mixed gate words
+with a gate-by-gate contraction reference, and check that no SWAP reaches
+the contraction kernel."""
 import hashlib
-import itertools
 
 import numpy as np
 import pytest
 
-from oracles import Calls, contraction, per_gate
+from oracles import Calls, contraction
 from qhelab import states
-from qhelab.permkey import PermKey, perm_scheme, spread_basis_input
+from qhelab.permkey import perm_scheme, spread_basis_input
 from qhelab.schemes import _key_average, ciphertext_average
 from qhelab.states import BackendError, DensityMatrix
 
@@ -113,58 +110,6 @@ class TestSwapRunsMatchContraction:
         assert rho.apply_gates([]).mat.tobytes() == rho.mat.tobytes()
         run = [("SWAP", (0, 2)), ("SWAP", (2, 0))]
         assert rho.apply_gates(run).mat.tobytes() == rho.mat.tobytes()
-
-
-class TestPhaseFreeRunsComposed:
-    """`apply_gates` gathers a run of X, CNOT and SWAP gates once, by the
-    composed index; the entries equal the gate-by-gate gathers."""
-
-    @pytest.mark.parametrize("m", [1, 2, 3])
-    def test_every_pinned_key_bitwise(self, m):
-        scheme = perm_scheme(m)
-        for rho in _inputs(m).values():
-            for key in scheme.iter_keys():
-                for word in (key.word(), key.inverse().word()):
-                    got = rho.apply_gates(word).mat
-                    assert got.tobytes() == per_gate(rho, word).mat.tobytes()
-                assert (scheme.encrypt(key, rho).mat.tobytes()
-                        == per_gate(rho, key.word()).mat.tobytes())
-
-    def test_every_swap_word_at_four_qubits(self, monkeypatch):
-        rho = DensityMatrix.random_pure(4, np.random.default_rng(24))
-        calls = Calls(monkeypatch)
-        calls.count(states, "_gather")
-        keys = list(PermKey(2, p) for p in itertools.permutations(range(4)))
-        assert len(keys) == 24
-        for key in keys:
-            word = key.word()
-            want = per_gate(rho, word).mat
-            calls.take("_gather")
-            assert rho.apply_gates(word).mat.tobytes() == want.tobytes()
-            assert calls.take("_gather") == min(len(word), 1)
-            assert (rho.permute_qubits(key.perm).mat.tobytes()
-                    == want.tobytes())
-
-    def test_random_mixed_words_bitwise(self):
-        rng = np.random.default_rng(42)
-        names = ["X", "CNOT", "SWAP"] * 3 + ["H", "S", "T"]
-        runs = 0
-        for i in range(300):
-            n = 1 + i % 6
-            rho = DensityMatrix.random_pure(n, rng)
-            word = []
-            for _ in range(int(rng.integers(1, 12))):
-                name = names[int(rng.integers(len(names)))]
-                arity = 1 if name in ("X", "H", "S", "T") else 2
-                if arity > n:
-                    name, arity = "X", 1
-                word.append((name, tuple(int(q) for q in
-                                         rng.choice(n, arity, replace=False))))
-            runs += any(a[0] in states._PHASE_FREE and b[0] in states._PHASE_FREE
-                        for a, b in zip(word, word[1:]))
-            got = rho.apply_gates(word).mat
-            assert got.tobytes() == per_gate(rho, word).mat.tobytes(), word
-        assert runs > 100
 
 
 class TestBadSwapInRun:

@@ -13,9 +13,8 @@ from hypothesis import strategies as st
 from oracles import (Calls, ScriptedRng, qec_cycle, random_dense,
                      random_state, same_group, sequential)
 from qhelab import gf2, permkey, qec, states
-from qhelab.paulis import PauliString
 from qhelab.states import (BackendError, DensityMatrix, StabilizerState,
-                           ZeroProbabilityError, trace_distance)
+                           ZeroProbabilityError)
 
 
 def _case(seed, n_max):
@@ -51,21 +50,6 @@ class TestMeasureDiscard:
         assert bits == want_bits
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert np.array_equal(got.mat, want.mat)
-
-    @given(st.integers(0, 10 ** 9))
-    @settings(max_examples=60, deadline=None)
-    def test_stabilizer_agrees_with_dense_oracle(self, seed):
-        """The tableau's post-measurement state is the dense projection
-        onto the bits it drew."""
-        rng, n, qs, draw_seed = _case(seed, 6)
-        stab = random_state(StabilizerState, n, rng)
-        got, bits = stab.measure_discard(qs, np.random.default_rng(draw_seed))
-        dense = stab.to_density()
-        for q, bit in zip(qs, bits):
-            dense, _ = dense.measure_pauli(
-                PauliString.single(n, q, "Z"), rng, force=bit)
-        dense = dense.discard_qubits(qs)
-        assert trace_distance(got.to_density(), dense) < 1e-10
 
     def test_deterministic_outcomes_draw_nothing(self):
         rng = np.random.default_rng(0)
@@ -236,13 +220,33 @@ class TestDenseMeasureDiscard:
 
     @staticmethod
     def _assert_matches(state, qs, draw_seed):
+        """The entries agree within ((k + 1)(2^n + 1) eps + |tr rho - 1|) / P
+        for k measured qubits and P the drawn block's probability.
+
+        The reference renormalises once per measured qubit, by a p_i
+        summed over the 2^n diagonal entries of a state of trace about 1:
+        each p_i is off by at most 2^n eps, and each division by it adds
+        at most 2^n eps / p_i + eps relative error.  Every p_i is at least
+        P, their product.  The kernel divides once, by the block's mass, a
+        sum of at most 2^n entries, and so normalises the input's trace as
+        well, which the reference leaves as it is when k = 0.  Entries of a
+        state are at most 1 in modulus, so relative errors bound absolute
+        ones."""
         ref_rng, rng = (np.random.default_rng(draw_seed) for _ in range(2))
         want, want_bits = sequential(state, qs, ref_rng)
         got, bits = state.measure_discard(qs, rng)
         assert bits == want_bits
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert got.mat.shape == want.mat.shape
-        assert np.max(np.abs(got.mat - want.mat)) < 1e-13
+        n = state.n_qubits
+        block = [slice(None)] * n
+        for q, bit in zip(qs, bits):
+            block[q] = bit
+        prob = np.diagonal(state.mat).real.reshape((2,) * n)[tuple(block)].sum()
+        drift = abs(np.trace(state.mat).real - 1)
+        eps = np.finfo(float).eps
+        bound = ((len(qs) + 1) * (2 ** n + 1) * eps + drift) / prob
+        assert np.max(np.abs(got.mat - want.mat)) <= bound
 
     @given(st.integers(0, 10 ** 9))
     @settings(max_examples=200, deadline=None)

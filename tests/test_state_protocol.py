@@ -4,6 +4,7 @@
 holds one state on the tableau, on the dense oracle and, while it is pure,
 on the state vector, and drives every protocol method on each, one rule or
 invariant per method.  A new backend joins it as one more side."""
+import inspect
 import json
 import tracemalloc
 
@@ -26,6 +27,7 @@ from qhelab.states import (DENSE_QUBIT_CAP, VECTOR_QUBIT_CAP, BackendError,
                            ZeroProbabilityError, trace_distance)
 
 TOL = 1e-12
+BACKENDS = (StabilizerState, DensityMatrix, StateVector)
 
 
 def _qubits(n, size=None):
@@ -149,16 +151,15 @@ class BackendPair(RuleBasedStateMachine):
                     state.measure_pauli(k, None, force=int(ev == 1))
         if data.draw(st.booleans()):
             force = data.draw(st.integers(0, 1)) if ev == 0 else int(ev == -1)
-            stab, srec = self.stab.measure_pauli(k, None, "k", force)
-            others = [s.measure_pauli(k, None, "k", force) for s in self.sides]
+            stab, srec = self.stab.measure_pauli(k, None, force)
+            others = [s.measure_pauli(k, None, force) for s in self.sides]
             assert srec.outcome == force
         else:
-            stab, srec = self.stab.measure_pauli(
-                k, np.random.default_rng(seed), "k")
-            others = [s.measure_pauli(k, _bits_rng([srec.outcome]), "k")
+            stab, srec = self.stab.measure_pauli(k, np.random.default_rng(seed))
+            others = [s.measure_pauli(k, _bits_rng([srec.outcome]))
                       for s in self.sides]
         for _, rec in others:
-            assert (srec.label, srec.outcome) == (rec.label, rec.outcome)
+            assert srec.outcome == rec.outcome
             assert abs(srec.probability - rec.probability) <= TOL
         self._take(stab, [state for state, _ in others])
 
@@ -278,57 +279,7 @@ def _both(spec):
     return [StabilizerState.product(spec), DensityMatrix.product(spec)]
 
 
-def _assert_agree(stab, dense):
-    assert stab.n_qubits == dense.n_qubits
-    assert trace_distance(stab.to_density(), dense.to_density()) < 1e-10
-
-
 class TestSameProgramBothBackends:
-    @pytest.mark.parametrize("seed", range(10))
-    def test_random_program(self, seed):
-        """One seeded program on the tableau, the dense oracle and the
-        state vector; the vector's partial trace is dense, like the
-        others' reduced states."""
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 7))
-        spec = "".join(rng.choice(list("01+-im"), n))
-        stab, dense, vec = _both(spec) + [StateVector.product(spec)]
-        word = random_clifford(n, rng).gates
-        stab, dense, vec = (s.apply_gates(word) for s in (stab, dense, vec))
-        _assert_agree(stab, dense)
-        _assert_agree(vec, dense)
-        for i in range(3):
-            k = random_pauli(n, rng, phase_free=False)
-            if k.weight() == 0:
-                continue
-            # force the outcome the stabilizer side allows
-            ev = stab.expectation(k)
-            force = int(rng.integers(2)) if ev == 0 else (0 if ev == 1 else 1)
-            stab, srec = stab.measure_pauli(k, rng, label=f"m{i}", force=force)
-            dense, drec = dense.measure_pauli(k, rng, label=f"m{i}", force=force)
-            vec, vrec = vec.measure_pauli(k, rng, label=f"m{i}", force=force)
-            assert srec.outcome == drec.outcome == vrec.outcome == force
-            assert srec.probability == pytest.approx(drec.probability, abs=1e-10)
-            assert vrec.probability == pytest.approx(drec.probability, abs=1e-10)
-            _assert_agree(stab, dense)
-            _assert_agree(vec, dense)
-        p = random_pauli(n, rng)
-        perm = [int(q) for q in rng.permutation(n)]
-        stab, dense, vec = (s.apply_pauli(p).permute_qubits(perm)
-                            for s in (stab, dense, vec))
-        _assert_agree(stab, dense)
-        _assert_agree(vec, dense)
-        drop = sorted(int(q) for q in rng.choice(n, int(rng.integers(1, n)),
-                                                 replace=False))
-        stab, dense, vec = (s.discard_qubits(drop) for s in (stab, dense, vec))
-        _assert_agree(stab, dense)
-        _assert_agree(vec, dense)
-        m = stab.n_qubits
-        qubits = [int(q) for q in rng.permutation(m)[:min(m, 3)]]
-        for state in (stab, vec):
-            assert np.allclose(state.reduced_density(qubits).mat,
-                               dense.reduced_density(qubits).mat, atol=1e-10)
-
     def test_apply_clifford_replays_the_gate_word(self):
         rng = np.random.default_rng(3)
         c = random_clifford(4, rng)
@@ -353,24 +304,23 @@ class TestSameProgramBothBackends:
         rho = DensityMatrix.product("+")
         assert rho.to_density() is rho
 
-    def test_dense_methods_exist_on_the_tableau(self):
-        """Every public non-constructor method of the dense oracle is part
-        of the protocol, so the tableau and the state vector have it too,
-        and `BackendPair` names a rule or an invariant after it: a new
+    def test_every_backend_has_every_protocol_method(self):
+        """The protocol is every public non-constructor method of the three
+        backends, inherited ones included: each backend has each, and
+        `BackendPair` names a rule or an invariant after each, so a new
         protocol method fails here until the machine drives it on every
         backend."""
-        names = [name for name, attr in vars(DensityMatrix).items()
-                 if not name.startswith("_") and callable(attr)
-                 and not isinstance(attr, classmethod)]
-        assert "discard_qubits" in names and "permute_qubits" in names
-        missing = [f"{backend.__name__}.{name}" for name in names
-                   for backend in (StabilizerState, StateVector)
-                   if not callable(getattr(backend, name, None))]
+        names = {name for backend in BACKENDS for name in dir(backend)
+                 if not name.startswith("_")
+                 and inspect.isfunction(inspect.getattr_static(backend, name))}
+        assert {"apply_gates", "discard_qubits", "reduced_density"} <= names
+        missing = [f"{backend.__name__}.{name}" for name in sorted(names)
+                   for backend in BACKENDS if not callable(getattr(backend, name, None))]
         assert missing == []
         driven = {name for name, attr in vars(BackendPair).items()
                   if hasattr(attr, "hypothesis_stateful_rule")
                   or hasattr(attr, "hypothesis_stateful_invariant")}
-        assert sorted(set(names) - driven) == []
+        assert sorted(names - driven) == []
 
 
 class TestMixedTensor:
@@ -443,7 +393,7 @@ class TestVectorPastTheDenseCap:
         k = PauliString.single(n, n // 2, "X")
         ev = stab.expectation(k)
         force = int(rng.integers(2)) if ev == 0 else int(ev == -1)
-        (stab, srec), (vec, vrec) = (s.measure_pauli(k, None, "k", force)
+        (stab, srec), (vec, vrec) = (s.measure_pauli(k, None, force)
                                      for s in (stab, vec))
         assert abs(srec.probability - vrec.probability) <= TOL
         qs = [int(q) for q in rng.permutation(n)[:3]]
@@ -516,33 +466,33 @@ class TestDenseOracleBuildsNoFullOperator:
 
 
 class TestPauliOperandChecks:
-    """Both backends reject the same Pauli operands with BackendError,
+    """Every backend rejects the same Pauli operands with BackendError,
     checking the qubit count before Hermiticity."""
 
-    @pytest.mark.parametrize("backend", [StabilizerState, DensityMatrix])
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_non_hermitian_expectation(self, backend):
         with pytest.raises(BackendError, match="Hermitian"):
             backend.product("+").expectation(PauliString.from_label("iX"))
 
-    @pytest.mark.parametrize("backend", [StabilizerState, DensityMatrix])
+    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("label", ["XZ", "iXZ"])
     def test_expectation_size_mismatch(self, backend, label):
         with pytest.raises(BackendError, match="qubit count mismatch"):
             backend.product("+").expectation(PauliString.from_label(label))
 
-    @pytest.mark.parametrize("backend", [StabilizerState, DensityMatrix])
+    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("label", ["XZ", "iXZ"])
     def test_measure_size_mismatch(self, backend, label):
         with pytest.raises(BackendError, match="qubit count mismatch"):
             backend.product("+").measure_pauli(PauliString.from_label(label),
                                                np.random.default_rng(0))
 
-    @pytest.mark.parametrize("backend", [StabilizerState, DensityMatrix])
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_apply_pauli_size_mismatch(self, backend):
         with pytest.raises(BackendError, match="qubit count mismatch"):
             backend.product("+0").apply_pauli(PauliString.from_label("X"))
 
-    @pytest.mark.parametrize("backend", [StabilizerState, DensityMatrix])
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_hermitian_expectation_still_reads(self, backend):
         state = backend.product("+1")
         assert state.expectation(PauliString.from_label("-XZ")) == pytest.approx(1.0)

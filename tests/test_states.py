@@ -10,7 +10,7 @@ from qhelab import states
 from qhelab.paulis import CliffordOp, PauliString, parse_circuit, random_clifford
 from qhelab.paulis import _signed_permutation, random_pauli
 from qhelab.states import (BackendError, DensityMatrix, StabilizerState,
-                           ZeroProbabilityError, evaluate_circuit,
+                           StateVector, ZeroProbabilityError, evaluate_circuit,
                            statevector, trace_distance)
 from qhelab.states import _GATE_MATS, _dense
 
@@ -192,41 +192,6 @@ class TestToDensity:
         assert 0 < states._density_of.cache_info().maxsize <= 64
 
 
-class TestBackendEquivalence:
-    @pytest.mark.parametrize("seed", range(12))
-    def test_forced_circuits_agree(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(1, 5))
-        gates = []
-        n_meas = 0
-        for _ in range(12):
-            roll = rng.random()
-            if roll < 0.25:
-                gates.append(f"M {int(rng.integers(n))} -> b{n_meas}")
-                n_meas += 1
-            elif roll < 0.5 and n >= 2:
-                a, b = rng.choice(n, 2, replace=False)
-                gates.append(f"{rng.choice(['CNOT', 'CZ'])} {a} {b}")
-            else:
-                gates.append(f"{rng.choice(['H', 'S', 'X', 'Z'])} {int(rng.integers(n))}")
-        circuit = parse_circuit("\n".join(gates) + "\n", n_qubits=n)
-        forced = {f"b{i}": int(rng.integers(2)) for i in range(n_meas)}
-        st = StabilizerState.zero(n)
-        dn = DensityMatrix.product("0" * n)
-        try:
-            st_out, st_rec = evaluate_circuit(st, circuit, np.random.default_rng(0),
-                                              forced=forced)
-            dn_out, dn_rec = evaluate_circuit(dn, circuit, np.random.default_rng(0),
-                                              forced=forced)
-        except ZeroProbabilityError:
-            return  # forced branch has no support; nothing to compare
-        assert trace_distance(st_out.to_density(), dn_out) < 1e-10
-        for label in st_rec:
-            assert st_rec[label].outcome == dn_rec[label].outcome
-            assert st_rec[label].probability == pytest.approx(
-                dn_rec[label].probability, abs=1e-10)
-
-
 class TestClassicallyControlledPauli:
     def test_cpauli_fires_on_outcome_one(self):
         circuit = parse_circuit("H 0\nM 0 -> b\nCPAULI b X 1\n", n_qubits=2)
@@ -244,6 +209,28 @@ class TestClassicallyControlledPauli:
             assert trace_distance(marginal, want) < 1e-12
             assert trace_distance(st.to_density(), dn) < 1e-12
 
+    @pytest.mark.parametrize("a, b, c", itertools.product((0, 1), repeat=3))
+    def test_forced_bits_on_every_backend(self, a, b, c):
+        """`forced` fixes each named bit on every backend.  Bit c re-reads
+        qubit 0 after a, so it is a's with probability 1, and forcing the
+        other value raises on each backend."""
+        circuit = parse_circuit("H 0\nCNOT 0 1\nM 0 -> a\nM 0 -> c\nH 1\n"
+                                "M 1 -> b\nCPAULI a X 2\nCPAULI b Z 0\n",
+                                n_qubits=3)
+        forced = {"a": a, "b": b, "c": c}
+        for backend in (StabilizerState, DensityMatrix, StateVector):
+            start = backend.product("000")
+            if c != a:
+                with pytest.raises(ZeroProbabilityError):
+                    evaluate_circuit(start, circuit, None, forced=forced)
+                continue
+            state, recs = evaluate_circuit(start, circuit, None, forced=forced)
+            assert {bit: rec.outcome for bit, rec in recs.items()} == forced
+            assert [recs[bit].probability for bit in "abc"] == pytest.approx(
+                [0.5, 0.5, 1.0], abs=1e-12)
+            want = DensityMatrix.product(f"{a}{b}{a}")
+            assert trace_distance(state.to_density(), want) < 1e-12, backend
+
     def test_cpauli_requires_prior_measurement(self):
         circuit = parse_circuit("CPAULI b Z 0\n", n_qubits=1)
         with pytest.raises(BackendError):
@@ -256,17 +243,6 @@ class TestReductionAndDiscard:
         bell = StabilizerState.product("00").apply_clifford(BELL)
         assert np.allclose(bell.reduced_density([0]).mat, np.eye(2) / 2)
         assert np.allclose(bell.reduced_density([1]).mat, np.eye(2) / 2)
-
-    def test_reduced_density_matches_dense_partial_trace(self):
-        rng = np.random.default_rng(8)
-        for _ in range(10):
-            st = StabilizerState.product("000").apply_clifford(
-                random_clifford(3, rng))
-            keep = sorted(rng.choice(3, 2, replace=False).tolist())
-            drop = [q for q in range(3) if q not in keep]
-            assert np.allclose(st.reduced_density(keep).mat,
-                               st.to_density().discard_qubits(drop).mat,
-                               atol=1e-12)
 
     def test_discard_matches_partial_trace(self):
         rng = np.random.default_rng(9)
@@ -404,7 +380,7 @@ class TestNoBackendBranches:
         from pathlib import Path
 
         import qhelab
-        backends = {"DensityMatrix", "StabilizerState"}
+        backends = {"DensityMatrix", "StabilizerState", "StateVector", "State"}
         found = []
         for path in sorted(Path(qhelab.__file__).parent.glob("*.py")):
             for node in ast.walk(ast.parse(path.read_text())):
@@ -520,7 +496,7 @@ class TestDensePauliPaths:
                 continue
             post, rec = state.measure_pauli(k, np.random.default_rng(0),
                                             force=outcome)
-            assert (rec.outcome, rec.label) == (outcome, "m")
+            assert rec.outcome == outcome
             assert rec.probability == pytest.approx(prob, abs=1e-14)
             assert np.max(np.abs(post.mat - want)) < 1e-14, (k, outcome)
 
@@ -601,8 +577,8 @@ class TestDenseZMeasurement:
             state = DensityMatrix(rho)
             for force in (0, 1):
                 want, prob = projected(rho, k, force)
-                post, rec = state.measure_pauli(k, rng, label="z", force=force)
-                assert (rec.label, rec.outcome) == ("z", force)
+                post, rec = state.measure_pauli(k, rng, force=force)
+                assert rec.outcome == force
                 assert rec.probability == pytest.approx(prob, abs=1e-13)
                 assert np.max(np.abs(post.mat - want)) < 1e-13, (k, force)
             draw_seed = int(rng.integers(2 ** 32))
