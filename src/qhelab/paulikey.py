@@ -11,7 +11,9 @@ pending Clifford correction that the client resolves at decryption.
 The client ledger (`EvalTracker`) rests on Encr_k o C = C o Encr_lambda,
 where lambda is a symplectic linear image of the key's (x | z) bits: the
 key is one packed bit row that the tableau kernel updates in place per
-absorbed gate, and the pending correction is conjugated only when read.
+absorbed gate.  The pending correction is conjugated only when read: a T
+injection reads one key bit and pushes one row through the correction,
+and decryption replays the correction's gate word.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .paulis import (Circuit, CliffordOp, PauliString, _apply_gate_rows,
-                     _check_gate, _inverse_word)
+                     _check_gate, _inverse_word, _run_word, random_pauli)
 from .schemes import SchemeDescriptor, SchemeError
 from .states import VECTOR_QUBIT_CAP, StateVector
 
@@ -52,9 +54,7 @@ class PauliKey:
 
     @classmethod
     def random(cls, n: int, rng: np.random.Generator) -> "PauliKey":
-        x = rng.integers(0, 2, size=n, dtype=np.uint8)
-        z = rng.integers(0, 2, size=n, dtype=np.uint8)
-        return cls(PauliString(x, z).positive())
+        return cls(random_pauli(n, rng))
 
     def word(self) -> list[tuple[str, tuple[int, ...]]]:
         """The key channel as one single-qubit gate per non-identity letter."""
@@ -183,7 +183,8 @@ class EvalTracker:
 
     While P is not the identity, the gates absorbed since it was last read
     are kept as a word W; reading `pending` materialises W P W^-1, the
-    tableau and gate word that conjugating P gate by gate gives.
+    tableau and gate word that conjugating P gate by gate gives.  `key_x`,
+    `blocks` and `decrypt` read the row, P and W as they stand.
     """
 
     def __init__(self, key: PauliKey):
@@ -197,6 +198,9 @@ class EvalTracker:
     @property
     def key(self) -> PauliKey:
         return PauliKey(PauliString(self._x[0], self._z[0]).positive())
+
+    def key_x(self, q: int) -> int:
+        return int(self._x[0, q])
 
     @property
     def pending(self) -> CliffordOp:
@@ -216,16 +220,27 @@ class EvalTracker:
         if self._deferring:
             self._word.append((name, tuple(qs)))
 
+    def blocks(self, q: int) -> bool:
+        """Whether W P W^-1 moves Z_q: whether P moves r = W^-1 Z_q W."""
+        if not self._deferring:
+            return False
+        x, z = np.zeros((2, 1, self.n_qubits), np.uint8)
+        ph = np.zeros(1, np.uint8)
+        z[0, q] = 1
+        _run_word(x, z, ph, _inverse_word(self._word), self.n_qubits)
+        r = PauliString(x[0], z[0], ph[0])
+        return self._pending.conjugate(r) != r
+
     def correct_first(self, fix: CliffordOp) -> None:
         """Fold a correction acting before the pending one into it."""
         self._set_pending(self.pending.compose(fix))
 
     def decrypt(self, state):
-        """Recover the plaintext: the key Pauli, then the pending
-        correction's inverse when there is one."""
-        state = state.apply_pauli(self.key.pauli)
+        """Recover the plaintext: undo the key, then the pending word."""
+        state = state.apply_pauli(PauliString(self._x[0], self._z[0]).positive())
         if self._deferring:
-            state = state.apply_clifford(self.pending.inverse())
+            state = state.apply_gates(_inverse_word(
+                _inverse_word(self._word) + list(self._pending.gates) + self._word))
         return state
 
 
@@ -252,16 +267,17 @@ def prepare_magic_register(plaintext, data_key: PauliKey, n_t: int,
     Returns (ciphertext register, tracker holding the joint key, resource).
     """
     n_data = plaintext.n_qubits
-    anc_keys = [PauliKey.random(1, rng) for _ in range(n_t)]
+    # the data key's x and z, then each wire's, as PauliKey.random(1, rng) draws
+    bits = [data_key.pauli.x, data_key.pauli.z] + [
+        rng.integers(0, 2, size=1, dtype=np.uint8) for _ in range(2 * n_t)]
     # one wire at a time: a joint T block would regroup the kron products
     # and move ciphertext entries in their last bits
     t_state = type(plaintext).product("T")
     full = plaintext
     for _ in range(n_t):
         full = full.tensor(t_state)
-    magic_key = PauliString([k.pauli.x[0] for k in anc_keys],
-                            [k.pauli.z[0] for k in anc_keys])
-    joint = data_key.tensor(PauliKey(magic_key.positive()))
+    joint = PauliKey(PauliString(np.concatenate(bits[0::2]),
+                                 np.concatenate(bits[1::2])).positive())
     resource = MagicStateResource(wires=[n_data + i for i in range(n_t)])
     cipher = encrypt(joint, full)
     return cipher, EvalTracker(joint), resource
@@ -296,8 +312,7 @@ def inject_t_gate(state, target: int, magic: MagicStateResource,
     # a pending correction that moves Z off the target wire cannot commute
     # with the injected T; that path needs the general (exponential-cost)
     # decryption, which this scheme deliberately does not implement
-    zt = PauliString.single(n, target, "Z")
-    if tracker.pending.conjugate(zt) != zt:
+    if tracker.blocks(target):
         raise SchemeError("pending correction blocks this injection point")
     anc = magic.wires[magic.used]
     magic.used += 1
@@ -313,7 +328,7 @@ def inject_t_gate(state, target: int, magic: MagicStateResource,
     za = PauliString.single(n, anc, "Z")
     state, rec = state.measure_pauli(za, rng)
     o_raw = rec.outcome
-    o_true = o_raw ^ int(tracker.key.pauli.x[anc])
+    o_true = o_raw ^ tracker.key_x(anc)
 
     if o_raw:
         state = state.apply_gate("S", (target,))

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from oracles import Calls
+from qhelab import protocol
 from qhelab.paulis import (Circuit, CliffordOp, Gate, PauliAlgebraError,
-                           PauliString, random_clifford_circuit)
+                           PauliString, parse_circuit, random_clifford,
+                           random_clifford_circuit, random_pauli)
 from qhelab.paulikey import (EvalTracker, PauliKey, all_keys,
                              compactness_budget,
                              compose_with_stabilizer_code, encrypt,
@@ -293,6 +295,13 @@ class _PerGateLedger:
     def correct_first(self, fix):
         self.pending = self.pending.compose(fix)
 
+    def blocks(self, q):
+        zq = PauliString.single(self.n_qubits, q, "Z")
+        return self.pending.conjugate(zq) != zq
+
+    def key_x(self, q):
+        return int(self.key.pauli.x[q])
+
 
 class TestBitRowLedger:
     """The packed-row tracker against the per-gate reference ledger."""
@@ -350,6 +359,33 @@ class TestBitRowLedger:
         expect = state.apply_clifford(ref.pending.inverse().compose(ref.key.as_op()))
         assert np.max(np.abs(tracker.decrypt(state).mat - expect.mat)) < 1e-12
 
+    def test_block_check_matches_tableau_check(self):
+        """On random ledgers that carry a pending correction, the one-row
+        check answers as conjugating Z_q by the materialised tableau, on
+        every qubit; pending corrections that block are among them."""
+        answers = []
+        for seed in range(150):
+            rng = np.random.default_rng(4000 + seed)
+            n = int(rng.integers(1, 6))
+            tracker = EvalTracker(PauliKey.random(n, rng))
+            ref = _PerGateLedger(tracker.key)
+            fix = (random_clifford(n, rng) if seed % 3 == 0 else
+                   CliffordOp.from_gates(n, [("S", (int(rng.integers(n)),))]
+                                         * int(rng.integers(1, 4))))
+            for ledger in (tracker, ref):
+                ledger.correct_first(fix)
+            for step in range(3):
+                for g in random_clifford_circuit(n, int(rng.integers(0, 6)),
+                                                 rng).gates:
+                    tracker.absorb(g.name, g.qubits)
+                    ref.absorb(g.name, g.qubits)
+                got = [tracker.blocks(q) for q in range(n)]
+                assert got == [ref.blocks(q) for q in range(n)]
+                answers += got
+                if step == 1:   # an empty word after a read
+                    assert tracker.pending == ref.pending
+        assert True in answers and False in answers
+
     def test_absorb_builds_no_clifford(self, monkeypatch):
         rng = np.random.default_rng(5)
         tracker = EvalTracker(PauliKey.random(4, rng))
@@ -369,12 +405,61 @@ class TestBitRowLedger:
             with pytest.raises(PauliAlgebraError):
                 tracker.absorb(name, qs)
 
+    def test_session_reads_build_no_key_or_clifford(self, monkeypatch):
+        """A Pauli session on the 2-T benchmark circuit: the block check
+        and decryption build no CliffordOp, and `inject_t_gate` builds no
+        PauliKey.  Sessions that end with a pending correction are among
+        them, so the checks are not vacuous."""
+        circuit = parse_circuit(
+            "H 0\nCNOT 0 1\nT 1\nH 2\nCNOT 2 3\nT 3\nCNOT 1 2\n")
+        calls = Calls(monkeypatch)
+        calls.count(CliffordOp, "__init__", "clifford")
+        calls.count(PauliKey, "__init__", "key")
+        calls.count(EvalTracker, "blocks", scope=True)
+        calls.count(EvalTracker, "decrypt", scope=True,
+                    note=lambda tracker, state: tracker._deferring)
+        calls.count(protocol, "inject_t_gate", scope=True)
+        for seed in range(12):
+            protocol.run_session("pauli", "0000" if seed % 2 else "1010",
+                                 circuit, np.random.default_rng(seed))
+        assert calls.counts["blocks"] == 24 and calls.counts["decrypt"] == 12
+        assert any(calls.log["decrypt"]) and not all(calls.log["decrypt"])
+        assert calls.counts["clifford"] > 0
+        assert calls.inside("blocks", "decrypt")["clifford"] == 0
+        assert calls.inside("inject_t_gate")["key"] == 0
+
     def test_key_reads_as_a_positive_view(self):
         tracker = EvalTracker(PauliKey.from_label("XY"))
         tracker.absorb("H", (0,))
         tracker.absorb("S", (1,))
         assert tracker.key == PauliKey.from_label("ZX")
         assert tracker.key.pauli.sign() == 1
+
+
+class TestKeyDraws:
+    """The key draws' random streams, independent of the session pins."""
+
+    @pytest.mark.parametrize("n", [0, 1, 3, 6])
+    def test_random_key_is_random_pauli(self, n):
+        rng, ref = np.random.default_rng(n), np.random.default_rng(n)
+        key, want = PauliKey.random(n, rng), random_pauli(n, ref)
+        assert key.pauli == want
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("n_t", [0, 1, 2, 5])
+    def test_magic_keys_drawn_as_one_key_per_wire(self, n_t):
+        """The magic wires' key bits are what n_t one-qubit
+        `PauliKey.random` calls draw, x then z per wire, and nothing
+        else is drawn."""
+        data_key = PauliKey.from_label("XZY")
+        rng, ref = np.random.default_rng(70 + n_t), np.random.default_rng(70 + n_t)
+        _, tracker, _ = prepare_magic_register(StateVector.product("0+1"),
+                                               data_key, n_t, rng)
+        want = data_key
+        for _ in range(n_t):
+            want = want.tensor(PauliKey.random(1, ref))
+        assert tracker.key == want
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestEncryptedStabilizerMeasurement:
