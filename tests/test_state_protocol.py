@@ -263,18 +263,24 @@ class BackendPair(RuleBasedStateMachine):
     @invariant()
     def reduced_density(self):
         """On every qubit rotated by one, qs[j] = (j + 1) mod n, an order
-        that is no involution from 3 qubits on.  Every side runs the one
-        shared method, so each is held to a reference that does not: X, Y
-        and Z on position j of its reduced state read as on qubit qs[j] of
-        the full tableau."""
-        qs = [(j + 1) % self.n for j in range(self.n)]
-        want = [self.stab.expectation(PauliString.single(self.n, q, letter))
-                for q in qs for letter in "XYZ"]
-        for state in (self.stab, *self.sides):
-            reduced = state.reduced_density(qs)
-            got = [reduced.expectation(PauliString.single(self.n, j, letter))
-                   for j in range(self.n) for letter in "XYZ"]
-            assert np.abs(np.subtract(got, want)).max(initial=0) <= TOL
+        that is no involution from 3 qubits on, and on every other qubit
+        from the last down, which discards the rest.  The sides agree with
+        the dense oracle; and since every side runs the one shared method,
+        each is also held to a reference that does not: X, Y and Z on
+        position j of its reduced state read as on qubit qs[j] of the
+        full tableau."""
+        for qs in ([(j + 1) % self.n for j in range(self.n)],
+                   list(range(self.n))[::-2]):
+            dense = self.dense.reduced_density(qs).mat
+            want = [self.stab.expectation(PauliString.single(self.n, q, letter))
+                    for q in qs for letter in "XYZ"]
+            for state in (self.stab, *self.sides):
+                reduced = state.reduced_density(qs)
+                assert np.abs(reduced.mat - dense).max() <= TOL
+                got = [reduced.expectation(
+                    PauliString.single(len(qs), j, letter))
+                    for j in range(len(qs)) for letter in "XYZ"]
+                assert np.abs(np.subtract(got, want)).max(initial=0) <= TOL
 
 
 BackendPair.TestCase.settings = settings(max_examples=10, stateful_step_count=20,
