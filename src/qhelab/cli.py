@@ -251,6 +251,22 @@ def cmd_cv_check(args) -> int:
 
 # -- resources -----------------------------------------------------------------
 
+def _ntot_grid(text: str) -> list[int]:
+    """The --ntot list as counts: each token a finite number >= 1, read
+    once and truncated; any other token raises, named."""
+    grid = []
+    for tok in text.split(","):
+        try:
+            value = float(tok)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and value >= 1):
+            raise resources.ResourceError(
+                f"--ntot wants finite counts >= 1, not {tok!r}")
+        grid.append(int(value))
+    return grid
+
+
 def cmd_resources(args) -> int:
     try:
         if args.fig5:
@@ -259,7 +275,7 @@ def cmd_resources(args) -> int:
             params = resources.ResourceParams(
                 p0=args.p0, p_threshold=args.pthr, a_coeff=args.aomega,
                 p_target=args.ptarget, depth=args.depth, k=args.k)
-        grid = [int(float(tok)) for tok in args.ntot.split(",")]
+        grid = _ntot_grid(args.ntot)
         rows = resources.tradeoff_sweep(params, grid, r_fixed=args.r)
     except resources.ResourceError as exc:
         sys.stderr.write(f"error: {exc}\n")

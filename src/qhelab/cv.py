@@ -58,9 +58,6 @@ class DisplacementVec:
     def __add__(self, other: "DisplacementVec") -> "DisplacementVec":
         return DisplacementVec(self.alpha + other.alpha)
 
-    def isclose(self, other: "DisplacementVec", tol: float = 1e-10) -> bool:
-        return bool(np.max(np.abs(self.alpha - other.alpha)) <= tol)
-
 
 def symplectic_form(n: int) -> np.ndarray:
     omega = np.zeros((2 * n, 2 * n))
@@ -130,16 +127,6 @@ class SymplecticOp:
         return out
 
 
-def transport_key_linear(u: np.ndarray, key: DisplacementVec) -> DisplacementVec:
-    """Passive network: output amplitudes are just U . alpha."""
-    u = np.asarray(u, complex)
-    if np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))) > 1e-10:
-        raise GaussianError("passive network matrix must be unitary")
-    if u.shape[0] != key.n_modes:
-        raise GaussianError("mode count mismatch")
-    return DisplacementVec(u @ key.alpha)
-
-
 def transport_key_squeezer(r: float, theta: float, alpha: complex) -> complex:
     """Single-mode squeezer: alpha*cosh(r) + conj(alpha)*e^{i theta}*sinh(r)."""
     if not np.isfinite(r):
@@ -189,13 +176,6 @@ def parse_gaussian_circuit(text: str) -> list[tuple]:
         except (IndexError, ValueError) as exc:
             raise GaussianError(f"line {lineno}: {exc}") from None
     return layers
-
-
-def serialize_gaussian_circuit(layers: list[tuple]) -> str:
-    out = []
-    for layer in layers:
-        out.append(" ".join(str(v) for v in layer))
-    return "\n".join(out) + "\n"
 
 
 def _n_modes_of(layers: list[tuple], n_modes: int | None) -> int:

@@ -61,9 +61,6 @@ class PauliKey:
         return [(letter, (q,)) for q in range(self.n_qubits)
                 if (letter := self.pauli.restricted_letter(q)) != "I"]
 
-    def as_op(self) -> CliffordOp:
-        return CliffordOp.from_gates(self.n_qubits, self.word())
-
     def label(self) -> str:
         return self.pauli.label()[1:]
 
@@ -121,25 +118,6 @@ def pauli_scheme(n: int) -> SchemeDescriptor:
         allows=lambda c: isinstance(c, CliffordOp) and c.n_qubits == n,
         key_from_pauli=lambda p: PauliKey(p.positive()),
         key_factors=lambda: _single_qubit_factors(n, "IXYZ"),
-    )
-
-
-def trivial_scheme(n: int) -> SchemeDescriptor:
-    """Single-key scheme (identity encryption on n ancilla qubits)."""
-    def from_pauli(p: PauliString) -> PauliKey:
-        if p.weight() != 0:
-            raise SchemeError("computation leaves the trivial key space")
-        return PauliKey.identity(n)
-
-    return SchemeDescriptor(
-        name=f"trivial{n}",
-        n_qubits=n,
-        key_count=1,
-        iter_keys=lambda: iter([PauliKey.identity(n)]),
-        encrypt_word=_word_on(n),
-        transport=lambda k, c: PauliKey.identity(n),
-        allows=lambda c: c.is_identity_channel(),
-        key_from_pauli=from_pauli,
     )
 
 

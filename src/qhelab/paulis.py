@@ -31,11 +31,10 @@ _PHASE_PREFIX = {"+": 0, "+i": 1, "i": 1, "-": 2, "-i": 3}
 _PREFIX_OF_PHASE = {0: "+", 1: "+i", 2: "-", 3: "-i"}
 
 CLIFFORD_GATES = ("H", "S", "CNOT", "CZ", "SWAP", "X", "Y", "Z")
-_CPAULI_LETTERS = frozenset("XYZ")
 _GATE_ARITY = {
     "H": 1, "S": 1, "X": 1, "Y": 1, "Z": 1,
     "CNOT": 2, "CZ": 2, "SWAP": 2,
-    "T": 1, "M": 1, "CPAULI": 1,
+    "T": 1,
 }
 
 
@@ -145,9 +144,6 @@ class PauliString:
         """The +1-signed Hermitian representative (phase folded out)."""
         n_y = int(np.sum(self.x & self.z))
         return PauliString(self.x, self.z, n_y)
-
-    def negate(self) -> "PauliString":
-        return PauliString(self.x, self.z, self.phase + 2)
 
     def symplectic(self) -> np.ndarray:
         """Length-2n bit vector (x | z)."""
@@ -325,19 +321,9 @@ def _inverse_word(gates) -> list[tuple[str, tuple[int, ...]]]:
 
 
 class Gate(NamedTuple):
-    """One circuit element: Clifford gate, T marker, measurement, or
-    classically controlled Pauli."""
+    """One circuit element: a Clifford gate or a T marker."""
     name: str
     qubits: tuple[int, ...]
-    bit: str | None = None      # classical bit label for M / CPAULI
-    pauli: str | None = None    # Pauli letter for CPAULI
-
-    def render(self) -> str:
-        if self.name == "M":
-            return f"M {self.qubits[0]} -> {self.bit}"
-        if self.name == "CPAULI":
-            return f"CPAULI {self.bit} {self.pauli} {self.qubits[0]}"
-        return " ".join([self.name, *map(str, self.qubits)])
 
 
 @dataclass(frozen=True)
@@ -347,26 +333,14 @@ class Circuit:
     gates: tuple[Gate, ...]
 
     def __post_init__(self):
-        seen_bits = set()
         for g in self.gates:
             _check_gate(g.name, g.qubits, self.n_qubits, _GATE_ARITY)
-            if g.name == "M":
-                if g.bit is None:
-                    raise PauliAlgebraError("measurement without bit label")
-                if g.bit in seen_bits:
-                    raise PauliAlgebraError(f"duplicate bit label {g.bit!r}")
-                seen_bits.add(g.bit)
-            if g.name == "CPAULI" and (g.bit is None or g.pauli not in _CPAULI_LETTERS):
-                raise PauliAlgebraError("CPAULI needs a bit label and Pauli letter")
 
     def is_clifford(self) -> bool:
         return all(g.name in CLIFFORD_GATES for g in self.gates)
 
     def t_count(self) -> int:
         return sum(1 for g in self.gates if g.name == "T")
-
-    def serialize(self) -> str:
-        return "\n".join(g.render() for g in self.gates) + "\n"
 
 
 def parse_circuit(text: str, n_qubits: int | None = None) -> Circuit:
@@ -380,25 +354,15 @@ def parse_circuit(text: str, n_qubits: int | None = None) -> Circuit:
         toks = line.split()
         name = toks[0].upper()
         try:
-            if name == "M":
-                if len(toks) != 4 or toks[2] != "->":
-                    raise PauliAlgebraError("want: M q -> b")
-                gates.append(Gate("M", (int(toks[1]),), bit=toks[3]))
-            elif name == "CPAULI":
-                if len(toks) != 4:
-                    raise PauliAlgebraError("want: CPAULI b P q")
-                gates.append(Gate("CPAULI", (int(toks[3]),), bit=toks[1],
-                                  pauli=toks[2].upper()))
-            elif name in _GATE_ARITY:
-                qs = tuple(int(t) for t in toks[1:])
-                if len(qs) != _GATE_ARITY[name]:
-                    raise PauliAlgebraError(
-                        f"{name} takes {_GATE_ARITY[name]} qubit(s), not {len(qs)}")
-                gates.append(Gate(name, qs))
-            else:
+            if name not in _GATE_ARITY:
                 raise PauliAlgebraError(f"unknown gate {name!r}")
+            qs = tuple(int(t) for t in toks[1:])
+            if len(qs) != _GATE_ARITY[name]:
+                raise PauliAlgebraError(
+                    f"{name} takes {_GATE_ARITY[name]} qubit(s), not {len(qs)}")
         except (ValueError, PauliAlgebraError) as exc:
             raise PauliAlgebraError(f"line {lineno}: {exc}") from None
+        gates.append(Gate(name, qs))
         maxq = max(maxq, *gates[-1].qubits)
     n = n_qubits if n_qubits is not None else maxq + 1
     return Circuit(n, tuple(gates))
@@ -659,22 +623,7 @@ def random_clifford(n: int, rng: np.random.Generator) -> CliffordOp:
     return CliffordOp.from_gates(n, _inverse_word(reduction))
 
 
-def random_pauli(n: int, rng: np.random.Generator, phase_free: bool = True) -> PauliString:
+def random_pauli(n: int, rng: np.random.Generator) -> PauliString:
     x = rng.integers(0, 2, size=n, dtype=np.uint8)
     z = rng.integers(0, 2, size=n, dtype=np.uint8)
-    p = PauliString(x, z).positive()
-    return p if phase_free or not rng.integers(0, 2) else p.negate()
-
-
-def random_clifford_circuit(n: int, depth: int, rng: np.random.Generator) -> Circuit:
-    """Random gate-word circuit (test-input generation, not uniform)."""
-    gates: list[Gate] = []
-    one_q = ["H", "S", "X", "Y", "Z"]
-    two_q = ["CNOT", "CZ", "SWAP"]
-    for _ in range(depth):
-        if n >= 2 and rng.random() < 0.5:
-            a, b = rng.choice(n, size=2, replace=False)
-            gates.append(Gate(str(rng.choice(two_q)), (int(a), int(b))))
-        else:
-            gates.append(Gate(str(rng.choice(one_q)), (int(rng.integers(n)),)))
-    return Circuit(n, tuple(gates))
+    return PauliString(x, z).positive()

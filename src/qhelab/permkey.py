@@ -90,18 +90,6 @@ class PermKey:
     def cycle_notation(self) -> str:
         return "".join("(" + " ".join(map(str, c)) + ")" for c in self.cycles())
 
-    @classmethod
-    def from_cycle_notation(cls, m: int, text: str) -> "PermKey":
-        perm = list(range(2 * m))
-        for part in text.replace(")", ")|").split("|"):
-            part = part.strip().strip("()")
-            if not part:
-                continue
-            cyc = [int(t) for t in part.split()]
-            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-                perm[a] = b
-        return cls(m, tuple(perm))
-
     def column_swaps(self) -> list[tuple[int, int]]:
         """Transpositions realizing the permutation (len(cycle)-1 each)."""
         swaps = []
@@ -688,14 +676,6 @@ class ConcatenatedSpreadCode:
     inner: object          # qec.StabilizerCode
     m: int
     _encoded: dict = field(default_factory=dict, compare=False, repr=False)
-
-    def logical_x_columns(self) -> list[str]:
-        return [self.inner.logical_x[0].restricted_letter(i)
-                for i in range(self.inner.n)]
-
-    def logical_z_columns(self) -> list[str]:
-        return [self.inner.logical_z[0].restricted_letter(i)
-                for i in range(self.inner.n)]
 
     def encode(self, plaintext: str) -> SpreadRegister:
         """One data qubit -> n rows x 2m columns; each character encoded once."""

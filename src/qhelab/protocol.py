@@ -85,9 +85,6 @@ class _PauliSession:
             self.state, msgs = inject_t_gate(self.state, gate.qubits[0],
                                              self.magic, self.tracker, rng)
             return msgs
-        if gate.name == "M":
-            raise ProtocolViolation("mid-circuit measurement sessions are "
-                                    "driven through the QEC layer")
         self.state = self.state.apply_gate(gate.name, gate.qubits)
         self.tracker.absorb(gate.name, gate.qubits)
         return ()

@@ -77,9 +77,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf2
-from .paulis import (_GATE_ARITY, CLIFFORD_GATES, Circuit, CliffordOp,
-                     PauliString, _apply_gate_rows, _check_gate, _check_word,
-                     _row_product, _signed_permutation, _symplectic_gram)
+from .paulis import (_GATE_ARITY, CLIFFORD_GATES, CliffordOp, PauliString,
+                     _apply_gate_rows, _check_gate, _check_word, _row_product,
+                     _signed_permutation, _symplectic_gram)
 
 DENSE_QUBIT_CAP = 6
 VECTOR_QUBIT_CAP = 12
@@ -642,11 +642,6 @@ class StabilizerState(State):
         return {"backend": self.BACKEND, "n_qubits": self.n_qubits,
                 "generators": [g.label() for g in self.generators]}
 
-    @classmethod
-    def from_json(cls, blob: dict) -> "StabilizerState":
-        gens = [PauliString.from_label(s) for s in blob["generators"]]
-        return cls(blob["n_qubits"], gens)
-
     def __repr__(self):
         return f"StabilizerState(n={self.n_qubits}, gens={[g.label() for g in self.generators]})"
 
@@ -912,16 +907,6 @@ class DensityMatrix(State):
         flat = np.stack([self.mat.real, self.mat.imag], -1).reshape(-1, 2).tolist()
         return {"backend": self.BACKEND, "n_qubits": self.n_qubits, "matrix": flat}
 
-    @classmethod
-    def from_json(cls, blob: dict) -> "DensityMatrix":
-        """Each [real, imag] pair read back as the bits of one complex
-        entry, so a round trip is byte-equal."""
-        dim = 2 ** blob["n_qubits"]
-        pairs = np.array(blob["matrix"], dtype=float)
-        if pairs.shape != (dim * dim, 2):
-            raise BackendError(f"matrix must be {dim * dim} [real, imag] pairs")
-        return cls(pairs.view(complex).reshape(dim, dim))
-
     def __repr__(self):
         return f"DensityMatrix(n={self.n_qubits})"
 
@@ -1100,18 +1085,6 @@ class StateVector(State):
         return {"backend": self.BACKEND, "n_qubits": self.n_qubits,
                 "vector": pairs}
 
-    @classmethod
-    def from_json(cls, blob: dict) -> "StateVector":
-        """A state vector's blob, read back byte for byte; any other
-        backend's blob may hold a mixed state and raises."""
-        if blob.get("backend") != cls.BACKEND:
-            raise BackendError("a state vector holds pure states only, "
-                               f"not a {blob.get('backend')!r} blob")
-        pairs = np.array(blob["vector"], dtype=float)
-        if pairs.shape != (2 ** blob["n_qubits"], 2):
-            raise BackendError("vector must be 2^n [real, imag] pairs")
-        return cls(pairs.view(complex).reshape(-1))
-
     def __repr__(self):
         return f"StateVector(n={self.n_qubits})"
 
@@ -1155,33 +1128,3 @@ def trace_distance(a, b) -> float:
     diff = a.to_density().mat - b.to_density().mat
     eig = np.linalg.eigvalsh((diff + diff.conj().T) / 2)
     return float(0.5 * np.sum(np.abs(eig)))
-
-
-def evaluate_circuit(state, circuit: Circuit, rng: np.random.Generator,
-                     forced: dict[str, int] | None = None):
-    """Run a Clifford circuit with Z measurements and classically
-    controlled Paulis on any backend; `forced` fixes the outcomes of the
-    named bits.
-
-    Returns (state, records dict).  A T gate raises BackendError: plain
-    T references apply their gates to a state vector directly, and
-    encrypted T handling lives in the scheme modules.
-    """
-    forced = forced or {}
-    records: dict[str, MeasurementRecord] = {}
-    for g in circuit.gates:
-        if g.name == "M":
-            zq = PauliString.single(circuit.n_qubits, g.qubits[0], "Z")
-            state, rec = state.measure_pauli(zq, rng, force=forced.get(g.bit))
-            records[g.bit] = rec
-        elif g.name == "CPAULI":
-            if g.bit not in records:
-                raise BackendError(f"CPAULI references unmeasured bit {g.bit!r}")
-            if records[g.bit].outcome:
-                p = PauliString.single(circuit.n_qubits, g.qubits[0], g.pauli)
-                state = state.apply_pauli(p)
-        elif g.name == "T":
-            raise BackendError("T gate requires the dense reference path")
-        else:
-            state = state.apply_gate(g.name, g.qubits)
-    return state, records

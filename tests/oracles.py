@@ -4,13 +4,17 @@ Each helper is the plain, slow form of something a state backend or the
 register does fast, and the tests hold the fast path to it.  The byte
 references (`per_gate`, `contraction`) keep the exact computation the
 kernels were first pinned against, so `tobytes()` comparisons against
-them stay exact.  This module holds no tests."""
+them stay exact.  It also holds the test inputs that no library code
+draws (`signed_pauli`, `random_clifford_circuit`) and the one-key
+`trivial_scheme`.  This module holds no tests."""
 import collections
 
 import numpy as np
 
 from qhelab import permkey, qec
-from qhelab.paulis import PauliString, random_clifford
+from qhelab.paulikey import PauliKey, _word_on
+from qhelab.paulis import Circuit, Gate, PauliString, random_clifford, random_pauli
+from qhelab.schemes import SchemeDescriptor, SchemeError
 from qhelab.states import _GATE_MATS, DensityMatrix, StabilizerState, _apply_on_bits
 
 
@@ -196,3 +200,42 @@ def qec_cycle(seed: int, i: int):
     (x if letter == "X" else z)[qubits] = 1
     value = factor.state.expectation(PauliString(x, z))
     return plain, int(value), [[int(b) for b in row] for row in bits]
+
+
+def signed_pauli(n, rng) -> PauliString:
+    """`random_pauli` with a uniform sign, drawn after the letters."""
+    p = random_pauli(n, rng)
+    return PauliString(p.x, p.z, p.phase + 2) if rng.integers(0, 2) else p
+
+
+def random_clifford_circuit(n: int, depth: int, rng: np.random.Generator) -> Circuit:
+    """Random gate-word circuit (test-input generation, not uniform)."""
+    gates: list[Gate] = []
+    one_q = ["H", "S", "X", "Y", "Z"]
+    two_q = ["CNOT", "CZ", "SWAP"]
+    for _ in range(depth):
+        if n >= 2 and rng.random() < 0.5:
+            a, b = rng.choice(n, size=2, replace=False)
+            gates.append(Gate(str(rng.choice(two_q)), (int(a), int(b))))
+        else:
+            gates.append(Gate(str(rng.choice(one_q)), (int(rng.integers(n)),)))
+    return Circuit(n, tuple(gates))
+
+
+def trivial_scheme(n: int) -> SchemeDescriptor:
+    """Single-key scheme (identity encryption on n ancilla qubits)."""
+    def from_pauli(p: PauliString) -> PauliKey:
+        if p.weight() != 0:
+            raise SchemeError("computation leaves the trivial key space")
+        return PauliKey.identity(n)
+
+    return SchemeDescriptor(
+        name=f"trivial{n}",
+        n_qubits=n,
+        key_count=1,
+        iter_keys=lambda: iter([PauliKey.identity(n)]),
+        encrypt_word=_word_on(n),
+        transport=lambda k, c: PauliKey.identity(n),
+        allows=lambda c: c.is_identity_channel(),
+        key_from_pauli=from_pauli,
+    )

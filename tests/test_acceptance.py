@@ -8,11 +8,11 @@ import time
 
 import numpy as np
 
+from oracles import random_clifford_circuit
 from qhelab.cv import (DisplacementVec, circuit_symplectic, commutation_phase,
                        gkp_logical_to_displacement, transport_key_gaussian,
                        transport_key_squeezer)
-from qhelab.paulis import (Circuit, CliffordOp, Gate, PauliString,
-                           random_clifford_circuit)
+from qhelab.paulis import Circuit, CliffordOp, Gate, PauliString
 from qhelab.paulikey import (PauliKey, compose_with_stabilizer_code,
                              homomorphic_eval, pauli_scheme)
 from qhelab.permkey import (PermKey, SpreadRegister, build_t_register,

@@ -11,9 +11,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from oracles import Calls
+from oracles import Calls, trivial_scheme
 from qhelab.paulis import CliffordOp
-from qhelab.paulikey import pauli_scheme, trivial_scheme, zkey_scheme
+from qhelab.paulikey import pauli_scheme, zkey_scheme
 from qhelab.permkey import perm_scheme, spread_basis_input
 from qhelab.schemes import (SchemeDescriptor, SchemeError, _key_average,
                             ciphertext_average, compose_schemes,

@@ -6,11 +6,11 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import Calls
+from oracles import Calls, random_clifford_circuit
 from qhelab import protocol
 from qhelab.paulis import (Circuit, CliffordOp, Gate, PauliAlgebraError,
                            PauliString, parse_circuit, random_clifford,
-                           random_clifford_circuit, random_pauli)
+                           random_pauli)
 from qhelab.paulikey import (EvalTracker, PauliKey, all_keys,
                              compactness_budget,
                              compose_with_stabilizer_code, encrypt,
@@ -356,7 +356,8 @@ class TestBitRowLedger:
                     assert got == want and got.gates == want.gates
         got, want = tracker.pending, ref.pending
         assert got == want and got.gates == want.gates
-        expect = state.apply_clifford(ref.pending.inverse().compose(ref.key.as_op()))
+        key_op = CliffordOp.from_gates(ref.key.n_qubits, ref.key.word())
+        expect = state.apply_clifford(ref.pending.inverse().compose(key_op))
         assert np.max(np.abs(tracker.decrypt(state).mat - expect.mat)) < 1e-12
 
     def test_block_check_matches_tableau_check(self):

@@ -5,10 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from oracles import Calls
-from qhelab.paulis import CliffordOp, random_clifford, random_clifford_circuit
+from oracles import Calls, random_clifford_circuit, trivial_scheme
+from qhelab.paulis import CliffordOp, random_clifford
 from qhelab.paulikey import (PauliKey, all_keys, compose_with_stabilizer_code,
-                             pauli_scheme, trivial_scheme, zkey_scheme)
+                             pauli_scheme, zkey_scheme)
 from qhelab.permkey import PermKey, perm_scheme, security_bound, spread_basis_input
 from qhelab.qec import repetition_code, logical_lift
 from qhelab.schemes import (KeySpaceError, SchemeError, check_qec_commutation,
@@ -75,7 +75,7 @@ class TestDeriveDecryption:
         sch = pauli_scheme(1)
         key = PauliKey.from_label("Y")
         dec = derive_decryption(sch, key, CliffordOp.identity(1))
-        assert dec.channel == key.as_op().inverse()
+        assert dec.channel == CliffordOp.from_gates(1, key.word()).inverse()
 
     def test_transported_key_through_h(self):
         sch = pauli_scheme(1)

@@ -234,31 +234,16 @@ class BackendPair(RuleBasedStateMachine):
             for state in self.sides:
                 assert abs(self.stab.expectation(p) - state.expectation(p)) <= TOL
 
-    def _round_trip(self):
-        """Every side through JSON text, the dense and vector ones byte
-        for byte."""
-        stab, dense, vec = (
-            s and type(s).from_json(json.loads(json.dumps(s.to_json())))
-            for s in (self.stab, self.dense, self.vec))
-        assert stab.generators == self.stab.generators
-        assert dense.mat.tobytes() == self.dense.mat.tobytes()
-        assert vec is None or vec.vec.tobytes() == self.vec.vec.tobytes()
-        return stab, dense, vec
-
     @precondition(lambda self: self.n <= 3)
     @invariant()
     def to_json(self):
-        """Both sides survive a JSON round trip after every step, up to 3
-        qubits."""
-        self._round_trip()
-
-    @rule()
-    def from_json(self):
-        """A JSON round trip at any size up to the dense cap, and the
-        machine goes on from the decoded states.  A rule as well as the
-        invariant: at 6 qubits one dense round trip through JSON text
-        takes milliseconds, too long for every step."""
-        self.stab, self.dense, self.vec = self._round_trip()
+        """Every side's blob survives JSON text and names its backend and
+        size, up to 3 qubits."""
+        for state in (self.stab, self.dense, self.vec):
+            if state is not None:
+                blob = json.loads(json.dumps(state.to_json()))
+                assert blob["backend"] == state.BACKEND
+                assert blob["n_qubits"] == state.n_qubits
 
     @invariant()
     def reduced_density(self):
@@ -369,13 +354,6 @@ class TestStateVectorHoldsPureStates:
     def test_maximally_mixed(self):
         with pytest.raises(BackendError, match="pure states only"):
             StateVector.maximally_mixed(1)
-
-    @pytest.mark.parametrize("blob", [
-        DensityMatrix.maximally_mixed(1).to_json(),
-        StabilizerState.maximally_mixed(2).to_json()])
-    def test_mixed_from_json(self, blob):
-        with pytest.raises(BackendError, match="pure states only"):
-            StateVector.from_json(blob)
 
     def test_mixed_tensor_factor(self):
         with pytest.raises(BackendError, match="pure states only"):
