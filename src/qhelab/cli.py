@@ -252,17 +252,17 @@ def cmd_cv_check(args) -> int:
 # -- resources -----------------------------------------------------------------
 
 def _ntot_grid(text: str) -> list[int]:
-    """The --ntot list as counts: each token a finite number >= 1, read
-    once and truncated; any other token raises, named."""
+    """The --ntot list as counts: each token a finite whole number >= 1
+    (`1e6` is one), read once; any other token raises, named."""
     grid = []
     for tok in text.split(","):
         try:
             value = float(tok)
         except ValueError:
             value = math.nan
-        if not (math.isfinite(value) and value >= 1):
+        if not (math.isfinite(value) and value >= 1 and value.is_integer()):
             raise resources.ResourceError(
-                f"--ntot wants finite counts >= 1, not {tok!r}")
+                f"--ntot wants whole counts >= 1, not {tok!r}")
         grid.append(int(value))
     return grid
 

@@ -45,6 +45,8 @@ class ResourceParams:
             raise ResourceError("a_coeff must be positive")
         if self.depth < 0 or self.n_total < 0:
             raise ResourceError("counts must be nonnegative")
+        if self.k is not None and self.k < 1:
+            raise ResourceError(f"k must be >= 1, not {self.k}")
 
 
 @dataclass(frozen=True)

@@ -12,17 +12,20 @@ is the executable form of the commutation f: moving an encryption
 through a computation yields the same computation followed by
 encryption under the transported key.
 
-Key averages are exact sums over every key ("exact-sweep"); they need a
-dense state of at most 6 qubits, so no scheme here has over 4^6 keys.  A
+Key averages are exact sums over every key ("exact-sweep") on a dense
+state of at most 6 qubits, so no scheme here has over 4^6 keys.  A
 scheme whose keys form a group may declare `key_factors`: lists of keys
 such that every key is exactly one product of one key per list (the
-first list's key applied first), each list starting with the identity
-key.  The average then runs as a chain of small twirls, one per list, so
-the 720 keys of a 6-column permutation scheme cost 2 + 3 + 4 + 5 + 6
-encryptions and the 4^n Pauli keys 4n.
+first list's key applied first), each starting with the identity key;
+otherwise all keys form one list.  Each descriptor builds its average
+once as a plan, one twirl per list: a key's word up to its first H or T
+is one gather of rho's matrix, and the rest, shared by the list's keys,
+runs once on the list's sum.  A 6-column permutation sweep is 2 + 3 + 4
++ 5 + 6 gathers per input, and the 4^n Pauli keys 4n.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -32,7 +35,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .paulis import Circuit, CliffordOp, PauliString, _inverse_word
-from .states import BackendError, DensityMatrix, _dense, trace_distance
+from .states import BackendError, DensityMatrix, _dense, _word_map, trace_distance
 
 
 class SchemeError(ValueError):
@@ -83,6 +86,30 @@ class SchemeDescriptor:
         """Reverse transport: the f with Encr_k . C = C . Encr_f."""
         return self.transport(key, comp.inverse())
 
+    @functools.cached_property
+    def _average_plan(self) -> list:
+        """The key average, built on first use: per factor list, each key's
+        flat gather index into rho's matrix with its phase (None: all ones),
+        and the list's tail, the word from its first H or T on, shared by
+        every key of the list."""
+        factors = (self.key_factors() if self.key_factors is not None
+                   else [list(self.iter_keys())])
+        if math.prod(map(len, factors)) != self.key_count:
+            raise SchemeError("key factors disagree with key_count")
+        n, plan = self.n_qubits, []
+        for factor in factors:
+            gathers, tail = [], []
+            for key in factor:
+                idx, d, rest = _word_map(n, self.encrypt_word(key))
+                if gathers and rest != tail:
+                    raise SchemeError(f"{self.name}: keys of one factor list "
+                                      "differ from their first H or T on")
+                tail = rest
+                gathers.append(((idx[:, None] << n | idx).ravel(), None if d is None
+                                else (d[:, None] * d.conj()).ravel()))
+            plan.append((gathers, tail))
+        return plan
+
 
 @dataclass(frozen=True)
 class SecurityReport:
@@ -119,31 +146,23 @@ def _as_clifford(comp) -> CliffordOp:
     raise SchemeError(f"not a computation: {comp!r}")
 
 
-def _key_average(scheme: SchemeDescriptor, factors, rho: DensityMatrix,
-                 expected: int) -> DensityMatrix:
-    """Uniform mixture of rho's encryptions under every product of one key
-    per factor list, the first list's key applied first; the list sizes
-    must multiply to `expected`.  Each list sums its encryptions of the
-    previous list's sum, and the one division comes last."""
-    if math.prod(len(factor) for factor in factors) != expected:
-        raise SchemeError("key factors disagree with key_count")
-    total = rho
-    for factor in factors:
-        acc = np.zeros_like(rho.mat)
-        for key in factor:
-            acc += scheme.encrypt(key, total).mat
-        total = _dense(acc)
-    return _dense(total.mat / expected)
-
-
-def ciphertext_average(scheme: SchemeDescriptor, rho: DensityMatrix) -> DensityMatrix:
+def ciphertext_average(scheme: SchemeDescriptor, rho) -> DensityMatrix:
     """The state an eavesdropper without the key perceives: the uniform
-    mixture of the encryptions under every key."""
+    mixture of the encryptions of rho's `to_density()` under every key.
+    Each list of the plan sums its gathers of the previous list's sum and
+    applies its tail; the one division comes last."""
     if scheme.key_count is None:
         raise KeySpaceError(f"{scheme.name} has no enumerable key space")
-    factors = (scheme.key_factors() if scheme.key_factors is not None
-               else [list(scheme.iter_keys())])
-    return _key_average(scheme, factors, rho, scheme.key_count)
+    if rho.n_qubits != scheme.n_qubits:
+        raise BackendError("qubit count mismatch")
+    total = rho.to_density()
+    for gathers, tail in scheme._average_plan:
+        flat = total.mat.ravel()
+        acc = np.zeros_like(flat)
+        for idx, phase in gathers:
+            acc += flat.take(idx) if phase is None else flat.take(idx) * phase
+        total = _dense(acc.reshape(total.mat.shape)).apply_gates(tail)
+    return _dense(total.mat / scheme.key_count)
 
 
 def security_delta(scheme: SchemeDescriptor, inputs) -> SecurityReport:

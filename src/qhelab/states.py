@@ -18,7 +18,9 @@ has two gate kernels:
   u rho u^dag gathers rho's rows and columns by a cached index vector and
   re-phases them (`_row_map`); a qubit permutation is the same gather by
   its basis index vector, so a permutation key encrypts without
-  arithmetic.  `_gather` is the one kernel that moves entries;
+  arithmetic.  A word's gates up to its first H or T compose into one
+  such map (`_word_map`), which a key average takes as one flat index.
+  `_gather` is the one kernel that moves a state's entries;
 - contraction: H and T multiply their 4^k x 4^k superoperator
   u (x) conj(u) into their k row and k column axes (`_apply_on_bits`).
 
@@ -289,6 +291,22 @@ def _row_map(n: int, name: str, qs: tuple[int, ...]):
         return idx, None
     d.setflags(write=False)
     return idx, d
+
+
+def _word_map(n: int, word):
+    """A word's gates before its first H or T as one (idx, d), the form
+    `_row_map` gives one gate, and the rest of the word: each gate is
+    checked, then its (i_g, d_g) composed in after the gates before it,
+    idx <- idx[i_g] and d <- d_g * d[i_g] (d None while all ones)."""
+    word, idx, d = list(word), np.arange(2 ** n), None
+    for i, (name, qs) in enumerate(word):
+        _check_gate(name, qs, n, _GATE_MATS, BackendError)
+        if name in _GATE_SUPEROPS:
+            return idx, d, word[i:]
+        i_g, d_g = _row_map(n, name, tuple(qs))
+        idx = idx[i_g]
+        d = d_g if d is None else d[i_g] if d_g is None else d_g * d[i_g]
+    return idx, d, []
 
 
 @functools.lru_cache(maxsize=None)

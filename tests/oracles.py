@@ -5,9 +5,11 @@ register does fast, and the tests hold the fast path to it.  The byte
 references (`per_gate`, `contraction`) keep the exact computation the
 kernels were first pinned against, so `tobytes()` comparisons against
 them stay exact.  It also holds the test inputs that no library code
-draws (`signed_pauli`, `random_clifford_circuit`) and the one-key
-`trivial_scheme`.  This module holds no tests."""
+draws (`signed_pauli`, `random_clifford_circuit`), the one-key
+`trivial_scheme`, and `key_average`, the key-by-key replay that
+`ciphertext_average` is held to.  This module holds no tests."""
 import collections
+import math
 
 import numpy as np
 
@@ -15,7 +17,8 @@ from qhelab import permkey, qec
 from qhelab.paulikey import PauliKey, _word_on
 from qhelab.paulis import Circuit, Gate, PauliString, random_clifford, random_pauli
 from qhelab.schemes import SchemeDescriptor, SchemeError
-from qhelab.states import _GATE_MATS, DensityMatrix, StabilizerState, _apply_on_bits
+from qhelab.states import (_GATE_MATS, DensityMatrix, StabilizerState,
+                           _apply_on_bits, _dense)
 
 
 def random_state(backend, n, rng):
@@ -220,6 +223,24 @@ def random_clifford_circuit(n: int, depth: int, rng: np.random.Generator) -> Cir
         else:
             gates.append(Gate(str(rng.choice(one_q)), (int(rng.integers(n)),)))
     return Circuit(n, tuple(gates))
+
+
+def key_average(scheme: SchemeDescriptor, factors, rho: DensityMatrix,
+                expected: int) -> DensityMatrix:
+    """Uniform mixture of rho's encryptions under every product of one key
+    per factor list, the first list's key applied first; the list sizes
+    must multiply to `expected`.  Each list sums its encryptions of the
+    previous list's sum, and the one division comes last: every key's
+    word replayed gate by gate, the reference for `ciphertext_average`."""
+    if math.prod(len(factor) for factor in factors) != expected:
+        raise SchemeError("key factors disagree with key_count")
+    total = rho
+    for factor in factors:
+        acc = np.zeros_like(rho.mat)
+        for key in factor:
+            acc += scheme.encrypt(key, total).mat
+        total = _dense(acc)
+    return _dense(total.mat / expected)
 
 
 def trivial_scheme(n: int) -> SchemeDescriptor:

@@ -286,13 +286,20 @@ class TestResources:
         assert code == 0 and len(rows) == 3
         assert all(r["t"] == 11 and r["n"] == 529 for r in rows)
 
-    @pytest.mark.parametrize("tok", ["inf", "1e400", "nan", "-5", "0", "abc"])
+    @pytest.mark.parametrize("tok", ["inf", "1e400", "nan", "-5", "0", "abc",
+                                     "2.9", "1.0000005e6"])
     def test_bad_ntot_token_exits_2(self, tok, capsys):
         code, _ = run_cli(["resources", f"--ntot=1e6,{tok}", "--k", "1"])
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and repr(tok) in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("k", ["0", "-3"])
+    def test_nonpositive_k_exits_2(self, k, capsys):
+        code, out = run_cli(["resources", "--ntot", "1e6", f"--k={k}"])
+        assert code == 2 and not out
+        assert capsys.readouterr().err == f"error: k must be >= 1, not {k}\n"
 
     def test_nonconvergent_exits_2(self):
         code, _ = run_cli(["resources", "--p0", "1e-3", "--pthr", "1e-3",

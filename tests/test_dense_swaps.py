@@ -10,10 +10,10 @@ import hashlib
 import numpy as np
 import pytest
 
-from oracles import Calls, contraction
+from oracles import Calls, contraction, key_average
 from qhelab import states
 from qhelab.permkey import perm_scheme, spread_basis_input
-from qhelab.schemes import _key_average, ciphertext_average
+from qhelab.schemes import ciphertext_average
 from qhelab.states import BackendError, DensityMatrix
 
 def _random_word(n, rng):
@@ -67,8 +67,8 @@ class TestPermCiphertextsPinned:
             for key in scheme.iter_keys():
                 enc.update(scheme.encrypt(key, rho).mat.tobytes())
                 dec.update(scheme.decrypt(key, rho).mat.tobytes())
-            per_key = _key_average(scheme, [list(scheme.iter_keys())], rho,
-                                   scheme.key_count).mat
+            per_key = key_average(scheme, [list(scheme.iter_keys())], rho,
+                                  scheme.key_count).mat
             avg = hashlib.sha256(per_key.tobytes())
             got = tuple(h.hexdigest()[:16] for h in (enc, dec, avg))
             assert got == PINNED[(m, label)], (m, label)

@@ -1,24 +1,31 @@
-"""Key averages as a chain of small twirls.
+"""Key averages as a chain of small twirls, run from a cached plan.
 
 A scheme that declares `key_factors` lists keys such that every key is
 exactly one product of one key per list, each list starting with the
-identity key.  `ciphertext_average` then sums one list at a time; the
-per-key sum over `iter_keys` is the oracle it is checked against."""
+identity key.  `ciphertext_average` then sums one list at a time, each
+key as one gather from the descriptor's cached plan; the per-key replay
+over `iter_keys` (`oracles.key_average`) is the oracle it is checked
+against."""
 import dataclasses
 import itertools
+import types
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from oracles import Calls, trivial_scheme
+from oracles import Calls, key_average, per_gate, random_dense, trivial_scheme
+from qhelab import states
 from qhelab.paulis import CliffordOp
-from qhelab.paulikey import pauli_scheme, zkey_scheme
-from qhelab.permkey import perm_scheme, spread_basis_input
-from qhelab.schemes import (SchemeDescriptor, SchemeError, _key_average,
-                            ciphertext_average, compose_schemes,
-                            security_delta)
-from qhelab.states import DensityMatrix
+from qhelab.paulikey import (PauliKey, compose_with_stabilizer_code,
+                             pauli_scheme, zkey_scheme)
+from qhelab.permkey import PermKey, perm_scheme, spread_basis_input
+from qhelab.qec import phase_flip_code
+from qhelab.schemes import (SchemeDescriptor, SchemeError, ciphertext_average,
+                            compose_schemes, security_delta)
+from qhelab.states import (BackendError, DensityMatrix, StabilizerState,
+                           StateVector)
+from test_schemes import WORD_SCHEMES
 
 FACTORED = {
     **{f"perm-m{m}": (lambda m=m: perm_scheme(m)) for m in (1, 2, 3)},
@@ -30,8 +37,16 @@ FACTORED = {
 
 def _oracle(scheme, rho):
     """The per-key sum over every key of the scheme."""
-    return _key_average(scheme, [list(scheme.iter_keys())], rho,
-                        scheme.key_count)
+    return key_average(scheme, [list(scheme.iter_keys())], rho,
+                       scheme.key_count)
+
+
+def _replayed(scheme, rho):
+    """The same factor lists as `ciphertext_average`, each key's word
+    replayed gate by gate: the same sums in the same order."""
+    factors = (scheme.key_factors() if scheme.key_factors is not None
+               else [list(scheme.iter_keys())])
+    return key_average(scheme, factors, rho, scheme.key_count)
 
 
 def _product_inputs(n, letters):
@@ -122,21 +137,24 @@ class TestAverageMatchesPerKeySum:
         assert rep.delta < 1e-15
 
     def test_one_encryption_per_factor_key(self, monkeypatch):
+        """The plan takes one key word per factor key, on first use only."""
         calls = Calls(monkeypatch)
-        calls.count(SchemeDescriptor, "encrypt")
-        ciphertext_average(perm_scheme(3), spread_basis_input(3, 0))
-        assert calls.take("encrypt") == 2 + 3 + 4 + 5 + 6
-        ciphertext_average(pauli_scheme(3), DensityMatrix.product("0+1"))
-        assert calls.take("encrypt") == 4 * 3
+        calls.count(PermKey, "word")
+        calls.count(PauliKey, "word")
+        for _ in range(2):
+            ciphertext_average(perm_scheme(3), spread_basis_input(3, 0))
+            assert calls.take("word") == 2 + 3 + 4 + 5 + 6
+            ciphertext_average(pauli_scheme(3), DensityMatrix.product("0+1"))
+            assert calls.take("word") == 4 * 3
 
 
 class TestFactorSizesChecked:
     def test_short_factor_list_raises(self):
         scheme = perm_scheme(2)
-        factors = scheme.key_factors()[:-1]
+        short = dataclasses.replace(
+            scheme, key_factors=lambda: perm_scheme(2).key_factors()[:-1])
         with pytest.raises(SchemeError, match="key_count"):
-            _key_average(scheme, factors, spread_basis_input(2, 0),
-                         scheme.key_count)
+            ciphertext_average(short, spread_basis_input(2, 0))
 
     def test_declared_factors_checked_by_ciphertext_average(self):
         scheme = pauli_scheme(2)
@@ -145,6 +163,116 @@ class TestFactorSizesChecked:
                 scheme.key_factors()[0][:2]])
         with pytest.raises(SchemeError, match="key_count"):
             ciphertext_average(bad, DensityMatrix.product("00"))
+
+
+PLANNED = {**{f"factored-{name}": make for name, make in FACTORED.items()},
+           **{f"word-{name}": make for name, make in WORD_SCHEMES.items()},
+           "pauli*phaseflip3": lambda: compose_with_stabilizer_code(phase_flip_code())}
+
+
+class TestCachedPlan:
+    """`ciphertext_average` runs from a plan cached on the descriptor: per
+    key one gather of rho's matrix, and per factor list one shared tail
+    (the word from its first H or T on) after the list's sum."""
+
+    @pytest.mark.parametrize("name", sorted(PLANNED))
+    def test_plan_matches_key_by_key_replay(self, name):
+        """Bitwise where no key word contracts; the phase-flip composite's
+        encoder holds H, so its tail runs once on the sum, not per key."""
+        scheme = PLANNED[name]()
+        rng = np.random.default_rng(sorted(PLANNED).index(name))
+        for _ in range(3):
+            rho = random_dense(scheme.n_qubits, rng)
+            got, ref = ciphertext_average(scheme, rho).mat, _replayed(scheme, rho).mat
+            if name == "pauli*phaseflip3":
+                assert np.max(np.abs(got - ref)) < 1e-12
+            else:
+                assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_word_map_is_the_gate_by_gate_replay(self, n):
+        """One gather by the composed map is the word's gathers one gate at
+        a time; the word from its first H or T on comes back unapplied."""
+        rng = np.random.default_rng(60 + n)
+        names = ["S", "X", "Y", "Z", "CNOT", "CZ", "SWAP"]
+        for _ in range(20):
+            word = []
+            for _ in range(int(rng.integers(1, 8))):
+                name = names[int(rng.integers(len(names)))]
+                word.append((name, tuple(int(q) for q in rng.choice(
+                    n, 1 if len(name) == 1 else 2, replace=False))))
+            rho = random_dense(n, rng)
+            idx, d, rest = states._word_map(n, word + [("H", (0,)), ("X", (1,))])
+            assert rest == [("H", (0,)), ("X", (1,))]
+            assert np.array_equal(states._gather(rho.mat, idx, d),
+                                  per_gate(rho, word).mat)
+
+    def test_word_map_checks_each_gate(self):
+        with pytest.raises(BackendError):
+            states._word_map(2, [("X", (0,)), ("CNOT", (1, 1))])
+
+    def test_tails_that_differ_raise(self):
+        words = {0: [("X", (0,)), ("H", (0,))], 1: [("H", (0,)), ("S", (0,))]}
+        scheme = SchemeDescriptor(
+            name="split", n_qubits=1, key_count=2, iter_keys=lambda: iter(words),
+            encrypt_word=words.__getitem__, transport=lambda k, c: k,
+            allows=lambda c: True)
+        with pytest.raises(SchemeError, match="first H or T"):
+            ciphertext_average(scheme, DensityMatrix.product("0"))
+
+    @pytest.mark.parametrize("make", [lambda: perm_scheme(3),
+                                      lambda: pauli_scheme(2)])
+    def test_second_average_replays_nothing(self, make, monkeypatch):
+        calls = Calls(monkeypatch)
+        words = types.SimpleNamespace(of=make().encrypt_word)
+        calls.count(words, "of", "encrypt_word")
+        scheme = dataclasses.replace(make(), encrypt_word=lambda k: words.of(k))
+        rho = random_dense(scheme.n_qubits, np.random.default_rng(5))
+        calls.count(states, "_row_map")
+        first = ciphertext_average(scheme, rho)
+        assert calls.take("encrypt_word") == sum(map(len, scheme.key_factors()))
+        calls.take("_row_map")
+        second = ciphertext_average(scheme, rho)
+        assert calls.take("encrypt_word") == calls.take("_row_map") == 0
+        assert first.mat.tobytes() == second.mat.tobytes()
+
+
+BACKENDS = [StabilizerState, StateVector, DensityMatrix]
+
+
+class TestAnyBackendInput:
+    """`ciphertext_average` reads any backend's `to_density()`."""
+
+    @pytest.mark.parametrize("make, spec", [
+        (lambda: perm_scheme(2), "0110"), (lambda: perm_scheme(3), "100101"),
+        (lambda: pauli_scheme(3), "101"), (lambda: zkey_scheme(2), "01")])
+    def test_basis_inputs_byte_equal_across_backends(self, make, spec):
+        """Each backend holds a basis state's matrix exactly, so the three
+        averages agree bit for bit."""
+        scheme = make()
+        averages = {ciphertext_average(scheme, cls.product(spec)).mat.tobytes()
+                    for cls in BACKENDS}
+        assert len(averages) == 1
+
+    @pytest.mark.parametrize("spec", ["0+1-", "im+0", "-1i0"])
+    def test_each_backend_averages_its_density(self, spec):
+        scheme = perm_scheme(2)
+        averages = []
+        for cls in BACKENDS:
+            state = cls.product(spec)
+            got = ciphertext_average(scheme, state).mat
+            assert got.tobytes() == ciphertext_average(
+                scheme, state.to_density()).mat.tobytes()
+            averages.append(got)
+        assert np.max(np.abs(averages[0] - averages[1])) < 1e-15
+        assert np.max(np.abs(averages[1] - averages[2])) < 1e-15
+
+    @pytest.mark.parametrize("cls", BACKENDS)
+    def test_qubit_count_mismatch_raises(self, cls):
+        with pytest.raises(BackendError, match="qubit count"):
+            ciphertext_average(perm_scheme(1), cls.product("000"))
+        with pytest.raises(BackendError, match="qubit count"):
+            security_delta(perm_scheme(1), [cls.product("00"), cls.product("0")])
 
 
 COMPOSITIONS = [

@@ -190,3 +190,7 @@ class TestParamValidation:
         with pytest.raises(ResourceError):
             ResourceParams(p0=1e-6, p_threshold=1e-3, a_coeff=1.0,
                            p_target=0.5, depth=-1)
+        for k in (0, -3):
+            with pytest.raises(ResourceError, match="k must be >= 1"):
+                ResourceParams(p0=1e-6, p_threshold=1e-3, a_coeff=1.0,
+                               p_target=0.5, k=k)
