@@ -15,12 +15,12 @@ block (rows touched by magic states).  A logical gate word merges the
 rows it touches once and reaches their factor's state in one call, so a
 syndrome round is one pass.  Transversal measurement of a row collapses
 it to a product, after which the row is traced out and the factor
-shrinks, so dense blocks never exceed the oracle cap.  A discarded row
-leaves its factor's state at the factor's next read, in one partial
-trace with every row discarded since the last.  Correction rows are
-single-use and never merge: a conditional logical consumes its |0>/|1>
-row, and on a tableau applies the gate and the row's discard as one
-Pauli mixture on the target row.
+shrinks.  A discarded row leaves its factor's state at the factor's next
+read, in one partial trace with every row discarded since the last.  The
+T gadget's single-use rows never merge into a dense factor: a teleport
+(`teleport_row`) draws its row's bits from the joint diagonal, and a
+conditional logical consumes its |0>/|1> row as one Pauli mixture on
+the target row.  Only a teleport between two tableaus merges.
 """
 from __future__ import annotations
 
@@ -33,7 +33,7 @@ import numpy as np
 from .paulis import CliffordOp, PauliString, _signed_permutation
 from .schemes import SchemeDescriptor, SchemeError
 from .states import (DENSE_QUBIT_CAP, DensityMatrix, StabilizerState,
-                     _controlled_discard, _dense, _tableau)
+                     _controlled_discard, _dense, _tableau, _teleport_discard)
 
 
 class RegisterError(ValueError):
@@ -380,8 +380,8 @@ class SpreadRegister:
         onto `row`; the correction row is consumed.
 
         When the control is a lone row on a tableau with Z generators only
-        and `row`'s factor is a tableau, the gate and the control's
-        discard are one mixture of X^b (Z^b) on `row`'s columns
+        and `row`'s factor is a tableau or dense, the gate and the
+        control's discard are one mixture of X^b (Z^b) on `row`'s columns
         (`states._controlled_discard`), and the rows never merge.  Any
         other case is the transversal gate, then `discard_row`.  A CZ,
         like transversal H, needs odd m; every check runs before anything
@@ -402,12 +402,28 @@ class SpreadRegister:
         self._remove_row(fc, control_row)
         ft.state = state
 
+    def teleport_row(self, data_row: int, row: int,
+                     rng: np.random.Generator) -> list[int]:
+        """Transversal CNOT from `data_row` into `row`, then `measure_row`
+        on `row`; returns its bits.  A lone `row` never merges when either
+        side is dense (`states._teleport_discard`)."""
+        fd, fr = self._factor_of(data_row), self._factor_of(row)
+        if (fd is fr or len(fr.rows) > 1 or DensityMatrix.BACKEND
+                not in (fd.state.BACKEND, fr.state.BACKEND)):
+            self.transversal_pair("CNOT", data_row, row)
+            return self.measure_row(row, rng)
+        fd.state, bits = _teleport_discard(
+            fd.state, fr.state, fd.columns(data_row, self.n_cols), rng)
+        self._remove_row(fr, row)
+        return bits
+
     def measure_row(self, row: int, rng: np.random.Generator) -> list[int]:
         """Transversally measure a row; the row is consumed (traced out).
 
-        One `measure_discard` on the row's columns: on a tableau factor,
-        two GF(2) echelons, of the generators with x on the row and of
-        the kept parts of the rest."""
+        One `measure_discard` on the row's columns (a teleport's lone
+        fresh row leaves through `teleport_row`): on a tableau factor, two
+        GF(2) echelons, of the generators with x on the row and of the
+        kept parts of the rest."""
         f = self._factor_of(row)
         state, bits = f.state.measure_discard(f.columns(row, self.n_cols), rng)
         self._remove_row(f, row)
@@ -611,8 +627,7 @@ def _teleport(reg: SpreadRegister, data_row: int, row: int,
 
     Returns the server's message carrying the 2m bits, and the logical
     outcome that only the client can read from them."""
-    reg.transversal_pair("CNOT", data_row, row)
-    bits = reg.measure_row(row, rng)
+    bits = reg.teleport_row(data_row, row, rng)
     message = {"sender": "server", "kind": "classical-bits", "payload": bits}
     return message, client.parity(bits)
 
@@ -737,8 +752,8 @@ def apply_conditional_logical(reg: SpreadRegister, letter: str, row: int,
     correction row.
 
     Correction rows are single-use and never merge: the call consumes the
-    row (it is retired and counted in `consumed_ancilla_rows`), and on a
-    tableau `row` takes the gate and the row's discard as one Pauli
-    mixture (`SpreadRegister.apply_correction`).  A conditional Z, like
+    row (it is retired and counted in `consumed_ancilla_rows`), and a
+    tableau or dense `row` takes the gate and the row's discard as one
+    Pauli mixture (`SpreadRegister.apply_correction`).  A conditional Z, like
     transversal H, needs odd m; that check runs before anything changes."""
     reg.apply_correction(_controlled_gate(letter), control_row, row)

@@ -199,12 +199,15 @@ def audit_transcript(session_factory, plaintexts: list[str], n_runs: int,
     integer counts as sum_k |a_k - b_k| / (2 n_runs), so it is at most 1.
 
     session_factory(plaintext, rng) must return a Transcript.  Requires
-    >= 1000 runs per plaintext.
+    >= 1000 runs per plaintext and at least two distinct plaintexts.
     """
     if n_runs < 1000:
         raise ProtocolViolation("insufficient samples: need >= 1000 runs")
     if len(plaintexts) < 2:
         raise ProtocolViolation("need at least two plaintexts to compare")
+    if len(set(plaintexts)) < len(plaintexts):
+        # a repeat's counts would replace the first's, hiding any leak
+        raise ProtocolViolation(f"duplicate plaintexts in {plaintexts}")
     per_plain: dict[str, dict[int, Counter]] = {}
     for p_idx, plain in enumerate(plaintexts):
         slots: dict[int, Counter] = {}

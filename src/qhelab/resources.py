@@ -149,10 +149,12 @@ def tradeoff_sweep(params: ResourceParams, n_tot_grid: list[int],
     rows, not errors.
 
     With k given, m follows the optimal rule; otherwise m is the largest
-    that fits the budget at the caller-fixed r.
+    that fits the budget at the caller-fixed r, which must be >= 1.
     """
     if not n_tot_grid:
         raise ResourceError("empty sweep grid")
+    if r_fixed is not None and r_fixed < 1:
+        raise ResourceError(f"r must be >= 1, not {r_fixed}")
     t = min_t(params)
     n = code_length(t)
     a = ancilla_count(n, t)

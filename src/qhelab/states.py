@@ -61,9 +61,11 @@ tableau's is cached on its rows), `tensor` (a dense operand promotes a
 stabilizer or vector one to dense, a vector operand a pure tableau to a
 vector), and `product` / `maximally_mixed` constructors;
 `trace_distance` takes two states.
-`_controlled_discard` serves the register's correction rows: a
-transversal CNOT or CZ from a separate Z-type control tableau, then the
-control's partial trace, as one `_drop_support` on the target.
+The register's single-use rows leave through two kernels that build no
+joint state: `_controlled_discard` (a transversal CNOT or CZ from a
+separate Z-type control tableau, then its partial trace, as one
+`_drop_support` on a tableau or X^b gathers or an entry mask on a dense
+target) and `_teleport_discard` (a CNOT into a row, then its readout).
 `StabilizerState(n, generators)`, `DensityMatrix(mat)`,
 `StateVector(vec)` and `permute_qubits` check outside data (`_permute`
 is the unchecked relabelling), and the two array constructors keep a
@@ -721,19 +723,27 @@ def _drop_support(x: np.ndarray, z: np.ndarray, phase: np.ndarray,
 def _controlled_discard(target, control, name: str, cols: range):
     """`target` after the transversal `name` (CNOT or CZ) from the qubits
     of the separate state `control` onto `cols`, with `control` traced
-    out; None unless both are tableaus and `control` has only Z
-    generators.  Unchecked: the register calls it on a row's columns.
+    out; None unless `control` is a Z-generator tableau and `target` a
+    tableau or dense.  Unchecked: the register calls it on a row's columns.
 
     Such a control is uniform over the basis strings b0 + ker(C) (C its
     generators' z rows), and a CNOT (CZ) from basis string b is X^b (Z^b)
-    on cols, so the gate and the discard are the mixture of those Paulis:
-    conjugation by X^b0 (Z^b0) flips signs, and one `_drop_support` keeps
-    the products of target rows that commute with X^k (Z^k) for every k
-    in a basis of ker(C)."""
-    if (target.BACKEND != StabilizerState.BACKEND
-            or control.BACKEND != StabilizerState.BACKEND or control.x.any()):
+    on cols, so the gate and the discard are the mixture of those Paulis.
+    On a tableau, conjugation by X^b0 (Z^b0) flips signs, and one
+    `_drop_support` keeps the products of target rows that commute with
+    X^k (Z^k) for every k in a basis of ker(C).  A dense target, capped
+    with `control`, is the mean of the X^b gathers, or an entry mask."""
+    if control.BACKEND != StabilizerState.BACKEND or control.x.any():
         return None
-    coset = _z_coset(control.n_qubits, control.z.tobytes(), control.phase.tobytes())
+    key = (control.z.tobytes(), control.phase.tobytes())
+    if target.BACKEND == DensityMatrix.BACKEND:
+        _check_dense_cap(target.n_qubits + control.n_qubits)
+        mix = _dense_mixture(target.n_qubits, name, cols, *key)
+        return _dense(target.mat * mix if name == "CZ" else
+                      sum(_gather(target.mat, i, None) for i in mix) / len(mix))
+    if target.BACKEND != StabilizerState.BACKEND:
+        return None
+    coset = _z_coset(control.n_qubits, *key)
     # a row's overlap with each column of `coset`, over its z (x) bits on
     # cols; a uint8 product wraps at 256, which keeps its parity
     bits = target.z if name == "CNOT" else target.x
@@ -763,6 +773,40 @@ def _z_coset(n: int, z: bytes, phase: bytes) -> np.ndarray:
     coset[:, -1] = gf2.solve(c, np.frombuffer(phase, np.uint8) >> 1)
     coset.setflags(write=False)
     return coset
+
+
+@functools.lru_cache(maxsize=64)
+def _dense_mixture(n: int, name: str, cols: range, z: bytes, phase: bytes):
+    """The X^b (CNOT) or Z^b (CZ) mixture on qubits cols of n, b over
+    `_z_coset`'s strings, read-only: a gather index per X^b, or one entry
+    mask, the mean of the Z^b sign products s_b(x) s_b(y)."""
+    coset = _z_coset(len(cols), z, phase)
+    weight = 1 << (n - 1 - np.array(cols))   # each qubit's index bit
+    strings = [int(coset[:, -1] @ weight)]
+    for v in coset[:, :-1].T:
+        strings += [b ^ int(v @ weight) for b in strings]
+    basis, b = np.arange(2 ** n), np.array(strings)[:, None]
+    signs = 1.0 - 2.0 * (np.bitwise_count(basis & b) & 1)
+    mix = basis ^ b if name == "CNOT" else signs.T @ signs / len(signs)
+    mix.setflags(write=False)
+    return mix
+
+
+def _teleport_discard(target, row, cols: range, rng: np.random.Generator):
+    """`target` after a transversal CNOT from its qubits `cols` into the
+    separate state `row`, then `measure_discard` of `row`, as (state,
+    bits); unchecked, capped on both.  With f(x) the bits of x on cols,
+    `_draw_bits` reads b from the joint diagonal rho_xx sigma_(a ^ f(x)),
+    and the state is rho o sigma[g][:, g] / p, g = f ^ b."""
+    n, k = target.n_qubits, row.n_qubits
+    _check_dense_cap(n + k)
+    rho, sigma = target.to_density().mat, row.to_density().mat
+    f = (np.arange(2 ** n) >> (n - cols.stop)) & (2 ** k - 1)
+    joint = (np.diagonal(rho)[:, None] * np.diagonal(sigma)[
+        f[:, None] ^ np.arange(2 ** k)]).real.reshape((2,) * (n + k))
+    bits, sel = _draw_bits(joint, list(range(n, n + k)), rng)
+    g = f ^ sum(bit << (k - 1 - j) for j, bit in enumerate(bits))
+    return _dense(rho * _gather(sigma, g, None) / joint[sel].sum()), bits
 
 
 def _multiply_rows(x: np.ndarray, z: np.ndarray, phase: np.ndarray,

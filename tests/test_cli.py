@@ -161,7 +161,8 @@ class TestSecurityGolden:
 TGATE_RUNS = [
     *(["--seed", seed, "--plaintext", plain, "-m", "1"]
       for seed in ("0", "4", "99") for plain in ("+", "0", "i")),
-    # the merged magic and data rows exceed the dense cap: exit 2
+    # the teleport's data and magic rows, 6 qubits each, exceed the dense
+    # cap together: exit 2
     ["--seed", "0", "--plaintext", "+", "-m", "3"],
 ]
 # sha256 over the stdout and exit code of `t-gate --mode det --trials 5`
@@ -301,6 +302,12 @@ class TestResources:
         assert code == 2 and not out
         assert capsys.readouterr().err == f"error: k must be >= 1, not {k}\n"
 
+    @pytest.mark.parametrize("r", ["0", "-1"])
+    def test_nonpositive_r_exits_2(self, r, capsys):
+        code, out = run_cli(["resources", "--ntot", "1e6", f"--r={r}"])
+        assert code == 2 and not out
+        assert capsys.readouterr().err == f"error: r must be >= 1, not {r}\n"
+
     def test_nonconvergent_exits_2(self):
         code, _ = run_cli(["resources", "--p0", "1e-3", "--pthr", "1e-3",
                            "--k", "10", "--ntot", "1e6"])
@@ -417,6 +424,25 @@ class TestAuditCommand:
                            "--seed", "1"])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: insufficient samples")
+
+    def test_duplicate_plaintexts_exit_2(self, capsys):
+        """A repeated plaintext would hide the canary's leak."""
+        code, out = run_cli(["audit", "--scheme", "canary", "--runs", "1000",
+                             "--seed", "5", "--plaintexts", "0,0"])
+        assert code == 2 and not out
+        assert capsys.readouterr().err.startswith(
+            "error: duplicate plaintexts in ['0', '0']")
+
+    def test_config_duplicate_plaintexts_exit_2(self, tmp_path, capsys):
+        circ = tmp_path / "c.qc"
+        circ.write_text("H 0\n")
+        config = tmp_path / "session.json"
+        config.write_text(json.dumps({
+            "scheme": "canary", "circuit": str(circ), "seed": 5, "runs": 1000,
+            "plaintexts": ["1", "0", "1"]}))
+        code, out = run_cli(["audit", "--config", str(config)])
+        assert code == 2 and not out
+        assert capsys.readouterr().err.startswith("error: duplicate plaintexts")
 
     def test_config_missing_runs_exits_2(self, tmp_path, capsys):
         config = tmp_path / "session.json"

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from qhelab import states
 from qhelab.cli import main
 from qhelab.paulikey import all_keys, prepare_magic_register
 from qhelab.paulis import Circuit, Gate, parse_circuit
@@ -166,6 +167,27 @@ class TestSessionConfig:
             self._load(tmp_path, {**self.GOOD, "plaintexts": value})
 
 
+class TestMergeFreeTGadget:
+    def test_perm_session_builds_no_dense_state_wider_than_a_row(self,
+                                                               monkeypatch):
+        """The T gadget's fresh rows leave the register without merging
+        into the data row's factor: at m = 1 no dense state wider than one
+        row (2 qubits) is built."""
+        widths = []
+        real = states._dense
+
+        def spy(mat):
+            widths.append(len(mat).bit_length() - 1)
+            return real(mat)
+        monkeypatch.setattr(states, "_dense", spy)
+        circuit = parse_circuit("H 0\nT 0\nS 0\nT 0\nH 0\n")
+        for seed in range(5):
+            got, ref, _ = run_session("perm", "+", circuit,
+                                      np.random.default_rng(seed), m=1)
+            assert trace_distance(got, ref) < 1e-10
+        assert widths and max(widths) == 2
+
+
 class TestAudit:
     def test_insufficient_samples_rejected(self):
         with pytest.raises(ProtocolViolation):
@@ -174,6 +196,14 @@ class TestAudit:
     def test_single_plaintext_rejected(self):
         with pytest.raises(ProtocolViolation):
             audit_transcript(lambda p, rng: Transcript(), ["0"], 1000)
+
+    def test_duplicate_plaintexts_rejected_before_any_session(self):
+        """A repeat's counts would replace the first's: the canary, which
+        puts its key on the wire, would read max_tv 0.0."""
+        def factory(p, rng):
+            raise AssertionError("a session ran")
+        with pytest.raises(ProtocolViolation, match="duplicate plaintexts"):
+            audit_transcript(factory, ["0", "1", "0"], 1000)
 
     def test_pauli_clifford_sessions_trivially_silent(self):
         factory = lambda p, rng: run_session(

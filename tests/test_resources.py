@@ -146,6 +146,15 @@ class TestSweep:
         assert rows[0]["m_rule"] == "budget"
         assert rows[0]["m"] == budget_m(7, 0, 0, 10 ** 4)
 
+    @pytest.mark.parametrize("r", [0, -1])
+    def test_nonpositive_r_rejected(self, r):
+        """r = 0 would divide by zero in `budget_m`, and r < 0 would report
+        an infeasible row as feasible."""
+        p = ResourceParams(p0=1e-6, p_threshold=1e-3, a_coeff=10.0,
+                           p_target=0.5, k=None)
+        with pytest.raises(ResourceError, match=f"r must be >= 1, not {r}"):
+            tradeoff_sweep(p, [10 ** 4], r_fixed=r)
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ResourceError):
             tradeoff_sweep(boundary_params(k=10), [])

@@ -2,19 +2,22 @@
 backends against the per-gate word, the logical CZ that replaces H; CNOT;
 H, the operand checks, the engine, word-check and permutation calls of one
 encrypted QEC cycle, register programs whose discarded rows leave their
-factor's state at its next read, and merge-free corrections against the
-transversal gate and discard they replace."""
+factor's state at its next read, and merge-free corrections and
+teleports against the merged gate, measurement and discard they replace."""
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import Calls, per_gate, qec_cycle, random_state, same_group, same_rows
+from oracles import (Calls, per_gate, qec_cycle, random_dense, random_state,
+                     same_group, same_rows)
 from qhelab import paulis, permkey, qec, states
-from qhelab.paulis import CLIFFORD_GATES, PauliString
+from qhelab.paulis import CLIFFORD_GATES, PauliString, parse_circuit
 from qhelab.permkey import PermClient, PermKey, RegisterError, SpreadRegister
+from qhelab.protocol import run_session
 from qhelab.states import BackendError, DensityMatrix, StabilizerState
 
 
@@ -592,11 +595,177 @@ class TestControlledDiscard:
             assert same_group(got, want)
 
     def test_other_states_are_not_served(self):
+        """Dense and X-generator controls, and state-vector targets, are
+        refused; a dense target is served, and matches the product state,
+        the transversal gate and the control's discard."""
         target = StabilizerState.product("0+1")
-        for control in (StabilizerState.product("+0"),
-                        StabilizerState.product("01").to_density()):
-            assert states._controlled_discard(target, control, "CNOT",
-                                              range(2)) is None
+        for t in (target, target.to_density()):
+            for control in (StabilizerState.product("+0"),
+                            StabilizerState.product("01").to_density()):
+                assert states._controlled_discard(t, control, "CNOT",
+                                                  range(2)) is None
         assert states._controlled_discard(
-            target.to_density(), StabilizerState.product("01"), "CZ",
-            range(2)) is None
+            states.StateVector.product("0+1"), StabilizerState.product("01"),
+            "CZ", range(2)) is None
+        rho = random_dense(4, np.random.default_rng(7))
+        for spec in ("01", "1*", "*0", "**"):
+            control = StabilizerState.product(spec)
+            for name in ("CNOT", "CZ"):
+                for start in (0, 1, 2):
+                    got = states._controlled_discard(rho, control, name,
+                                                     range(start, start + 2))
+                    want = control.tensor(rho).apply_transversals(
+                        [(name, [range(2), range(2 + start, 4 + start)])]
+                    ).discard_qubits([0, 1])
+                    assert got.BACKEND == DensityMatrix.BACKEND
+                    assert np.abs(got.mat - want.mat).max() < 1e-15
+
+
+def _merged_teleport(reg: SpreadRegister, data_row: int, row: int, rng):
+    """The teleport as the merged transversal CNOT, then `measure_row`."""
+    reg.transversal_pair("CNOT", data_row, row)
+    return reg.measure_row(row, rng)
+
+
+def _merged_correction(reg: SpreadRegister, name: str, control: int,
+                       row: int) -> None:
+    """`apply_correction` as the merged transversal gate and a discard."""
+    _reference_correction(reg, {"CNOT": "X", "CZ": "Z"}[name], row, control)
+
+
+def _assert_twins(merged: SpreadRegister, merge_free: SpreadRegister) -> None:
+    """The same live rows and factor rows, and bitwise-equal states; the
+    merged reference's factor moves to the end of the list."""
+    assert merged.alive == merge_free.alive
+    by_rows = [{tuple(f.rows): f.state for f in reg.factors}
+               for reg in (merged, merge_free)]
+    assert by_rows[0].keys() == by_rows[1].keys()
+    for rows, want in by_rows[0].items():
+        got = by_rows[1][rows]
+        assert got.BACKEND == want.BACKEND, rows
+        if want.BACKEND == StabilizerState.BACKEND:
+            assert same_rows(got, want)
+        else:
+            assert np.array_equal(got.mat, want.mat)
+
+
+_FRESH = [*sorted(permkey._ROW_CHAR), "magic"]
+
+
+class TestMergeFreeTeleport:
+    """`SpreadRegister.teleport_row` and the dense corrections at m = 1,
+    on twin registers with twin generators, against the merged gate,
+    measurement and discard that they replace: the same bits, generator
+    state and factor rows, and bitwise-equal states."""
+
+    @staticmethod
+    def _twins(data, fresh: str, seed: int):
+        """Two registers holding a data row, a fresh row and a |+> row,
+        encrypted under one key."""
+        regs = []
+        for _ in range(2):
+            reg = SpreadRegister(1)
+            rows = (reg.add_data_row(data), reg.add_ancilla_row(fresh),
+                    reg.add_ancilla_row("plus"))
+            reg.encrypt(PermKey.sample(1, np.random.default_rng(seed)))
+            regs.append(reg)
+        return regs, rows
+
+    @pytest.mark.parametrize("fresh", _FRESH)
+    @pytest.mark.parametrize("data", ["+", "0", "i", "T", "dense", "mixed"])
+    def test_teleport_matches_merged(self, data, fresh):
+        for seed in range(6):
+            plaintext = data
+            if data in ("dense", "mixed"):
+                # a non-dyadic data row, so every product rounds
+                rho = random_dense(1, np.random.default_rng([seed, 1]))
+                plaintext = rho if data == "dense" else DensityMatrix(
+                    (rho.mat + np.eye(2) / 2) / 2)
+            (merged, merge_free), (d, row, plus) = self._twins(plaintext, fresh,
+                                                               seed)
+            rngs = [np.random.default_rng(seed) for _ in range(2)]
+            want = _merged_teleport(merged, d, row, rngs[0])
+            assert merge_free.teleport_row(d, row, rngs[1]) == want
+            assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+            _assert_twins(merged, merge_free)
+            # the data row's factor keeps its other rows
+            merged.transversal_pair("CNOT", d, plus)
+            merge_free.transversal_pair("CNOT", d, plus)
+            spare = [reg.add_ancilla_row(fresh) for reg in (merged, merge_free)]
+            want = _merged_teleport(merged, d, spare[0], rngs[0])
+            assert merge_free.teleport_row(d, spare[1], rngs[1]) == want
+            assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+            _assert_twins(merged, merge_free)
+
+    @pytest.mark.parametrize("control", ["zero", "one"])
+    @pytest.mark.parametrize("letter", ["X", "Z"])
+    def test_dense_correction_matches_merged(self, control, letter):
+        for seed in range(6):
+            data = random_dense(1, np.random.default_rng([seed, 2]))
+            (merged, merge_free), (d, row, _) = self._twins(data, control, seed)
+            _reference_correction(merged, letter, d, row)
+            permkey.apply_conditional_logical(merge_free, letter, d, row)
+            assert merged.consumed_ancilla_rows() == 1
+            _assert_twins(merged, merge_free)
+
+    @pytest.mark.parametrize("circuit", ["H T S T H", "T H T", "S T T"])
+    @pytest.mark.parametrize("plaintext", ["+", "0", "1", "i"])
+    def test_sessions_match_merged(self, monkeypatch, circuit, plaintext):
+        """Whole deterministic-T sessions: the same transcript, generator
+        state and decrypted output."""
+        gates = parse_circuit("".join(f"{g} 0\n" for g in circuit.split()))
+        for seed in range(4):
+            rngs = [np.random.default_rng(seed) for _ in range(2)]
+            with monkeypatch.context() as patch:
+                patch.setattr(SpreadRegister, "teleport_row", _merged_teleport)
+                patch.setattr(SpreadRegister, "apply_correction",
+                              _merged_correction)
+                want = run_session("perm", plaintext, gates, rngs[0], m=1)
+            got = run_session("perm", plaintext, gates, rngs[1], m=1)
+            assert got[2].messages == want[2].messages
+            assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+            assert np.array_equal(got[0].mat, want[0].mat)
+
+    @pytest.mark.parametrize("fresh", ["plus", "zero"])
+    def test_tableau_pair_still_merges(self, monkeypatch, fresh):
+        calls = Calls(monkeypatch)
+        calls.count(permkey, "_teleport_discard", "kernel")
+        calls.count(SpreadRegister, "_merge", "merge")
+        (merged, merge_free), (d, row, _) = self._twins("+", fresh, 3)
+        rngs = [np.random.default_rng(3) for _ in range(2)]
+        assert merge_free.teleport_row(d, row, rngs[1]) == _merged_teleport(
+            merged, d, row, rngs[0])
+        assert calls.counts["kernel"] == 0 and calls.counts["merge"] == 2
+        _assert_twins(merged, merge_free)
+
+    @pytest.mark.parametrize("op", ["teleport", "correction"])
+    def test_past_cap_raises_before_allocating(self, op):
+        """At m = 3 a data row and a fresh row hold 12 qubits together:
+        the merge-free call raises the merge's `BackendError`, allocates
+        less than one dense matrix of 7 qubits, and changes nothing."""
+        errors = []
+        for apply in ("merged", "merge-free"):
+            reg = SpreadRegister(3)
+            if op == "teleport":
+                data, row = reg.add_data_row("+"), reg.add_ancilla_row("magic")
+                call = (_merged_teleport if apply == "merged"
+                        else SpreadRegister.teleport_row)
+                run = lambda: call(reg, data, row, np.random.default_rng(0))
+            else:
+                data, row = reg.add_data_row("T"), reg.add_ancilla_row("zero")
+                call = (_reference_correction if apply == "merged"
+                        else permkey.apply_conditional_logical)
+                run = lambda: call(reg, "Z", data, row)
+            snapshot = reg.to_json()
+            tracemalloc.start()
+            try:
+                with pytest.raises(BackendError) as err:
+                    run()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            if apply == "merge-free":
+                assert peak < (2 ** 7) ** 2 * np.dtype(complex).itemsize
+                assert reg.to_json() == snapshot
+            errors.append(str(err.value))
+        assert errors[0] == errors[1]
