@@ -81,6 +81,9 @@ def _scheme_inputs(args):
     specs = args.inputs.split(",")
     if len(specs) < 2 or "" in specs:
         raise SchemeError("--inputs needs at least two non-empty inputs")
+    if len(set(specs)) < len(specs):
+        # a repeat compares a state with itself
+        raise SchemeError(f"duplicate inputs in {specs}")
     if args.scheme == "perm":
         states = []
         for s in specs:
@@ -350,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("security", help="exact Delta sweep over every key")
     p.add_argument("scheme", choices=["pauli", "perm", "zkey"])
     p.add_argument("--inputs", required=True,
-                   help="comma-separated plaintexts, e.g. 0,1 or 00,++")
+                   help="comma-separated distinct plaintexts, e.g. 0,1 or 00,++")
     p.add_argument("-m", type=int, default=1)
     p.add_argument("-r", type=int, default=0,
                    help="consumed-ancilla count for the reported bound")

@@ -21,7 +21,10 @@ otherwise all keys form one list.  Each descriptor builds its average
 once as a plan, one twirl per list: a key's word up to its first H or T
 is one gather of rho's matrix, and the rest, shared by the list's keys,
 runs once on the list's sum.  A 6-column permutation sweep is 2 + 3 + 4
-+ 5 + 6 gathers per input, and the 4^n Pauli keys 4n.
++ 5 + 6 gathers per input, and the 4^n Pauli keys 4n.  Permutation,
+Pauli and Z-key words are monomial (no H or T), so on a diagonal input,
+such as the computational-basis inputs of the sweeps, each gather moves
+the 2^n diagonal entries, not the 4^n matrix.
 """
 from __future__ import annotations
 
@@ -89,9 +92,10 @@ class SchemeDescriptor:
     @functools.cached_property
     def _average_plan(self) -> list:
         """The key average, built on first use: per factor list, each key's
-        flat gather index into rho's matrix with its phase (None: all ones),
-        and the list's tail, the word from its first H or T on, shared by
-        every key of the list."""
+        flat gather index into rho's matrix, its row index into rho's
+        diagonal (the flat index's diagonal entries, shifted), and its
+        phase (None: all ones); and the list's tail, the word from its
+        first H or T on, shared by every key of the list."""
         factors = (self.key_factors() if self.key_factors is not None
                    else [list(self.iter_keys())])
         if math.prod(map(len, factors)) != self.key_count:
@@ -105,7 +109,8 @@ class SchemeDescriptor:
                     raise SchemeError(f"{self.name}: keys of one factor list "
                                       "differ from their first H or T on")
                 tail = rest
-                gathers.append(((idx[:, None] << n | idx).ravel(), None if d is None
+                flat = (idx[:, None] << n | idx).ravel()
+                gathers.append((flat, flat[::2 ** n + 1] >> n, None if d is None
                                 else (d[:, None] * d.conj()).ravel()))
             plan.append((gathers, tail))
         return plan
@@ -150,19 +155,28 @@ def ciphertext_average(scheme: SchemeDescriptor, rho) -> DensityMatrix:
     """The state an eavesdropper without the key perceives: the uniform
     mixture of the encryptions of rho's `to_density()` under every key.
     Each list of the plan sums its gathers of the previous list's sum and
-    applies its tail; the one division comes last."""
+    applies its tail; the one division comes last.  When rho's matrix is
+    diagonal and no list has a tail, every key word is monomial and maps
+    it to a diagonal matrix: the lists then gather its 2^n diagonal
+    entries by row index, times the diagonal of each phase, in the same
+    order, and only the result is built as a matrix."""
     if scheme.key_count is None:
         raise KeySpaceError(f"{scheme.name} has no enumerable key space")
     if rho.n_qubits != scheme.n_qubits:
         raise BackendError("qubit count mismatch")
-    total = rho.to_density()
-    for gathers, tail in scheme._average_plan:
-        flat = total.mat.ravel()
-        acc = np.zeros_like(flat)
-        for idx, phase in gathers:
-            acc += flat.take(idx) if phase is None else flat.take(idx) * phase
-        total = _dense(acc.reshape(total.mat.shape)).apply_gates(tail)
-    return _dense(total.mat / scheme.key_count)
+    mat, plan = rho.to_density().mat, scheme._average_plan
+    diagonal = (not any(tail for _, tail in plan)
+                and np.count_nonzero(mat) == np.count_nonzero(mat.diagonal()))
+    entries, step = (mat.diagonal(), len(mat) + 1) if diagonal else (mat.ravel(), 1)
+    for gathers, tail in plan:
+        acc = np.zeros_like(entries)
+        for flat, row, phase in gathers:
+            got = entries.take(row if diagonal else flat)
+            acc += got if phase is None else got * phase[::step]
+        entries = (_dense(acc.reshape(mat.shape)).apply_gates(tail).mat.ravel()
+                   if tail else acc)
+    out = entries / scheme.key_count
+    return _dense(np.diag(out) if diagonal else out.reshape(mat.shape))
 
 
 def security_delta(scheme: SchemeDescriptor, inputs) -> SecurityReport:

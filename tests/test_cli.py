@@ -250,6 +250,18 @@ class TestUsageErrors:
         assert code == 2 and out == ""
         assert capsys.readouterr().err.startswith("error: --inputs needs")
 
+    @pytest.mark.parametrize("argv, specs", [
+        (["perm", "-m", "1", "--inputs", "0,0"], ['0', '0']),
+        (["perm", "-m", "2", "--inputs", "1,0,1"], ['1', '0', '1']),
+        (["pauli", "--inputs", "0+,1-,0+"], ['0+', '1-', '0+']),
+        (["zkey", "--inputs", "++,++"], ['++', '++']),
+    ])
+    def test_security_duplicate_inputs_exit_2(self, argv, specs, capsys):
+        """A repeated input would compare a state with itself."""
+        code, out = run_cli(["security"] + argv)
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == f"error: duplicate inputs in {specs}\n"
+
     @pytest.mark.parametrize("argv", [
         ["security", "pauli", "--inputs", "0,1", "--format", "csv"],
         ["resources", "--ntot", "1e6", "--format", "text"],

@@ -13,7 +13,7 @@ import pytest
 from oracles import Calls, contraction, key_average
 from qhelab import states
 from qhelab.permkey import perm_scheme, spread_basis_input
-from qhelab.schemes import ciphertext_average
+from qhelab.schemes import ciphertext_average, security_delta
 from qhelab.states import BackendError, DensityMatrix
 
 def _random_word(n, rng):
@@ -135,3 +135,20 @@ def test_perm_average_runs_no_contraction(monkeypatch):
     assert calls.take("_apply_on_bits") == 0
     DensityMatrix.product("0+").apply_gate("H", (0,))
     assert calls.take("_apply_on_bits") == 1   # the counter does see a contraction
+
+
+def test_perm_sweep_stays_on_the_diagonal(monkeypatch):
+    """The basis-input sweep sums 2^n-entry buffers, not 4^n, and takes
+    the trace norm of the diagonal difference without `eigvalsh`."""
+    inputs = [spread_basis_input(3, 0), spread_basis_input(3, 1)]
+    calls = Calls(monkeypatch)
+    calls.count(np, "zeros_like", note=lambda a: a.size)
+    calls.count(np.linalg, "eigvalsh")
+    report = security_delta(perm_scheme(3), inputs)
+    assert set(calls.log["zeros_like"]) == {2 ** 6}
+    assert calls.take("eigvalsh") == 0
+    assert report.delta == 0.12499999999999997 and report.key_count == 720
+    rho = DensityMatrix.product("+00000")
+    security_delta(perm_scheme(3), [rho, inputs[0]])
+    assert 4 ** 6 in calls.log["zeros_like"]   # the counters do see the full path
+    assert calls.take("eigvalsh") == 1

@@ -237,6 +237,62 @@ class TestCachedPlan:
         assert first.mat.tobytes() == second.mat.tobytes()
 
 
+def _average_buffers(monkeypatch, scheme, rho):
+    """The key average and the entry counts of the buffers it summed in."""
+    calls = Calls(monkeypatch)
+    calls.count(np, "zeros_like", note=lambda a: a.size)
+    got = ciphertext_average(scheme, rho).mat
+    return got, set(calls.log["zeros_like"])
+
+
+class TestDiagonalPath:
+    """A diagonal input of a scheme whose plan has no tail (every key word
+    monomial) is averaged on its 2^n diagonal entries; every other input
+    takes the 4^n path.  Both match the key-by-key replay."""
+
+    @staticmethod
+    def _diagonal_inputs(n, rng):
+        """Random diagonal densities with zero entries, then basis products."""
+        for _ in range(3):
+            p = rng.random(2 ** n) * (rng.random(2 ** n) < 0.6)
+            p[rng.integers(2 ** n)] += 0.5
+            yield DensityMatrix(np.diag(p / p.sum()))
+        for spec in _product_inputs(n, "01"):
+            yield StabilizerState.product(spec)
+
+    @pytest.mark.parametrize("name", sorted(PLANNED))
+    def test_diagonal_inputs_match_replay_bitwise(self, name, monkeypatch):
+        """Bitwise on the diagonal path; the phase-flip composite's H tail
+        keeps it on the full path, within 1e-12 as in `TestCachedPlan`."""
+        scheme = PLANNED[name]()
+        n, tail = scheme.n_qubits, name == "pauli*phaseflip3"
+        rng = np.random.default_rng(70 + sorted(PLANNED).index(name))
+        for rho in self._diagonal_inputs(n, rng):
+            got, sizes = _average_buffers(monkeypatch, scheme, rho)
+            ref = _replayed(scheme, rho.to_density()).mat
+            assert sizes == {4 ** n if tail else 2 ** n}
+            if tail:
+                assert np.max(np.abs(got - ref)) < 1e-12
+            else:
+                assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(PLANNED))
+    def test_one_off_diagonal_entry_takes_the_full_path(self, name, monkeypatch):
+        scheme = PLANNED[name]()
+        n = scheme.n_qubits
+        rng = np.random.default_rng(90 + sorted(PLANNED).index(name))
+        mat = np.diag(rng.random(2 ** n)).astype(complex)
+        i, j = rng.choice(2 ** n, 2, replace=False)
+        mat[i, j] = complex(*rng.random(2))
+        got, sizes = _average_buffers(monkeypatch, scheme, states._dense(mat))
+        ref = _replayed(scheme, states._dense(mat)).mat
+        assert sizes == {4 ** n}
+        if name == "pauli*phaseflip3":
+            assert np.max(np.abs(got - ref)) < 1e-12
+        else:
+            assert got.tobytes() == ref.tobytes()
+
+
 BACKENDS = [StabilizerState, StateVector, DensityMatrix]
 
 

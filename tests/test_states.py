@@ -4,7 +4,8 @@ import itertools
 import numpy as np
 import pytest
 
-from oracles import full_rank_density, projected, random_dense, signed_pauli
+from oracles import (Calls, full_rank_density, projected, random_dense,
+                     signed_pauli)
 from qhelab import states
 from qhelab.paulis import CliffordOp, PauliString, random_clifford
 from qhelab.paulis import _signed_permutation
@@ -142,6 +143,49 @@ class TestTraceDistance:
         with pytest.raises(BackendError):
             trace_distance(DensityMatrix.product("0"),
                            DensityMatrix.product("00"))
+
+    @staticmethod
+    def _eig_norm(a, b):
+        diff = a.to_density().mat - b.to_density().mat
+        return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh((diff + diff.conj().T) / 2))))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_diagonal_difference_is_the_eigvalsh_sum(self, n, monkeypatch):
+        """Ties, zeros (both signs) and both signs of entry: the sorted
+        diagonal adds in `eigvalsh`'s order, bit for bit, with no call."""
+        rng = np.random.default_rng(40 + n)
+        pairs = []
+        for _ in range(20):
+            vals = rng.choice([0.0, -0.0, 0.125, -0.125, 0.3, -0.7], 2 ** n)
+            vals *= rng.choice([1.0, rng.random()], 2 ** n)
+            other = rng.choice([0.0, 0.25, -0.25 * rng.random()], 2 ** n)
+            pairs.append((_dense(np.diag(vals + 0j)), _dense(np.diag(other + 0j))))
+        want = [self._eig_norm(a, b) for a, b in pairs]
+        calls = Calls(monkeypatch)
+        calls.count(np.linalg, "eigvalsh")
+        assert [trace_distance(a, b) for a, b in pairs] == want
+        assert calls.take("eigvalsh") == 0
+
+    def test_tableau_basis_state_against_dense(self, monkeypatch):
+        rho = DensityMatrix(np.diag([0.5, 0.25, 0.25, 0.0]))
+        want = [self._eig_norm(StabilizerState.product(s), rho)
+                for s in ("00", "01", "11")]
+        calls = Calls(monkeypatch)
+        calls.count(np.linalg, "eigvalsh")
+        got = [trace_distance(StabilizerState.product(s), rho)
+               for s in ("00", "01", "11")]
+        assert got == want == [0.5, 0.75, 1.0]
+        assert calls.take("eigvalsh") == 0
+
+    def test_one_off_diagonal_entry_uses_eigvalsh(self, monkeypatch):
+        mat = np.diag([0.5, 0.25, 0.25, 0.0]).astype(complex)
+        mat[0, 2] = 0.1
+        a, b = _dense(mat), DensityMatrix.product("01")
+        want = self._eig_norm(a, b)
+        calls = Calls(monkeypatch)
+        calls.count(np.linalg, "eigvalsh")
+        assert trace_distance(a, b) == want
+        assert calls.take("eigvalsh") == 1
 
 
 class TestToDensity:
